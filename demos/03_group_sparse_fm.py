@@ -9,7 +9,6 @@ then compared by gradient evaluations.
 import numpy as np
 
 from hinfuse import fmg, solvers, synth
-from hinfuse.pipeline import nnz_ratio
 
 L, RANK = 6, 5
 
@@ -30,7 +29,7 @@ for mode in ("convex", "lsp"):
         vn = fmg.group_norms(params.V, problem.layout)
         norms = [np.sqrt(wn[l] ** 2 + wn[l + L] ** 2 + vn[l] ** 2 + vn[l + L] ** 2) for l in range(L)]
         survivors = [f"m{l + 1}" for l in range(L) if norms[l] > 1e-3]
-        print(f"  lambda={lam:<5}: rmse={rmse:.4f} nnz={nnz_ratio(params):.3f} kept={survivors}")
+        print(f"  lambda={lam:<5}: rmse={rmse:.4f} nnz={fmg.param_nnz_ratio(params):.3f} kept={survivors}")
 
 print()
 print("=== solvers on one problem (gradient evaluations in units of N) ===")

@@ -49,6 +49,7 @@ from .fmg import (
     augmented_grad,
     mse_loss,
     objective,
+    param_nnz_ratio,
     predict,
     predict_batch,
     prox_group,
@@ -64,6 +65,6 @@ from .solvers import (
     train_sgd,
     train_svrg,
 )
-from .pipeline import ExperimentConfig, MetricsReport, nnz_ratio, report_selected, rmse, run_pipeline
+from .pipeline import ExperimentConfig, MetricsReport, report_selected, rmse, run_pipeline
 
 __version__ = "0.1.0"

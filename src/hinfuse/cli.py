@@ -31,20 +31,21 @@ def _load_config(args):
     return cfg
 
 
-def _stages(cfg, args):
-    return pipeline._Stages(cfg, args.out_dir, args.cache_dir)
+def _run(args, through, model=None):
+    """Run the stages through ``through`` under the command's config; return (stages, run)."""
+    cfg = _load_config(args)
+    stages = pipeline._Stages(cfg, args.out_dir, args.cache_dir)
+    return stages, stages.run(cfg.seed, through, model)
 
 
 def cmd_ingest(args):
-    cfg = _load_config(args)
-    stages = _stages(cfg, args)
-    store, ratings, _, specs, report = stages.timed("ingest", stages.ingest)
+    _, run = _run(args, "ingest")
     summary = {
-        "entities": {name: ent.count for name, ent in store.entities.items()},
-        "relations": {name: adj.nnz for name, (_, adj) in store.relations.items()},
-        "ratings": len(ratings),
-        "metagraphs": [s.name for s in specs],
-        "validation": {"errors": report.errors, "warnings": report.warnings},
+        "entities": {name: ent.count for name, ent in run.store.entities.items()},
+        "relations": {name: adj.nnz for name, (_, adj) in run.store.relations.items()},
+        "ratings": len(run.ratings),
+        "metagraphs": [s.name for s in run.specs],
+        "validation": {"errors": run.validation.errors, "warnings": run.validation.warnings},
     }
     path = os.path.join(args.out_dir, "ingest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -53,81 +54,41 @@ def cmd_ingest(args):
     return 0
 
 
-def _through_factorize(cfg, stages):
-    store, ratings, rating_decl, specs, _ = stages.timed("ingest", stages.ingest)
-    train_rs, valid_rs, test_rs = stages.timed("split", lambda: stages.split(ratings, cfg.seed))
-    sims = stages.timed(
-        "similarity", lambda: stages.similarities(store, train_rs, rating_decl, specs, cfg.seed)
-    )
-    return store, (train_rs, valid_rs, test_rs), sims, specs
-
-
 def cmd_similarity(args):
-    cfg = _load_config(args)
-    stages = _stages(cfg, args)
-    _, _, sims, _ = _through_factorize(cfg, stages)
-    for sim, event in zip(sims, stages.cache_events["similarity"]):
+    stages, run = _run(args, "similarity")
+    for sim, event in zip(run.sims, stages.cache_events["similarity"]):
         status = "cached" if event["hit"] else "computed"
         print(f"{sim.metagraph}: {sim.shape[0]}x{sim.shape[1]}, nnz={sim.nnz} ({status})")
     return 0
 
 
 def cmd_factorize(args):
-    cfg = _load_config(args)
-    stages = _stages(cfg, args)
-    _, _, sims, _ = _through_factorize(cfg, stages)
-    pairs = stages.timed("factorize", lambda: stages.factorize(sims, cfg.seed))
-    for pair, event in zip(pairs, stages.cache_events["factorize"]):
+    stages, run = _run(args, "factorize")
+    for pair, event in zip(run.pairs, stages.cache_events["factorize"]):
         status = "cached" if event["hit"] else "computed"
         print(f"{pair.metagraph}: rank={pair.rank} method={pair.method} ({status})")
     return 0
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
-    stages = _stages(cfg, args)
-    _, (train_rs, valid_rs, _), sims, _ = _through_factorize(cfg, stages)
-    pairs = stages.timed("factorize", lambda: stages.factorize(sims, cfg.seed))
-    train_table, layout = stages.timed("assemble", lambda: stages.assemble(pairs, train_rs, "train"))
-    valid_table, _ = stages.timed("assemble", lambda: stages.assemble(pairs, valid_rs, "train"))
-    scaler = stages.fit_scaler(train_table)
-    if scaler is not None:
-        train_table.X = fmg.standardize(train_table.X, scaler)
-        if len(valid_table):
-            valid_table.X = fmg.standardize(valid_table.X, scaler)
-    params, trace, lam, series = stages.timed(
-        "train", lambda: stages.train(train_table, valid_table, layout)
-    )
-    fmg.save_model(os.path.join(args.out_dir, "model.npz"), params, layout,
-                   stages.reg_config(layout, lam))
-    trace.to_jsonl(os.path.join(args.out_dir, "trace.jsonl"))
-    print(f"selected lambda={lam}, nnz={pipeline.nnz_ratio(params):.4f}")
-    for entry in series:
+    stages, run = _run(args, "train")
+    stages.save_model(run)
+    print(f"selected lambda={run.lam}, nnz={fmg.param_nnz_ratio(run.params):.4f}")
+    for entry in run.series:
         print(f"  lambda={entry['lambda']}: rmse_valid={entry['rmse_valid']:.4f} nnz={entry['nnz']:.4f}")
     return 0
 
 
+def _model_path(args, stage):
+    path = os.path.join(args.out_dir, "model.npz")
+    if not os.path.exists(path):
+        raise pipeline.StageError(stage, f"no model at {path}; run train first")
+    return path
+
+
 def cmd_evaluate(args):
-    cfg = _load_config(args)
-    stages = _stages(cfg, args)
-    model_path = os.path.join(args.out_dir, "model.npz")
-    if not os.path.exists(model_path):
-        raise pipeline.StageError("evaluate", f"no model at {model_path}; run train first")
-    params, layout, _ = fmg.load_model(model_path)
-    _, (train_rs, valid_rs, test_rs), sims, _ = _through_factorize(cfg, stages)
-    pairs = stages.timed("factorize", lambda: stages.factorize(sims, cfg.seed))
-    scaler = None
-    if cfg.standardize_features:
-        train_table, _ = stages.assemble(pairs, train_rs, "train")
-        scaler = stages.fit_scaler(train_table)
-    rmses = stages.timed(
-        "evaluate",
-        lambda: stages.evaluate(
-            params, pairs, {"train": train_rs, "valid": valid_rs, "test": test_rs}, layout,
-            scaler=scaler,
-        ),
-    )
-    print(json.dumps(rmses, indent=2))
+    _, run = _run(args, "evaluate", fmg.load_model(_model_path(args, "evaluate")))
+    print(json.dumps(run.rmses, indent=2))
     return 0
 
 
@@ -139,15 +100,12 @@ def cmd_pipeline(args):
 
 
 def cmd_report(args):
-    model_path = os.path.join(args.out_dir, "model.npz")
-    if not os.path.exists(model_path):
-        raise pipeline.StageError("report", f"no model at {model_path}; run train first")
-    params, layout, _ = fmg.load_model(model_path)
+    params, layout, _, _ = fmg.load_model(_model_path(args, "report"))
     rows = pipeline.report_selected(params, layout, threshold=args.threshold)
     for row in rows:
         flags = ("w" if row["w_selected"] else "-") + ("V" if row["v_selected"] else "-")
         print(f"{row['group']:>24} [{flags}] w_norm={row['w_norm']:.5f} v_norm={row['v_norm']:.5f}")
-    print(f"nnz={pipeline.nnz_ratio(params):.4f}")
+    print(f"nnz={fmg.param_nnz_ratio(params):.4f}")
     return 0
 
 

@@ -340,8 +340,9 @@ def param_nnz_ratio(params, tol=1e-10):
     return nnz / (params.d + params.d * params.K)
 
 
-def save_model(path, params, layout, cfg):
-    """Persist the model with its layout and regularizer config; round-trips bit-exactly."""
+def save_model(path, params, layout, cfg, scaler=None):
+    """Persist the model, its layout, regularizer config and the ``(mean, std)`` standardizer
+    its features were fit with (None if unstandardized); round-trips bit-exactly."""
     header = {
         "d": params.d,
         "K": params.K,
@@ -354,11 +355,14 @@ def save_model(path, params, layout, cfg):
             "eta_v": None if cfg.eta_v is None else np.asarray(cfg.eta_v).tolist(),
             "kappa0": cfg.kappa0,
         },
+        "standardized": scaler is not None,
     }
-    np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V)
+    arrays = {} if scaler is None else {"mean": scaler[0], "std": scaler[1]}
+    np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V, **arrays)
 
 
 def load_model(path):
+    """Return ``(params, layout, reg_config, scaler)`` as saved by :func:`save_model`."""
     data = np.load(path, allow_pickle=False)
     header = json.loads(str(data["header"]))
     params = FmParams(float(data["b"]), data["w"], data["V"])
@@ -372,4 +376,7 @@ def load_model(path):
         eta_v=None if reg["eta_v"] is None else np.asarray(reg["eta_v"]),
         kappa0=reg["kappa0"],
     )
-    return params, layout, cfg
+    if "standardized" not in header:
+        raise ValueError(f"{path} does not record its feature standardizer; train the model again")
+    scaler = (data["mean"], data["std"]) if header["standardized"] else None
+    return params, layout, cfg, scaler

@@ -672,27 +672,24 @@ def brute_force_matrix(spec, hin, guard=10**7):
 
 
 # ---------------------------------------------------------------------------
-# Persistence: text triplets with a one-line header
+# Persistence: one uncompressed .npz of CSR arrays per matrix
 
 
 def save_similarity(path, sim):
-    """Write ``rows<TAB>cols<TAB>nnz<TAB>name`` then one ``row<TAB>col<TAB>value`` per entry."""
-    coo = sim.matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]}\t{coo.shape[1]}\t{coo.nnz}\t{sim.metagraph}\n")
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            fh.write(f"{i}\t{j}\t{v!r}\n")
+    """Write CSR ``data``/``indices``/``indptr``, ``shape`` and ``metagraph`` to exactly ``path``.
+
+    Through an open handle, because ``np.savez`` appends ``.npz`` to a bare
+    path; uncompressed, because compressing costs 20x the time of writing.
+    """
+    matrix = sim.matrix.tocsr()
+    with open(path, "wb") as fh:
+        np.savez(
+            fh, data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
+            shape=np.asarray(matrix.shape, dtype=np.int64), metagraph=sim.metagraph,
+        )
 
 
 def load_similarity(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        rows, cols, nnz, name = int(header[0]), int(header[1]), int(header[2]), header[3]
-        i = np.empty(nnz, dtype=np.int64)
-        j = np.empty(nnz, dtype=np.int64)
-        v = np.empty(nnz, dtype=np.float64)
-        for k in range(nnz):
-            parts = fh.readline().rstrip("\n").split("\t")
-            i[k], j[k], v[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    matrix = sp.csr_matrix((v, (i, j)), shape=(rows, cols))
-    return SimilarityMatrix(matrix, name)
+    with np.load(path, allow_pickle=False) as f:
+        matrix = sp.csr_matrix((f["data"], f["indices"], f["indptr"]), shape=tuple(f["shape"].tolist()))
+        return SimilarityMatrix(matrix, str(f["metagraph"]))

@@ -53,11 +53,6 @@ def rmse(predictions, labels):
     return float(np.sqrt(np.sum((labels - predictions) ** 2)) / np.sqrt(predictions.size))
 
 
-def nnz_ratio(params, tol=1e-10):
-    """Fraction of nonzero first/second-order parameters (bias excluded)."""
-    return fmg.param_nnz_ratio(params, tol=tol)
-
-
 def report_selected(params, layout, threshold=1e-10):
     """Per-group norms and selected flags for first- and second-order blocks."""
     if threshold < 0:
@@ -217,13 +212,33 @@ def _input_fingerprint(config):
     return h.hexdigest()[:16]
 
 
+@dataclass
+class StageRun:
+    """What one pass through the stages built; fields of stages not run stay None."""
+
+    store: hin.HinStore = None
+    ratings: hin.RatingSet = None
+    specs: list = None
+    validation: object = None  # the ingest stage's hin.validate report
+    splits: dict = None  # role -> RatingSet
+    sims: list = None
+    pairs: list = None
+    layout: fmg.GroupLayout = None
+    scaler: tuple = None  # (mean, std) of the training features, or None
+    params: fmg.FmParams = None
+    trace: solvers.TrainTrace = None
+    lam: float = None
+    series: list = None
+    rmses: dict = None
+
+
 def _key(*parts):
     blob = json.dumps(parts, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class _Stages:
-    """Shared machinery for the CLI stage commands and run_pipeline."""
+    """The pipeline's stages; :meth:`run` is the one sequence run_pipeline and the CLI share."""
 
     def __init__(self, config, out_dir, cache_dir=None):
         self.config = config
@@ -295,7 +310,7 @@ class _Stages:
                 cfg.fractions, seed, cfg.binarize_ratings, cfg.log_scale_similarity,
                 cfg.optimize_plans,
             )
-            path = os.path.join(self.cache_dir, f"sim_{spec.name}_{key}.tsv")
+            path = os.path.join(self.cache_dir, f"sim_{spec.name}_{key}.npz")
             if os.path.exists(path):
                 return metagraph.load_similarity(path), True
             plan = metagraph.compile_plan(spec, store, optimize=cfg.optimize_plans)
@@ -339,15 +354,18 @@ class _Stages:
             self.cache_events["factorize"].append({"metagraph": sim.metagraph, "hit": hit})
         return [pair for pair, _ in results]
 
-    def assemble(self, pairs, rating_set, stage):
-        table, layout = fmg.assemble_features(pairs, rating_set)
-        table.y = _labels(rating_set, stage).copy()
-        return table, layout
-
-    def fit_scaler(self, train_table):
-        if not self.config.standardize_features:
-            return None
-        return fmg.fit_standardizer(train_table.X)
+    def assemble(self, pairs, train_rs, valid_rs):
+        """Training and validation tables, standardized by a scaler fit on train if configured."""
+        train_table, layout = fmg.assemble_features(pairs, train_rs)
+        valid_table, _ = fmg.assemble_features(pairs, valid_rs)
+        train_table.y = _labels(train_rs, "train").copy()
+        valid_table.y = _labels(valid_rs, "train").copy()
+        scaler = None
+        if self.config.standardize_features:
+            scaler = fmg.fit_standardizer(train_table.X)
+            train_table.X = fmg.standardize(train_table.X, scaler)
+            valid_table.X = fmg.standardize(valid_table.X, scaler)
+        return train_table, valid_table, layout, scaler
 
     def reg_config(self, layout, lam):
         cfg = self.config
@@ -367,32 +385,79 @@ class _Stages:
                 clip_range=clip,
             )
             params, trace = solvers.train(problem, cfg.solver)
+            valid_rmse = float("nan")
             if len(valid_table):
-                pred = fmg.predict_batch(params, valid_table.X)
-                if clip is not None:
-                    pred = np.clip(pred, *clip)
-                valid_rmse = rmse(pred, valid_table.y)
-            else:
-                valid_rmse = float("nan")
-            entry = {"lambda": lam, "rmse_valid": valid_rmse, "nnz": nnz_ratio(params)}
+                valid_rmse = self.score(params, valid_table.X, valid_table.y)
+            entry = {"lambda": lam, "rmse_valid": valid_rmse, "nnz": fmg.param_nnz_ratio(params)}
             series.append(entry)
             if best is None or (np.isfinite(valid_rmse) and valid_rmse < best[0]):
                 best = (valid_rmse if np.isfinite(valid_rmse) else float("inf"), lam, params, trace)
         _, lam, params, trace = best
         return params, trace, lam, series
 
+    def score(self, params, X, labels):
+        """RMSE of the predictions, clipped to the rating range if configured."""
+        pred = fmg.predict_batch(params, X)
+        if self.config.clip_predictions:
+            pred = np.clip(pred, *self.config.rating_range)
+        return rmse(pred, labels)
+
     def evaluate(self, params, pairs, splits, layout, scaler=None):
-        cfg = self.config
-        clip = cfg.rating_range if cfg.clip_predictions else None
+        """RMSE per split; the assembled feature groups must be the ones ``params`` was fit on."""
         out = {}
         for stage_name, rating_set in splits.items():
-            table, _ = fmg.assemble_features(pairs, rating_set)
+            table, assembled = fmg.assemble_features(pairs, rating_set)
+            if assembled != layout:
+                raise ValueError(f"model groups {layout.labels} differ from the config's {assembled.labels}")
             X = fmg.standardize(table.X, scaler) if scaler is not None else table.X
-            pred = fmg.predict_batch(params, X)
-            if clip is not None:
-                pred = np.clip(pred, *clip)
-            out[stage_name] = rmse(pred, _labels(rating_set, "evaluate")) if len(rating_set) else None
+            out[stage_name] = (
+                self.score(params, X, _labels(rating_set, "evaluate")) if len(rating_set) else None
+            )
         return out
+
+    def run(self, seed, through="evaluate", model=None):
+        """Run the stages in order through ``through``; return what they built.
+
+        ``through`` is ingest, similarity, factorize, train or evaluate.
+        ``model``, as returned by :func:`fmg.load_model`, stands in for the
+        assemble and train stages, so evaluation scores it as it was saved.
+        """
+        run = StageRun()
+        run.store, run.ratings, decl, run.specs, run.validation = self.timed("ingest", self.ingest)
+        if through == "ingest":
+            return run
+        train_rs, valid_rs, test_rs = self.timed("split", lambda: self.split(run.ratings, seed))
+        run.splits = {"train": train_rs, "valid": valid_rs, "test": test_rs}
+        run.sims = self.timed(
+            "similarity", lambda: self.similarities(run.store, train_rs, decl, run.specs, seed)
+        )
+        if through == "similarity":
+            return run
+        run.pairs = self.timed("factorize", lambda: self.factorize(run.sims, seed))
+        if through == "factorize":
+            return run
+        if model is not None:
+            run.params, run.layout, _, run.scaler = model
+        else:
+            train_table, valid_table, run.layout, run.scaler = self.timed(
+                "assemble", lambda: self.assemble(run.pairs, train_rs, valid_rs)
+            )
+            run.params, run.trace, run.lam, run.series = self.timed(
+                "train", lambda: self.train(train_table, valid_table, run.layout)
+            )
+        if through == "train":
+            return run
+        run.rmses = self.timed(
+            "evaluate",
+            lambda: self.evaluate(run.params, run.pairs, run.splits, run.layout, run.scaler),
+        )
+        return run
+
+    def save_model(self, run):
+        """Write the trained model (with its standardizer) and its solver trace to out_dir."""
+        fmg.save_model(os.path.join(self.out_dir, "model.npz"), run.params, run.layout,
+                       self.reg_config(run.layout, run.lam), scaler=run.scaler)
+        run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))
 
 
 def run_pipeline(config, out_dir, cache_dir=None):
@@ -402,45 +467,16 @@ def run_pipeline(config, out_dir, cache_dir=None):
 
     test_rmses = []
     for repeat in range(config.repeats):
-        seed = config.seed + repeat
-        store, ratings, rating_decl, specs, _ = stages.timed("ingest", stages.ingest)
-        train_rs, valid_rs, test_rs = stages.timed("split", lambda: stages.split(ratings, seed))
-        sims = stages.timed(
-            "similarity", lambda: stages.similarities(store, train_rs, rating_decl, specs, seed)
-        )
-        pairs = stages.timed("factorize", lambda: stages.factorize(sims, seed))
-        (train_table, layout) = stages.timed(
-            "assemble", lambda: stages.assemble(pairs, train_rs, "train")
-        )
-        (valid_table, _) = stages.timed(
-            "assemble", lambda: stages.assemble(pairs, valid_rs, "train")
-        )
-        scaler = stages.fit_scaler(train_table)
-        if scaler is not None:
-            train_table.X = fmg.standardize(train_table.X, scaler)
-            if len(valid_table):
-                valid_table.X = fmg.standardize(valid_table.X, scaler)
-        params, trace, lam, series = stages.timed(
-            "train", lambda: stages.train(train_table, valid_table, layout)
-        )
-        rmses = stages.timed(
-            "evaluate",
-            lambda: stages.evaluate(
-                params, pairs, {"train": train_rs, "valid": valid_rs, "test": test_rs}, layout,
-                scaler=scaler,
-            ),
-        )
-        test_rmses.append(rmses["test"])
+        run = stages.run(config.seed + repeat)
+        test_rmses.append(run.rmses["test"])
         if repeat == 0:
-            report.rmse_train = rmses["train"]
-            report.rmse_valid = rmses["valid"]
-            report.nnz = nnz_ratio(params)
-            report.selected_lambda = lam
-            report.groups = report_selected(params, layout)
-            report.lambda_series = series
-            fmg.save_model(os.path.join(out_dir, "model.npz"), params, layout,
-                           stages.reg_config(layout, lam))
-            trace.to_jsonl(os.path.join(out_dir, "trace.jsonl"))
+            report.rmse_train = run.rmses["train"]
+            report.rmse_valid = run.rmses["valid"]
+            report.nnz = fmg.param_nnz_ratio(run.params)
+            report.selected_lambda = run.lam
+            report.groups = report_selected(run.params, run.layout)
+            report.lambda_series = run.series
+            stages.save_model(run)
 
     report.repeats = test_rmses
     report.rmse_test = float(np.mean(test_rmses))

@@ -259,7 +259,7 @@ def _selection_sweep(mode):
             float(np.sqrt(wn[l] ** 2 + wn[l + 6] ** 2 + vn[l] ** 2 + vn[l + 6] ** 2))
             for l in range(6)
         ]
-        rows.append({"lam": lam, "rmse": rmse_v, "nnz": pipeline.nnz_ratio(params),
+        rows.append({"lam": lam, "rmse": rmse_v, "nnz": fmg.param_nnz_ratio(params),
                      "norms": per_metagraph})
     return rows
 

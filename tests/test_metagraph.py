@@ -368,10 +368,13 @@ class TestPersistence:
         store = synth.random_binary_hin(6)
         spec = mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4])
         sim = mg.execute_plan(mg.compile_plan(spec, store), store)
-        path = tmp_path / "sim.tsv"
+        path = tmp_path / "sim.bin"  # no .npz suffix: the file must land at exactly this path
         mg.save_similarity(path, sim)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.bin"]
+        first = path.read_bytes()
+        mg.save_similarity(path, sim)
+        assert path.read_bytes() == first  # rewrites are byte-identical
         again = mg.load_similarity(path)
         assert again.metagraph == sim.metagraph
+        assert again.shape == sim.shape
         assert (again.matrix != sim.matrix).nnz == 0
-        header = path.read_text().splitlines()[0].split("\t")
-        assert header == [str(sim.shape[0]), str(sim.shape[1]), str(sim.nnz), sim.metagraph]

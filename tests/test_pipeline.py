@@ -31,18 +31,18 @@ class TestRmse:
 class TestNnzRatio:
     def test_all_zero(self):
         params = fmg.FmParams(3.0, np.zeros(4), np.zeros((4, 2)))
-        assert pipeline.nnz_ratio(params) == 0.0
+        assert fmg.param_nnz_ratio(params) == 0.0
 
     def test_fully_dense(self):
         params = fmg.FmParams(0.0, np.ones(4), np.ones((4, 2)))
-        assert pipeline.nnz_ratio(params) == 1.0
+        assert fmg.param_nnz_ratio(params) == 1.0
 
     def test_half_dense(self):
         w = np.array([1.0, 1.0, 0.0, 0.0])
         V = np.zeros((4, 2))
         V[:2] = 1.0
         params = fmg.FmParams(0.5, w, V)  # bias never counts
-        assert pipeline.nnz_ratio(params) == pytest.approx(0.5)
+        assert fmg.param_nnz_ratio(params) == pytest.approx(0.5)
 
 
 class TestReportSelected:
@@ -333,6 +333,31 @@ class TestCli:
         config = self.write_config(root, tmp_path)
         code = cli.main(["evaluate", "--config", config, "--out-dir", str(tmp_path / "empty")])
         assert code == 1
+        assert "[evaluate]" in capsys.readouterr().err
+
+    def test_train_then_evaluate_matches_pipeline_metrics(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        config = self.write_config(
+            root, tmp_path, features={"method": "mf", "rank": 3, "mu": 0.05, "standardize": True}
+        )
+        staged, whole = str(tmp_path / "staged"), str(tmp_path / "whole")
+        assert cli.main(["train", "--config", config, "--out-dir", staged]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", config, "--out-dir", staged]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert cli.main(["pipeline", "--config", config, "--out-dir", whole]) == 0
+        with open(os.path.join(whole, "metrics.json")) as fh:
+            written = json.load(fh)["rmse"]
+        assert printed == {split: written[split] for split in ("train", "valid", "test")}
+
+    def test_evaluate_rejects_model_trained_on_other_groups(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        config = self.write_config(root, tmp_path, select=["M1", "M2"])
+        assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
+        capsys.readouterr()
+        config = self.write_config(root, tmp_path, select=["M2", "M1"])
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         assert "[evaluate]" in capsys.readouterr().err
 
     def test_broken_config_fails_nonzero(self, dataset, tmp_path, capsys):
