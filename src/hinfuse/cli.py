@@ -66,7 +66,8 @@ def cmd_factorize(args):
     stages, run = _run(args, "factorize")
     for pair, event in zip(run.pairs, stages.cache_events["factorize"]):
         status = "cached" if event["hit"] else "computed"
-        print(f"{pair.metagraph}: rank={pair.rank} method={pair.method} ({status})")
+        iters = "" if event["hit"] else f" iters={len(pair.objective_history) - 1}"
+        print(f"{pair.metagraph}: rank={pair.rank} method={pair.method}{iters} ({status})")
     return 0
 
 
@@ -100,7 +101,7 @@ def cmd_pipeline(args):
 
 
 def cmd_report(args):
-    params, layout, _, _ = fmg.load_model(_model_path(args, "report"))
+    params, layout, _, _, _ = fmg.load_model(_model_path(args, "report"))
     rows = pipeline.report_selected(params, layout, threshold=args.threshold)
     for row in rows:
         flags = ("w" if row["w_selected"] else "-") + ("V" if row["v_selected"] else "-")

@@ -8,6 +8,17 @@ Two routes produce per-metagraph user/item factors:
   problem with an accelerated proximal-gradient loop whose prox step is
   singular value thresholding; the iterate is kept in factored SVD form
   and split as U = P Σ^{1/2}, B = Q Σ^{1/2} on exit.
+
+Both engines evaluate on one fixed observed pattern.  An
+:class:`ObservedMatrix` builds, once, the CSR layout of the matrix and of
+its transpose at the observed positions (entry order, column indices and
+row pointers).  Each objective or gradient evaluation then gathers factor
+rows with ``np.take`` (:meth:`ObservedMatrix.entries`) and puts the
+per-entry residuals straight into those layouts
+(:meth:`ObservedMatrix.scatter`): no COO conversion, index sort or CSC
+transpose runs inside the loops.  The accumulation order matches scipy's
+canonical CSR, so without duplicate positions the factors are bit-identical
+to building the matrix from COO on every call.
 """
 
 from __future__ import annotations
@@ -22,14 +33,51 @@ class OverRegularizedError(ValueError):
     """Shrinkage removed every component; nothing left to factor."""
 
 
+def _csr_layout(major, minor, n_major, index_dtype):
+    """Entry order, minor indices and pointers of a CSR matrix with entries at (major, minor).
+
+    Entries are sorted by minor index within each major index, as in scipy's
+    canonical CSR; the sort is stable, so duplicate positions keep their
+    input order and stay separate entries.
+    """
+    order = np.lexsort((minor, major))
+    indptr = np.zeros(n_major + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    return order, minor[order].astype(index_dtype), indptr
+
+
 @dataclass
 class ObservedMatrix:
-    """Entries of a partially observed matrix; positions define the mask."""
+    """Entries of a partially observed matrix; positions define the mask.
+
+    The positions are fixed once constructed: the CSR layouts of the matrix
+    and of its transpose at those positions are built here and shared,
+    read-only, by every :meth:`scatter`.
+    """
 
     shape: tuple
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
+
+    def __post_init__(self):
+        m, n = self.shape
+        index_dtype = sp.get_index_dtype(maxval=max(m, n, len(self.row)))
+        self._by_row = _csr_layout(self.row, self.col, m, index_dtype)
+        self._by_col = _csr_layout(self.col, self.row, n, index_dtype)
+
+    def entries(self, U, B):
+        """(U Bᵀ)_ij at every observed position, in O(nnz * rank)."""
+        return np.einsum("ij,ij->i", np.take(U, self.row, axis=0), np.take(B, self.col, axis=0))
+
+    def scatter(self, values):
+        """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR."""
+        m, n = self.shape
+        order, indices, indptr = self._by_row
+        order_t, indices_t, indptr_t = self._by_col
+        E = sp.csr_matrix((np.take(values, order), indices, indptr), shape=(m, n))
+        Et = sp.csr_matrix((np.take(values, order_t), indices_t, indptr_t), shape=(n, m))
+        return E, Et
 
     @classmethod
     def from_similarity(cls, sim):
@@ -52,9 +100,6 @@ class ObservedMatrix:
 
     def item_observed(self):
         return np.bincount(self.col, minlength=self.shape[1]) > 0
-
-    def to_csr(self):
-        return sp.csr_matrix((self.val, (self.row, self.col)), shape=self.shape)
 
 
 @dataclass
@@ -100,12 +145,11 @@ def mf_value_and_grad(U, B, obs, mu):
     value = 0.5 * sum over observed (i,j) of ((U Bᵀ)_ij - R_ij)^2
             + 0.5 * mu * (||U||_F^2 + ||B||_F^2)
     """
-    pred = np.einsum("ij,ij->i", U[obs.row], B[obs.col])
-    err = pred - obs.val
+    err = obs.entries(U, B) - obs.val
     value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
-    E = sp.csr_matrix((err, (obs.row, obs.col)), shape=obs.shape)
+    E, Et = obs.scatter(err)
     grad_u = E @ B + mu * U
-    grad_b = E.T @ U + mu * B
+    grad_b = Et @ U + mu * B
     return value, grad_u, grad_b
 
 
@@ -187,19 +231,23 @@ class NnrState:
     def rank(self):
         return len(self.sigma)
 
-    def entries(self, row, col):
-        """Values of the iterate at the given positions, in O(nnz * rank)."""
+    def entries(self, obs):
+        """Values of the iterate at the observed positions, in O(nnz * rank)."""
         if self.rank == 0:
-            return np.zeros(len(row))
-        return np.einsum("ij,ij->i", self.P[row] * self.sigma, self.Q[col])
+            return np.zeros(obs.n_observed)
+        return obs.entries(self.P * self.sigma, self.Q)
 
 
 class _LowRankPlusSparse:
-    """Implicit  sum_k c_k P_k diag(s_k) Q_kᵀ  +  S  with matmat/rmatmat products."""
+    """Implicit  sum_k c_k P_k diag(s_k) Q_kᵀ  +  S  with matmat/rmatmat products.
 
-    def __init__(self, terms, S):
+    ``St`` is Sᵀ in CSR form, as :meth:`ObservedMatrix.scatter` returns it.
+    """
+
+    def __init__(self, terms, S, St):
         self.terms = [(c, P, s, Q) for c, P, s, Q in terms if len(s) > 0 and c != 0.0]
         self.S = S
+        self.St = St
 
     def matmat(self, G):
         out = self.S @ G
@@ -208,7 +256,7 @@ class _LowRankPlusSparse:
         return np.asarray(out)
 
     def rmatmat(self, G):
-        out = self.S.T @ G
+        out = self.St @ G
         for c, P, s, Q in self.terms:
             out += c * (Q @ (s[:, None] * (P.T @ G)))
         return np.asarray(out)
@@ -276,7 +324,7 @@ def factorize_nnr(
     prev = NnrState(*empty, mu=mu)
 
     def objective(st):
-        err = st.entries(obs.row, obs.col) - obs.val
+        err = st.entries(obs) - obs.val
         return 0.5 * float(err @ err) + mu * float(np.sum(st.sigma))
 
     def prox_from(terms):
@@ -284,10 +332,9 @@ def factorize_nnr(
         coeffs = np.zeros(len(obs.val))
         for c, P, s, Q in terms:
             if len(s):
-                coeffs += c * np.einsum("ij,ij->i", P[obs.row] * s, Q[obs.col])
+                coeffs += c * obs.entries(P * s, Q)
         # Z = Y - P_Omega(Y - R)  =  Y + sparse correction at the observed entries
-        S = sp.csr_matrix((obs.val - coeffs, (obs.row, obs.col)), shape=obs.shape)
-        op = _LowRankPlusSparse(terms, S)
+        op = _LowRankPlusSparse(terms, *obs.scatter(obs.val - coeffs))
         guess = max(len(terms[0][2]) + 5, 10) if terms else 10
         return _svt_of_operator(op, m, n, mu, guess, rng, dense_cutoff)
 

@@ -340,9 +340,14 @@ def param_nnz_ratio(params, tol=1e-10):
     return nnz / (params.d + params.d * params.K)
 
 
-def save_model(path, params, layout, cfg, scaler=None):
+def save_model(path, params, layout, cfg, scaler=None, *, clip_predictions, rating_range,
+               feature_method):
     """Persist the model, its layout, regularizer config and the ``(mean, std)`` standardizer
-    its features were fit with (None if unstandardized); round-trips bit-exactly."""
+    its features were fit with (None if unstandardized); round-trips bit-exactly.
+
+    The prediction settings it is scored with are recorded too: whether
+    predictions are clipped to ``rating_range``, and the feature method
+    (``mf`` or ``nnr``) that produced its features."""
     header = {
         "d": params.d,
         "K": params.K,
@@ -356,13 +361,20 @@ def save_model(path, params, layout, cfg, scaler=None):
             "kappa0": cfg.kappa0,
         },
         "standardized": scaler is not None,
+        "prediction": {
+            "clip_predictions": bool(clip_predictions),
+            "rating_range": [float(v) for v in rating_range],
+            "feature_method": str(feature_method),
+        },
     }
     arrays = {} if scaler is None else {"mean": scaler[0], "std": scaler[1]}
     np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V, **arrays)
 
 
 def load_model(path):
-    """Return ``(params, layout, reg_config, scaler)`` as saved by :func:`save_model`."""
+    """Return ``(params, layout, reg_config, scaler, prediction)`` as saved by :func:`save_model`;
+    ``prediction`` is the dict of its ``clip_predictions``, ``rating_range`` and
+    ``feature_method``."""
     data = np.load(path, allow_pickle=False)
     header = json.loads(str(data["header"]))
     params = FmParams(float(data["b"]), data["w"], data["V"])
@@ -378,5 +390,10 @@ def load_model(path):
     )
     if "standardized" not in header:
         raise ValueError(f"{path} does not record its feature standardizer; train the model again")
+    if "prediction" not in header:
+        raise ValueError(
+            f"{path} does not record its prediction settings (clip range, feature method); "
+            "train the model again"
+        )
     scaler = (data["mean"], data["std"]) if header["standardized"] else None
-    return params, layout, cfg, scaler
+    return params, layout, cfg, scaler, header["prediction"]

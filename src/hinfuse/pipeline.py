@@ -249,6 +249,7 @@ class _Stages:
         self.stage_seconds = {}
         self.cache_events = {"similarity": [], "factorize": []}
         self.fingerprint = None
+        self.ingested = None  # the ingest stage's outputs, reused by every later run
 
     def timed(self, stage, fn):
         start = time.perf_counter()
@@ -402,14 +403,34 @@ class _Stages:
             pred = np.clip(pred, *self.config.rating_range)
         return rmse(pred, labels)
 
-    def evaluate(self, params, pairs, splits, layout, scaler=None):
-        """RMSE per split; the assembled feature groups must be the ones ``params`` was fit on."""
+    def prediction_settings(self):
+        """The config fields that turn a model's raw output into scored predictions."""
+        cfg = self.config
+        return {
+            "clip_predictions": bool(cfg.clip_predictions),
+            "rating_range": [float(v) for v in cfg.rating_range],
+            "feature_method": cfg.feature_method,
+        }
+
+    def evaluate(self, params, pairs, splits, layout, scaler=None, tables=None):
+        """RMSE per split.
+
+        ``tables`` maps a split to its feature table as the assemble stage
+        left it (standardized if configured); every other split is assembled
+        here, and its feature groups must be the ones ``params`` was fit on.
+        """
+        tables = tables or {}
         out = {}
         for stage_name, rating_set in splits.items():
-            table, assembled = fmg.assemble_features(pairs, rating_set)
-            if assembled != layout:
-                raise ValueError(f"model groups {layout.labels} differ from the config's {assembled.labels}")
-            X = fmg.standardize(table.X, scaler) if scaler is not None else table.X
+            if stage_name in tables:
+                X = tables[stage_name].X
+            else:
+                table, assembled = fmg.assemble_features(pairs, rating_set)
+                if assembled != layout:
+                    raise ValueError(
+                        f"model groups {layout.labels} differ from the config's {assembled.labels}"
+                    )
+                X = fmg.standardize(table.X, scaler) if scaler is not None else table.X
             out[stage_name] = (
                 self.score(params, X, _labels(rating_set, "evaluate")) if len(rating_set) else None
             )
@@ -420,10 +441,19 @@ class _Stages:
 
         ``through`` is ingest, similarity, factorize, train or evaluate.
         ``model``, as returned by :func:`fmg.load_model`, stands in for the
-        assemble and train stages, so evaluation scores it as it was saved.
+        assemble and train stages, so evaluation scores it as it was saved;
+        its prediction settings must match the config's.  The inputs are
+        ingested on the first run only; later runs reuse them.
         """
+        settings = self.prediction_settings()
+        if model is not None and model[4] != settings:
+            raise StageError(
+                "evaluate", ValueError(f"model was trained with {model[4]}, the config asks for {settings}")
+            )
         run = StageRun()
-        run.store, run.ratings, decl, run.specs, run.validation = self.timed("ingest", self.ingest)
+        if self.ingested is None:
+            self.ingested = self.timed("ingest", self.ingest)
+        run.store, run.ratings, decl, run.specs, run.validation = self.ingested
         if through == "ingest":
             return run
         train_rs, valid_rs, test_rs = self.timed("split", lambda: self.split(run.ratings, seed))
@@ -437,7 +467,8 @@ class _Stages:
         if through == "factorize":
             return run
         if model is not None:
-            run.params, run.layout, _, run.scaler = model
+            run.params, run.layout, _, run.scaler, _ = model
+            tables = None
         else:
             train_table, valid_table, run.layout, run.scaler = self.timed(
                 "assemble", lambda: self.assemble(run.pairs, train_rs, valid_rs)
@@ -445,18 +476,21 @@ class _Stages:
             run.params, run.trace, run.lam, run.series = self.timed(
                 "train", lambda: self.train(train_table, valid_table, run.layout)
             )
+            tables = {"train": train_table, "valid": valid_table}
         if through == "train":
             return run
         run.rmses = self.timed(
             "evaluate",
-            lambda: self.evaluate(run.params, run.pairs, run.splits, run.layout, run.scaler),
+            lambda: self.evaluate(run.params, run.pairs, run.splits, run.layout, run.scaler, tables),
         )
         return run
 
     def save_model(self, run):
-        """Write the trained model (with its standardizer) and its solver trace to out_dir."""
+        """Write the trained model (with its standardizer and prediction settings) and its
+        solver trace to out_dir."""
         fmg.save_model(os.path.join(self.out_dir, "model.npz"), run.params, run.layout,
-                       self.reg_config(run.layout, run.lam), scaler=run.scaler)
+                       self.reg_config(run.layout, run.lam), scaler=run.scaler,
+                       **self.prediction_settings())
         run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))
 
 

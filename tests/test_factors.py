@@ -1,7 +1,9 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinfuse import factors
 
@@ -73,6 +75,76 @@ class TestFactorizeMf:
         obs = factors.ObservedMatrix((3, 4), np.array([0, 2]), np.array([1, 1]), np.ones(2))
         assert obs.user_observed().tolist() == [True, False, True]
         assert obs.item_observed().tolist() == [False, True, False, False]
+
+
+def mf_value_and_grad_coo(U, B, obs, mu):
+    """Reference: the MF objective with fancy-index gathers and a CSR built from COO per call."""
+    pred = np.einsum("ij,ij->i", U[obs.row], B[obs.col])
+    err = pred - obs.val
+    value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
+    E = sp.csr_matrix((err, (obs.row, obs.col)), shape=obs.shape)
+    grad_u = E @ B + mu * U
+    grad_b = E.T @ U + mu * B
+    return value, grad_u, grad_b
+
+
+def unsorted_similarity(seed, m=40, k=60, n=30):
+    """A product of two random sparse matrices: a CSR whose column indices are unsorted."""
+    rng = np.random.default_rng(seed)
+    left = sp.random(m, k, density=0.2, random_state=rng, format="csr")
+    right = sp.random(k, n, density=0.2, random_state=rng, format="csr")
+    S = left @ right
+    assert not S.has_sorted_indices
+    return factors.ObservedMatrix.from_similarity(SimpleNamespace(matrix=S))
+
+
+class TestFixedPattern:
+    """The fixed-pattern evaluation reproduces the per-call COO construction."""
+
+    @staticmethod
+    def factors_for(obs, seed, rank=4):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(obs.shape[0], rank)), rng.normal(size=(obs.shape[1], rank))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unsorted_csr_matches_coo_oracle_exactly(self, seed):
+        obs = unsorted_similarity(seed)
+        U, B = self.factors_for(obs, seed)
+        value, gu, gb = factors.mf_value_and_grad(U, B, obs, 0.3)
+        want_value, want_gu, want_gb = mf_value_and_grad_coo(U, B, obs, 0.3)
+        assert value == want_value
+        assert np.array_equal(gu, want_gu) and np.array_equal(gb, want_gb)
+
+    def test_from_dense_matches_coo_oracle_exactly(self):
+        rng = np.random.default_rng(4)
+        obs = factors.ObservedMatrix.from_dense(rng.normal(size=(25, 18)), rng.random((25, 18)) < 0.4)
+        U, B = self.factors_for(obs, 4, rank=3)
+        value, gu, gb = factors.mf_value_and_grad(U, B, obs, 0.1)
+        want_value, want_gu, want_gb = mf_value_and_grad_coo(U, B, obs, 0.1)
+        assert value == want_value
+        assert np.array_equal(gu, want_gu) and np.array_equal(gb, want_gb)
+
+    def test_duplicate_positions_match_coo_oracle(self):
+        # duplicates stay separate entries here but are summed (in sort order) by
+        # scipy's COO conversion, so only the rounding may differ
+        rng = np.random.default_rng(5)
+        m, n, n_obs = 30, 20, 900
+        obs = factors.ObservedMatrix(
+            (m, n), rng.integers(0, m, n_obs), rng.integers(0, n, n_obs), rng.normal(size=n_obs)
+        )
+        U, B = self.factors_for(obs, 5)
+        got = factors.mf_value_and_grad(U, B, obs, 0.2)
+        want = mf_value_and_grad_coo(U, B, obs, 0.2)
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_rmatmat_with_precomputed_transpose_equals_transpose_product(self):
+        obs = unsorted_similarity(6)
+        S, St = obs.scatter(obs.val)
+        G = np.random.default_rng(6).normal(size=(obs.shape[0], 7))
+        op = factors._LowRankPlusSparse([], S, St)
+        assert np.array_equal(op.rmatmat(G), S.T @ G)
 
 
 def svt_oracle(X, tau):

@@ -382,6 +382,9 @@ class TestStandardizer:
         assert np.allclose(Z * scaler[1] + scaler[0], X_test, atol=1e-12)
 
 
+PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0], "feature_method": "nnr"}
+
+
 class TestModelPersistence:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -390,28 +393,42 @@ class TestModelPersistence:
         cfg = fmg.RegConfig(mode="lsp", lam_w=0.123456789, lam_v=0.05, eta_w=np.ones(4) * 1.5)
         scaler = fmg.fit_standardizer(rng.normal(loc=2.0, scale=3.0, size=(20, layout.d)))
         path = tmp_path / "model.npz"
-        fmg.save_model(path, params, layout, cfg, scaler=scaler)
-        params2, layout2, cfg2, scaler2 = fmg.load_model(path)
+        fmg.save_model(path, params, layout, cfg, scaler=scaler, **PREDICTION)
+        params2, layout2, cfg2, scaler2, prediction2 = fmg.load_model(path)
         assert params2.b == params.b
         assert np.array_equal(params2.w, params.w) and np.array_equal(params2.V, params.V)
         assert layout2 == layout
         assert cfg2.mode == cfg.mode and cfg2.lam_w == cfg.lam_w
         assert np.array_equal(cfg2.eta_w, cfg.eta_w) and cfg2.eta_v is None
         assert np.array_equal(scaler2[0], scaler[0]) and np.array_equal(scaler2[1], scaler[1])
-        fmg.save_model(path, params, layout, cfg)  # unstandardized features save no scaler
+        assert prediction2 == PREDICTION
+        fmg.save_model(path, params, layout, cfg, **PREDICTION)  # unstandardized: no scaler
         assert fmg.load_model(path)[3] is None
+
+    @staticmethod
+    def save_without(path, field):
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        fmg.save_model(path, fmg.FmParams.zeros(layout.d, 2), layout, fmg.RegConfig(mode="convex"),
+                       **PREDICTION)
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(str(arrays["header"]))
+        del header[field]
+        arrays["header"] = json.dumps(header)
+        np.savez(path, **arrays)
 
     def test_file_without_standardizer_record_rejected(self, tmp_path):
         # a model file that does not say whether its features were standardized
         # cannot be scored safely, so it is refused rather than read as unstandardized
-        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
         path = tmp_path / "model.npz"
-        fmg.save_model(path, fmg.FmParams.zeros(layout.d, 2), layout, fmg.RegConfig(mode="convex"))
-        with np.load(path) as data:
-            arrays = dict(data)
-        header = json.loads(str(arrays["header"]))
-        del header["standardized"]
-        arrays["header"] = json.dumps(header)
-        np.savez(path, **arrays)
+        self.save_without(path, "standardized")
         with pytest.raises(ValueError, match="standardizer"):
+            fmg.load_model(path)
+
+    def test_file_without_prediction_settings_rejected(self, tmp_path):
+        # without its clip range and feature method a model would be scored with
+        # whatever the config says, so it is refused
+        path = tmp_path / "model.npz"
+        self.save_without(path, "prediction")
+        with pytest.raises(ValueError, match="prediction settings.*train the model again"):
             fmg.load_model(path)

@@ -1,10 +1,12 @@
 import json
 import os
+import re
+import time
 
 import numpy as np
 import pytest
 
-from hinfuse import cli, fmg, pipeline, solvers, synth
+from hinfuse import cli, fmg, hin, pipeline, solvers, synth
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -216,6 +218,37 @@ class TestRunPipeline:
         assert report.rmse_test == pytest.approx(np.mean(report.repeats))
         assert report.rmse_test_std is not None
 
+    def test_repeats_ingest_once(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        calls = []
+        pause = 0.4  # far above what ingesting this small dataset takes
+        ingest = hin.ingest
+
+        def slow_ingest(*args, **kwargs):
+            calls.append(args)
+            time.sleep(pause)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.hin, "ingest", slow_ingest)
+        cfg = small_config(str(root), schema, repeats=2, lambdas=(0.05,))
+        report = pipeline.run_pipeline(cfg, str(tmp_path / "out"))
+        assert len(calls) == 1 and len(report.repeats) == 2
+        assert pause <= report.stage_seconds["ingest"] < 2 * pause
+
+    def test_evaluate_assembles_only_the_test_split(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        assembled = []
+        assemble = fmg.assemble_features
+
+        def counting_assemble(pairs, ratings):
+            assembled.append(ratings.role)
+            return assemble(pairs, ratings)
+
+        monkeypatch.setattr(pipeline.fmg, "assemble_features", counting_assemble)
+        cfg = small_config(str(root), schema, standardize_features=True, lambdas=(0.05,))
+        pipeline.run_pipeline(cfg, str(tmp_path / "out"))
+        assert sorted(assembled) == ["test", "train", "valid"]
+
     def test_cache_key_tracks_input_content(self, dataset, tmp_path):
         root, schema = dataset
         cfg = small_config(str(root), schema)
@@ -328,6 +361,20 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"train", "valid", "test"}
 
+    def test_factorize_prints_iterations_of_computed_fits(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["factorize", "--config", config, "--out-dir", out]) == 0
+        computed = capsys.readouterr().out.splitlines()
+        assert computed and all(
+            re.fullmatch(r"M\d+: rank=3 method=mf iters=[1-9]\d* \(computed\)", line)
+            for line in computed
+        ), computed
+        assert cli.main(["factorize", "--config", config, "--out-dir", out]) == 0
+        cached = capsys.readouterr().out.splitlines()
+        assert [re.sub(r" iters=\d+ \(computed\)", " (cached)", line) for line in computed] == cached
+
     def test_evaluate_without_model_fails_with_stage_tag(self, dataset, tmp_path, capsys):
         root, _ = dataset
         config = self.write_config(root, tmp_path)
@@ -357,6 +404,16 @@ class TestCli:
         assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
         capsys.readouterr()
         config = self.write_config(root, tmp_path, select=["M2", "M1"])
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
+        assert "[evaluate]" in capsys.readouterr().err
+
+    def test_evaluate_rejects_other_rating_range(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        config = self.write_config(root, tmp_path)
+        assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
+        capsys.readouterr()
+        config = self.write_config(root, tmp_path, rating_range=[0.0, 5.0])
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         assert "[evaluate]" in capsys.readouterr().err
 
