@@ -23,8 +23,7 @@ for mode in ("convex", "lsp"):
         params, _ = solvers.train_nmapg(
             problem, solvers.SolverConfig(step=0.02, max_iters=300, checkpoint_every=300)
         )
-        Xv, yv = problem.valid
-        rmse = float(np.sqrt(np.mean((fmg.predict_batch(params, Xv) - yv) ** 2)))
+        rmse = float(np.sqrt(np.mean((fmg.predict_batch(params, problem.valid) - problem.valid.y) ** 2)))
         wn = fmg.group_norms(params.w, problem.layout)
         vn = fmg.group_norms(params.V, problem.layout)
         norms = [np.sqrt(wn[l] ** 2 + wn[l + L] ** 2 + vn[l] ** 2 + vn[l + L] ** 2) for l in range(L)]

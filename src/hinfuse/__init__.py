@@ -45,12 +45,11 @@ from .fmg import (
     FmParams,
     GroupLayout,
     RegConfig,
-    assemble_features,
     augmented_grad,
+    factor_blocks,
     mse_loss,
     objective,
     param_nnz_ratio,
-    predict,
     predict_batch,
     prox_group,
     reg_value,

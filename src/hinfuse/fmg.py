@@ -11,8 +11,9 @@ convex part stays in the proximal step (kappa0 = 1 for both penalties).
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,19 +64,36 @@ class GroupLayout:
 
 @dataclass
 class FeatureTable:
-    """Sample matrix (N, d) with labels and the (user, item) index per row."""
+    """Labels and ``(features (E_b, d_b), index (N,))`` blocks covering the layout's columns in
+    order: sample row r is the concatenation of ``features[index[r]]`` over the blocks, an (N, d)
+    matrix never built (the relational FM of Rendle, VLDB 2013).  Each block's squared features
+    and column slice are derived once, when the table is made."""
 
-    X: np.ndarray
     y: np.ndarray
-    users: np.ndarray
-    items: np.ndarray
+    blocks: tuple
+    squares: tuple = field(init=False, repr=False)
+    columns: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.squares = tuple(features * features for features, _ in self.blocks)
+        stops = list(itertools.accumulate(features.shape[1] for features, _ in self.blocks))
+        self.columns = [slice(stop - f.shape[1], stop) for (f, _), stop in zip(self.blocks, stops)]
+
+    @classmethod
+    def dense(cls, X, y):
+        """A dense (N, d) sample matrix as the single block ``(X, arange(N))``."""
+        return cls(np.asarray(y, dtype=float), ((np.asarray(X, dtype=float), np.arange(len(X))),))
 
     def __len__(self):
         return len(self.y)
 
     @property
     def d(self):
-        return self.X.shape[1]
+        return sum(features.shape[1] for features, _ in self.blocks)
+
+    def rows(self, idx):
+        """The rows ``idx`` (a mini-batch; repeats allowed) gathered into one dense block."""
+        return FeatureTable.dense(np.hstack([f[index[idx]] for f, index in self.blocks]), self.y[idx])
 
 
 @dataclass
@@ -138,12 +156,10 @@ def sqrt_width_etas(layout):
     return np.sqrt(layout.widths().astype(float))
 
 
-def assemble_features(pairs, ratings):
-    """Concatenate per-metagraph factors into one row per rating triple.
-
-    Users or items absent from a metagraph's similarity matrix (no observed
-    entries) contribute zero blocks for that metagraph.
-    """
+def factor_blocks(pairs):
+    """``((user_features (m, d/2), item_features (n, d/2)), layout)``: every metagraph's factors
+    side by side, in layout order; users or items a metagraph's similarity matrix does not
+    observe get zero rows in its columns."""
     if not pairs:
         raise ValueError("need at least one factor pair")
     m, n = pairs[0].n_users, pairs[0].n_items
@@ -157,54 +173,63 @@ def assemble_features(pairs, ratings):
     layout.validate()
 
     def masked(matrix, observed):
-        if observed is None:
-            return matrix
-        out = matrix.copy()
-        out[~np.asarray(observed, dtype=bool)] = 0.0
-        return out
+        return matrix if observed is None else np.where(np.asarray(observed, bool)[:, None], matrix, 0.0)
 
-    if len(ratings) == 0:
-        X = np.zeros((0, layout.d))
-    else:
-        users = np.asarray(ratings.users, dtype=np.int64)
-        items = np.asarray(ratings.items, dtype=np.int64)
-        user_blocks = [masked(p.U, p.user_observed)[users] for p in pairs]
-        item_blocks = [masked(p.B, p.item_observed)[items] for p in pairs]
-        X = np.concatenate(user_blocks + item_blocks, axis=1)
-    table = FeatureTable(X, ratings.values.copy(), ratings.users.copy(), ratings.items.copy())
-    return table, layout
+    users = np.concatenate([masked(p.U, p.user_observed) for p in pairs], axis=1)
+    items = np.concatenate([masked(p.B, p.item_observed) for p in pairs], axis=1)
+    return (users, items), layout
 
 
-def fit_standardizer(X):
-    """Per-column mean and deviation of the training features (std floored at 1e-8)."""
-    return X.mean(axis=0), np.maximum(X.std(axis=0), 1e-8)
+def fit_standardizer(table):
+    """Per-column mean and deviation (std floored at 1e-8) of the table's rows, each entity row
+    weighted by how often the index draws it: the gathered (N, d) matrix's statistics, unbuilt."""
+    means, variances = [], []
+    for features, index in table.blocks:
+        counts = np.bincount(index, minlength=len(features))
+        means.append(counts @ features / len(index))
+        variances.append(counts @ (features - means[-1]) ** 2 / len(index))
+    return np.concatenate(means), np.maximum(np.sqrt(np.concatenate(variances)), 1e-8)
 
 
-def standardize(X, scaler):
-    """Apply a fitted standardizer; the same transform serves every split."""
-    mean, std = scaler
-    return (X - mean) / std
+def standardize(features, scaler):
+    """Apply a fitted standardizer to feature arrays lying side by side in column order."""
+    mean, std = (np.split(part, np.cumsum([array.shape[1] for array in features])[:-1]) for part in scaler)
+    return tuple((array - m) / s for array, m, s in zip(features, mean, std))
 
 
-def predict(params, x):
-    """FM prediction for one feature vector, via the O(dK) pairwise identity."""
-    s = x @ params.V  # (K,)
-    pairwise = 0.5 * float(s @ s - (x * x) @ np.sum(params.V * params.V, axis=1))
-    return params.b + float(params.w @ x) + pairwise
+_PIECE = 8192  # rows per BLAS call: larger calls go multithreaded and stall while a core is busy
 
 
-_CHUNK = 8192  # block size for batch passes; keeps temporaries cache-sized
+def _times(A, B):
+    """``A @ B``, in pieces of at most _PIECE rows of ``A``."""
+    if len(A) <= _PIECE:
+        return A @ B
+    return np.concatenate([A[s : s + _PIECE] @ B for s in range(0, len(A), _PIECE)])
 
 
-def predict_batch(params, X):
-    out = np.empty(len(X))
-    vsq = np.sum(params.V * params.V, axis=1)
-    for s in range(0, len(X), _CHUNK):
-        Xc = X[s : s + _CHUNK]
-        S = Xc @ params.V  # (chunk, K)
-        pairwise = 0.5 * (np.sum(S * S, axis=1) - (Xc * Xc) @ vsq)
-        out[s : s + _CHUNK] = params.b + Xc @ params.w + pairwise
-    return out
+def _sum_over_rows(C, A):
+    """``C.T @ A``, summed over pieces of at most _PIECE rows."""
+    if len(A) <= _PIECE:
+        return C.T @ A
+    return sum(C[s : s + _PIECE].T @ A[s : s + _PIECE] for s in range(0, len(A), _PIECE))
+
+
+def _forward(params, table):
+    """Per-row ``[x V, x w - (x∘x) vsq / 2]`` (N, K + 1), ``vsq`` the row sums of ``V∘V``, and
+    the predictions; each block multiplies its entity rows once and gathers them by index."""
+    Vw = np.column_stack([params.V, params.w])
+    vsq = np.einsum("ij,ij->i", params.V, params.V)
+    rows = np.zeros((len(table), params.K + 1))
+    for (F, index), Fsq, cols in zip(table.blocks, table.squares, table.columns):
+        products = _times(F, Vw[cols])
+        products[:, -1] -= 0.5 * _times(Fsq, vsq[cols])
+        rows += products.take(index, axis=0)
+    return rows, params.b + rows[:, -1] + 0.5 * np.einsum("ij,ij->i", rows[:, :-1], rows[:, :-1])
+
+
+def predict_batch(params, table):
+    """FM predictions for every row of the table, via the O(dK) pairwise identity."""
+    return _forward(params, table)[1]
 
 
 def predict_pairwise_reference(params, x):
@@ -221,7 +246,7 @@ def mse_loss(params, table):
     """Mean squared error over the table."""
     if len(table) == 0:
         raise ValueError("feature table is empty")
-    err = predict_batch(params, table.X) - table.y
+    err = predict_batch(params, table) - table.y
     return float(err @ err) / len(table)
 
 
@@ -264,37 +289,34 @@ def _surplus_grad_block(z, layout, lam, eta, kappa0):
     return grad
 
 
-def mse_grad(params, X, y):
-    """Gradient of the mean squared error over the given samples."""
-    n = len(y)
-    grad_b = 0.0
-    grad_w = np.zeros(params.d)
-    grad_v = np.zeros_like(params.V)
-    weighted = np.zeros(params.d)  # accumulates (X*X)ᵀ residual
-    vsq = np.sum(params.V * params.V, axis=1)
-    for s in range(0, n, _CHUNK):
-        Xc = X[s : s + _CHUNK]
-        S = Xc @ params.V
-        Xsq = Xc * Xc
-        residual = (params.b + Xc @ params.w + 0.5 * (np.sum(S * S, axis=1) - Xsq @ vsq)) - y[s : s + _CHUNK]
-        grad_b += float(np.sum(residual))
-        grad_w += Xc.T @ residual
-        grad_v += Xc.T @ (residual[:, None] * S)
-        weighted += Xsq.T @ residual
-    grad_v -= params.V * weighted[:, None]
-    scale = 2.0 / n
-    return scale * grad_b, scale * grad_w, scale * grad_v
+def mse_grad(params, table):
+    """Gradient of the mean squared error over the table's rows: the residuals, and their
+    products with ``x V``, are summed per entity, then multiplied by each block's features."""
+    rows, pred = _forward(params, table)
+    residual = pred - table.y
+    rows[:, :-1] *= residual[:, None]  # in place, so few (N, K + 1) arrays are alive at once
+    rows[:, -1] = residual
+    width = params.K + 1
+    grad = np.empty((params.d, width))  # [grad_V, grad_w]
+    for (F, index), Fsq, cols in zip(table.blocks, table.squares, table.columns):
+        slots = (index[:, None] * width + np.arange(width)).ravel()  # entry (row, k) -> (entity, k)
+        sums = np.bincount(slots, rows.ravel(), len(F) * width).reshape(len(F), width)
+        del slots  # one (N, K + 1) index array alive at a time
+        grad[cols] = _sum_over_rows(sums, F).T
+        grad[cols, :-1] -= params.V[cols] * _sum_over_rows(sums[:, -1], Fsq)[:, None]
+    scale = 2.0 / len(table)
+    return scale * float(np.sum(residual)), scale * grad[:, -1], scale * grad[:, :-1]
 
 
-def augmented_grad(params, X, y, layout, cfg):
-    """Gradient of the smooth augmented loss over a batch.
+def augmented_grad(params, table, layout, cfg):
+    """Gradient of the smooth augmented loss over a table (the full sample or a batch).
 
     Returns grad of the batch-mean squared error plus the gradient of the
     smooth surplus g (zero in convex mode, where the whole penalty lives in
     the proximal step).  Over the full sample this is exactly the gradient
     of the augmented objective, and mini-batches estimate it without bias.
     """
-    grad_b, grad_w, grad_v = mse_grad(params, X, y)
+    grad_b, grad_w, grad_v = mse_grad(params, table)
     if cfg.mode == "lsp":
         eta_w, eta_v = cfg.resolved_etas(layout)
         grad_w = grad_w + _surplus_grad_block(params.w, layout, cfg.lam_w, eta_w, cfg.kappa0)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,9 +71,24 @@ def report_selected(params, layout, threshold=1e-10):
     ]
 
 
+# The keys of each config-file section ("" is the top level, which also holds the other
+# sections); a key sets the ExperimentConfig field of its name, or of its _RENAMED name.
+_CONFIG_KEYS = {
+    "": ("schema", "metagraphs", "select", "seed", "binarize_ratings", "log_scale_similarity",
+         "optimize_plans", "clip_predictions", "rating_range", "repeats", "workers"),
+    "split": ("fractions", "seed"),
+    "features": ("method", "rank", "mu", "max_rank", "standardize"),
+    "fm": ("K", "mode", "lambda", "eta_weighting"),
+    "solver": tuple(f.name for f in fields(solvers.SolverConfig)),
+}
+_RENAMED = {"method": "feature_method", "standardize": "standardize_features", "lambda": "lambdas"}
+_CASTS = {"seed": int, "rank": int, "mu": float, "K": int, "repeats": int, "workers": int,
+          "fractions": tuple, "rating_range": tuple}
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; see ``from_json`` for the file layout."""
+    """Everything one run needs; ``_CONFIG_KEYS`` gives the file layout."""
 
     schema: str
     metagraphs: str
@@ -107,39 +122,34 @@ class ExperimentConfig:
         self.lambdas = tuple(lams)
         if self.feature_method not in ("mf", "nnr"):
             raise ValueError(f"unknown feature method {self.feature_method!r}")
+        if self.mode not in ("convex", "lsp"):
+            raise ValueError(f"unknown fm mode {self.mode!r}; pick convex or lsp")
+        if self.eta_weighting not in ("ones", "sqrt"):
+            raise ValueError(f"unknown eta weighting {self.eta_weighting!r}; pick ones or sqrt")
 
     @classmethod
     def from_dict(cls, doc, base_dir="."):
-        solver_doc = dict(doc.get("solver", {}))
-        solver_cfg = solvers.SolverConfig(**solver_doc)
-        feat = doc.get("features", {})
-        fm = doc.get("fm", {})
-        split = doc.get("split", {})
-        cfg = cls(
-            schema=os.path.join(base_dir, doc["schema"]),
-            metagraphs=os.path.join(base_dir, doc["metagraphs"]),
-            select=doc.get("select"),
-            fractions=tuple(split.get("fractions", (0.8, 0.1, 0.1))),
-            seed=int(split.get("seed", doc.get("seed", 0))),
-            binarize_ratings=doc.get("binarize_ratings", True),
-            log_scale_similarity=doc.get("log_scale_similarity", False),
-            optimize_plans=doc.get("optimize_plans", False),
-            feature_method=feat.get("method", "mf"),
-            rank=int(feat.get("rank", 10)),
-            mu=float(feat.get("mu", 0.01)),
-            max_rank=feat.get("max_rank", 10),
-            standardize_features=feat.get("standardize", False),
-            K=int(fm.get("K", 10)),
-            mode=fm.get("mode", "convex"),
-            lambdas=fm.get("lambda", DEFAULT_LAMBDA_GRID),
-            eta_weighting=fm.get("eta_weighting", "ones"),
-            solver=solver_cfg,
-            clip_predictions=doc.get("clip_predictions", True),
-            rating_range=tuple(doc.get("rating_range", (1.0, 5.0))),
-            repeats=int(doc.get("repeats", 1)),
-            workers=int(doc.get("workers", 1)),
-        )
-        if "seed" in doc and "seed" not in split:
+        """Config from a parsed JSON document; absent keys keep the field defaults, unknown ones fail."""
+        sections = {}
+        for name, keys in _CONFIG_KEYS.items():  # the top level first: doc is a dict after it
+            section = sections[name] = doc.get(name, {}) if name else doc
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name or 'top level'} must be a JSON object")
+            known = [*keys, *list(_CONFIG_KEYS)[1:]] if name == "" else keys  # top level: + sections
+            unknown = [repr(f"{name}.{key}" if name else key) for key in sorted(set(section) - set(known))]
+            if unknown:
+                raise ValueError(f"unknown config key {', '.join(unknown)}")
+        values = {}
+        for name in ("", "split", "features", "fm"):  # split after the top level: its seed wins
+            for key in set(sections[name]) & set(_CONFIG_KEYS[name]):
+                field_name = _RENAMED.get(key, key)
+                values[field_name] = _CASTS.get(field_name, lambda v: v)(sections[name][key])
+        for key in ("schema", "metagraphs"):
+            if key not in doc:
+                raise ValueError(f"config lacks {key!r}")
+            values[key] = os.path.join(base_dir, doc[key])
+        cfg = cls(**values, solver=solvers.SolverConfig(**sections["solver"]))
+        if "seed" in doc and "seed" not in sections["split"]:
             cfg.solver.seed = int(doc["seed"])
         for path in (cfg.schema, cfg.metagraphs):
             if not os.path.exists(path):
@@ -223,6 +233,7 @@ class StageRun:
     splits: dict = None  # role -> RatingSet
     sims: list = None
     pairs: list = None
+    features: tuple = None  # (user, item) entity feature arrays, standardized if configured
     layout: fmg.GroupLayout = None
     scaler: tuple = None  # (mean, std) of the training features, or None
     params: fmg.FmParams = None
@@ -355,40 +366,50 @@ class _Stages:
             self.cache_events["factorize"].append({"metagraph": sim.metagraph, "hit": hit})
         return [pair for pair, _ in results]
 
-    def assemble(self, pairs, train_rs, valid_rs):
-        """Training and validation tables, standardized by a scaler fit on train if configured."""
-        train_table, layout = fmg.assemble_features(pairs, train_rs)
-        valid_table, _ = fmg.assemble_features(pairs, valid_rs)
-        train_table.y = _labels(train_rs, "train").copy()
-        valid_table.y = _labels(valid_rs, "train").copy()
-        scaler = None
-        if self.config.standardize_features:
-            scaler = fmg.fit_standardizer(train_table.X)
-            train_table.X = fmg.standardize(train_table.X, scaler)
-            valid_table.X = fmg.standardize(valid_table.X, scaler)
-        return train_table, valid_table, layout, scaler
+    def assemble(self, pairs, train_rs, model=None):
+        """``(features, layout, scaler)``: the factor pairs' entity feature arrays, built once per run
+        and standardized by the saved ``model``'s scaler or, if configured, one fit on train."""
+        features, layout = fmg.factor_blocks(pairs)
+        if model is not None:
+            if model[1] != layout:
+                raise StageError("evaluate", ValueError(
+                    f"model groups {model[1].labels} differ from the config's {layout.labels}"
+                ))
+            scaler = model[3]
+        elif self.config.standardize_features:
+            scaler = fmg.fit_standardizer(self.table(features, train_rs, "train"))
+        else:
+            scaler = None
+        if scaler is not None:
+            features = fmg.standardize(features, scaler)
+        return features, layout, scaler
+
+    @staticmethod
+    def table(features, rating_set, stage):
+        """The split's table: user features by user, item features by item; labels read for ``stage``."""
+        blocks = tuple(zip(features, (rating_set.users, rating_set.items)))
+        return fmg.FeatureTable(_labels(rating_set, stage), blocks)
 
     def reg_config(self, layout, lam):
         cfg = self.config
         etas = fmg.sqrt_width_etas(layout) if cfg.eta_weighting == "sqrt" else None
         return fmg.RegConfig(mode=cfg.mode, lam_w=lam, lam_v=lam, eta_w=etas, eta_v=etas)
 
-    def train(self, train_table, valid_table, layout):
+    def train(self, features, train_rs, valid_rs, layout):
         """Sweep the lambda grid, select by validation RMSE, return the winner."""
         cfg = self.config
         clip = cfg.rating_range if cfg.clip_predictions else None
+        train_table = self.table(features, train_rs, "train")
+        valid_table = self.table(features, valid_rs, "train") if len(valid_rs) else None
         series = []
         best = None
         for lam in cfg.lambdas:
             problem = solvers.TrainProblem(
-                train_table.X, train_table.y, layout, self.reg_config(layout, lam), cfg.K,
-                valid=(valid_table.X, valid_table.y) if len(valid_table) else None,
+                train_table, layout, self.reg_config(layout, lam), cfg.K, valid=valid_table,
                 clip_range=clip,
             )
             params, trace = solvers.train(problem, cfg.solver)
-            valid_rmse = float("nan")
-            if len(valid_table):
-                valid_rmse = self.score(params, valid_table.X, valid_table.y)
+            valid_rmse = float("nan") if valid_table is None else self.score(params, valid_table)
             entry = {"lambda": lam, "rmse_valid": valid_rmse, "nnz": fmg.param_nnz_ratio(params)}
             series.append(entry)
             if best is None or (np.isfinite(valid_rmse) and valid_rmse < best[0]):
@@ -396,12 +417,12 @@ class _Stages:
         _, lam, params, trace = best
         return params, trace, lam, series
 
-    def score(self, params, X, labels):
+    def score(self, params, table):
         """RMSE of the predictions, clipped to the rating range if configured."""
-        pred = fmg.predict_batch(params, X)
+        pred = fmg.predict_batch(params, table)
         if self.config.clip_predictions:
             pred = np.clip(pred, *self.config.rating_range)
-        return rmse(pred, labels)
+        return rmse(pred, table.y)
 
     def prediction_settings(self):
         """The config fields that turn a model's raw output into scored predictions."""
@@ -412,38 +433,22 @@ class _Stages:
             "feature_method": cfg.feature_method,
         }
 
-    def evaluate(self, params, pairs, splits, layout, scaler=None, tables=None):
-        """RMSE per split.
-
-        ``tables`` maps a split to its feature table as the assemble stage
-        left it (standardized if configured); every other split is assembled
-        here, and its feature groups must be the ones ``params`` was fit on.
-        """
-        tables = tables or {}
-        out = {}
-        for stage_name, rating_set in splits.items():
-            if stage_name in tables:
-                X = tables[stage_name].X
-            else:
-                table, assembled = fmg.assemble_features(pairs, rating_set)
-                if assembled != layout:
-                    raise ValueError(
-                        f"model groups {layout.labels} differ from the config's {assembled.labels}"
-                    )
-                X = fmg.standardize(table.X, scaler) if scaler is not None else table.X
-            out[stage_name] = (
-                self.score(params, X, _labels(rating_set, "evaluate")) if len(rating_set) else None
-            )
-        return out
+    def evaluate(self, params, features, splits):
+        """RMSE per split, scored on the assembled entity features."""
+        return {
+            role: self.score(params, self.table(features, rating_set, "evaluate")) if len(rating_set) else None
+            for role, rating_set in splits.items()
+        }
 
     def run(self, seed, through="evaluate", model=None):
         """Run the stages in order through ``through``; return what they built.
 
         ``through`` is ingest, similarity, factorize, train or evaluate.
         ``model``, as returned by :func:`fmg.load_model`, stands in for the
-        assemble and train stages, so evaluation scores it as it was saved;
-        its prediction settings must match the config's.  The inputs are
-        ingested on the first run only; later runs reuse them.
+        train stage and its scaler for the standardizer fit, so evaluation
+        scores it as it was saved; its prediction settings and feature groups
+        must match the config's.  The inputs are ingested on the first run
+        only; later runs reuse them.
         """
         settings = self.prediction_settings()
         if model is not None and model[4] != settings:
@@ -466,23 +471,18 @@ class _Stages:
         run.pairs = self.timed("factorize", lambda: self.factorize(run.sims, seed))
         if through == "factorize":
             return run
+        run.features, run.layout, run.scaler = self.timed(
+            "assemble", lambda: self.assemble(run.pairs, train_rs, model)
+        )
         if model is not None:
-            run.params, run.layout, _, run.scaler, _ = model
-            tables = None
+            run.params = model[0]
         else:
-            train_table, valid_table, run.layout, run.scaler = self.timed(
-                "assemble", lambda: self.assemble(run.pairs, train_rs, valid_rs)
-            )
             run.params, run.trace, run.lam, run.series = self.timed(
-                "train", lambda: self.train(train_table, valid_table, run.layout)
+                "train", lambda: self.train(run.features, train_rs, valid_rs, run.layout)
             )
-            tables = {"train": train_table, "valid": valid_table}
         if through == "train":
             return run
-        run.rmses = self.timed(
-            "evaluate",
-            lambda: self.evaluate(run.params, run.pairs, run.splits, run.layout, run.scaler, tables),
-        )
+        run.rmses = self.timed("evaluate", lambda: self.evaluate(run.params, run.features, run.splits))
         return run
 
     def save_model(self, run):

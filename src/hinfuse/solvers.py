@@ -50,6 +50,8 @@ class SolverConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
+        if self.algorithm not in TRAINERS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; pick one of {sorted(TRAINERS)}")
         if self.step <= 0:
             raise ValueError(f"step size must be > 0, got {self.step}")
         if self.sufficient_decrease <= 0:
@@ -75,27 +77,26 @@ class SolverConfig:
 
 @dataclass
 class TrainProblem:
-    """One training task: features, labels, layout, regularizer and model width K."""
+    """One training task: feature table, layout, regularizer and model width K."""
 
-    X: np.ndarray
-    y: np.ndarray
+    table: fmg.FeatureTable
     layout: fmg.GroupLayout
     reg: fmg.RegConfig
     K: int
-    valid: tuple = None  # optional (X_valid, y_valid)
+    valid: fmg.FeatureTable = None  # optional validation table
     clip_range: tuple = None  # clip trace-RMSE predictions into this range
 
     def __post_init__(self):
-        if len(self.y) == 0:
+        if len(self.table) == 0:
             raise ValueError("problem has no samples")
-        if self.X.shape[1] != self.layout.d:
-            raise ValueError(f"feature width {self.X.shape[1]} != layout d {self.layout.d}")
+        if self.table.d != self.layout.d:
+            raise ValueError(f"feature width {self.table.d} != layout d {self.layout.d}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
 
     @property
     def n(self):
-        return len(self.y)
+        return len(self.table)
 
 
 @dataclass
@@ -147,7 +148,7 @@ def init_params(problem, cfg):
     rng = np.random.default_rng(cfg.seed)
     d = problem.layout.d
     V = rng.normal(0.0, 0.01, (d, problem.K)) if cfg.fit_V else np.zeros((d, problem.K))
-    return fmg.FmParams(float(np.mean(problem.y)), np.zeros(d), V)
+    return fmg.FmParams(float(np.mean(problem.table.y)), np.zeros(d), V)
 
 
 class _Objective:
@@ -160,16 +161,15 @@ class _Objective:
         reg = problem.reg
         self.thr_w = reg.kappa0 * reg.lam_w * eta_w
         self.thr_v = reg.kappa0 * reg.lam_v * eta_v
-        self.table = fmg.FeatureTable(problem.X, problem.y, None, None)
 
     def value(self, params):
         """Augmented objective; identical to the reported objective h."""
-        return fmg.objective(params, self.table, self.problem.layout, self.problem.reg)
+        return fmg.objective(params, self.problem.table, self.problem.layout, self.problem.reg)
 
-    def grad(self, params, idx=None):
-        X = self.problem.X if idx is None else self.problem.X[idx]
-        y = self.problem.y if idx is None else self.problem.y[idx]
-        gb, gw, gv = fmg.augmented_grad(params, X, y, self.problem.layout, self.problem.reg)
+    def grad(self, params, batch=None):
+        """Gradient over every row, or over a mini-batch table from ``problem.table.rows``."""
+        table = self.problem.table if batch is None else batch
+        gb, gw, gv = fmg.augmented_grad(params, table, self.problem.layout, self.problem.reg)
         if not self.cfg.fit_w:
             gw = np.zeros_like(gw)
         if not self.cfg.fit_V:
@@ -186,11 +186,32 @@ class _Objective:
     def rmse_valid(self, params):
         if self.problem.valid is None:
             return None
-        Xv, yv = self.problem.valid
-        pred = fmg.predict_batch(params, Xv)
+        pred = fmg.predict_batch(params, self.problem.valid)
         if self.problem.clip_range is not None:
             pred = np.clip(pred, *self.problem.clip_range)
-        return float(np.sqrt(np.mean((pred - yv) ** 2)))
+        return float(np.sqrt(np.mean((pred - self.problem.valid.y) ** 2)))
+
+    def end_epoch(self, trace, epoch, grad_evals, params, started, diverged_at=None):
+        """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective
+        (carrying ``diverged_at``, default ``params``)."""
+        value = self.value(params)
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"objective diverged in epoch {epoch}; reduce the step size "
+                f"(currently {self.cfg.step}) or standardize the features",
+                params=params if diverged_at is None else diverged_at, trace=trace,
+            )
+        if epoch % self.cfg.checkpoint_every == 0 or epoch == self.cfg.max_iters:
+            trace.append(
+                TraceRecord(
+                    iteration=epoch,
+                    grad_evals=grad_evals,
+                    objective=value,
+                    rmse_valid=self.rmse_valid(params),
+                    nnz=fmg.param_nnz_ratio(params),
+                    seconds=time.perf_counter() - started,
+                )
+            )
 
 
 def prox_gradient_residual(params, problem, cfg=None, step=None):
@@ -198,13 +219,7 @@ def prox_gradient_residual(params, problem, cfg=None, step=None):
     cfg = cfg or SolverConfig()
     step = step or cfg.step
     obj = _Objective(problem, cfg)
-    moved = obj.prox_step(params, obj.grad(params), step)
-    sq = (
-        (params.b - moved.b) ** 2
-        + float(np.sum((params.w - moved.w) ** 2))
-        + float(np.sum((params.V - moved.V) ** 2))
-    )
-    return np.sqrt(sq) / step
+    return np.sqrt(_distance_sq(params, obj.prox_step(params, obj.grad(params), step))) / step
 
 
 def _distance_sq(p, q):
@@ -345,9 +360,9 @@ def train_svrg(problem, cfg=None):
         grad_evals += 1.0
         sum_b, sum_w, sum_v = 0.0, np.zeros_like(inner_point.w), np.zeros_like(inner_point.V)
         for _ in range(inner):
-            idx = rng.integers(0, n, size=m_b)
-            gb1, gw1, gv1 = obj.grad(inner_point, idx)
-            gb0, gw0, gv0 = obj.grad(snapshot, idx)
+            batch = problem.table.rows(rng.integers(0, n, size=m_b))
+            gb1, gw1, gv1 = obj.grad(inner_point, batch)
+            gb0, gw0, gv0 = obj.grad(snapshot, batch)
             grad_evals += 2.0 * m_b / n
             direction = (gb1 - gb0 + full[0], gw1 - gw0 + full[1], gv1 - gv0 + full[2])
             inner_point = obj.prox_step(inner_point, direction, cfg.step)
@@ -355,24 +370,7 @@ def train_svrg(problem, cfg=None):
             sum_w += inner_point.w
             sum_v += inner_point.V
         snapshot = fmg.FmParams(sum_b / inner, sum_w / inner, sum_v / inner)
-        value = obj.value(snapshot)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"objective diverged in epoch {epoch}; reduce the step size "
-                f"(currently {cfg.step}) or standardize the features",
-                params=inner_point, trace=trace,
-            )
-        if epoch % cfg.checkpoint_every == 0 or epoch == cfg.max_iters:
-            trace.append(
-                TraceRecord(
-                    iteration=epoch,
-                    grad_evals=grad_evals,
-                    objective=value,
-                    rmse_valid=obj.rmse_valid(snapshot),
-                    nnz=fmg.param_nnz_ratio(snapshot),
-                    seconds=time.perf_counter() - started,
-                )
-            )
+        obj.end_epoch(trace, epoch, grad_evals, snapshot, started, diverged_at=inner_point)
     return snapshot, trace
 
 
@@ -391,29 +389,12 @@ def train_sgd(problem, cfg=None):
     t = 0
     for epoch in range(1, cfg.max_iters + 1):
         for _ in range(inner):
-            idx = rng.integers(0, n, size=m_b)
+            batch = problem.table.rows(rng.integers(0, n, size=m_b))
             step = cfg.step / (1.0 + cfg.step_decay * t)
-            params = obj.prox_step(params, obj.grad(params, idx), step)
+            params = obj.prox_step(params, obj.grad(params, batch), step)
             grad_evals += m_b / n
             t += 1
-        value = obj.value(params)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"objective diverged in epoch {epoch}; reduce the step size "
-                f"(currently {cfg.step}) or standardize the features",
-                params=params, trace=trace,
-            )
-        if epoch % cfg.checkpoint_every == 0 or epoch == cfg.max_iters:
-            trace.append(
-                TraceRecord(
-                    iteration=epoch,
-                    grad_evals=grad_evals,
-                    objective=value,
-                    rmse_valid=obj.rmse_valid(params),
-                    nnz=fmg.param_nnz_ratio(params),
-                    seconds=time.perf_counter() - started,
-                )
-            )
+        obj.end_epoch(trace, epoch, grad_evals, params, started)
     return params, trace
 
 
@@ -421,8 +402,4 @@ TRAINERS = {"nmapg": train_nmapg, "svrg": train_svrg, "sgd": train_sgd}
 
 
 def train(problem, cfg):
-    try:
-        trainer = TRAINERS[cfg.algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r}; pick one of {sorted(TRAINERS)}") from None
-    return trainer(problem, cfg)
+    return TRAINERS[cfg.algorithm](problem, cfg)

@@ -110,10 +110,11 @@ def planted_fm_problem(
 
     total = n_samples + n_valid
     X = rng.normal(0.0, feature_scale, (total, layout.d))
-    y = fmg.predict_batch(true, X) + rng.normal(0.0, noise, total)
+    y = fmg.predict_batch(true, fmg.FeatureTable.dense(X, np.zeros(total))) + rng.normal(0.0, noise, total)
     reg = fmg.RegConfig(mode=mode, lam_w=lam, lam_v=lam)
-    valid = (X[n_samples:], y[n_samples:]) if n_valid else None
-    problem = solvers.TrainProblem(X[:n_samples], y[:n_samples], layout, reg, K, valid=valid)
+    valid = fmg.FeatureTable.dense(X[n_samples:], y[n_samples:]) if n_valid else None
+    train = fmg.FeatureTable.dense(X[:n_samples], y[:n_samples])
+    problem = solvers.TrainProblem(train, layout, reg, K, valid=valid)
     return problem, true, relevant
 
 

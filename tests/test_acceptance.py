@@ -132,12 +132,18 @@ def test_04_gradient_correctness():
         if trial % 7 == 0:  # exercise the group-norm-zero point too
             params.w[:] = 0.0
         n = int(rng.integers(2, 6))
-        X = rng.normal(size=(n, layout.d))
         y = rng.normal(size=n)
-        got = fmg.augmented_grad(params, X, y, layout, cfg)
+        if trial % 3 == 0:  # dense rows: a single block indexed by arange(n)
+            table = fmg.FeatureTable.dense(rng.normal(size=(n, layout.d)), y)
+        else:  # user and item blocks that several rows share, as the pipeline builds them
+            half = layout.d // 2
+            users, items = rng.normal(size=(3, half)), rng.normal(size=(2, half))
+            table = fmg.FeatureTable(y, ((users, rng.integers(0, 3, n)), (items, rng.integers(0, 2, n))))
+            if trial % 3 == 2:  # a mini-batch drawn with repeats
+                table = table.rows(rng.integers(0, n, n))
+        got = fmg.augmented_grad(params, table, layout, cfg)
 
         eps = 1e-5
-        table = fmg.FeatureTable(X, y, None, None)
 
         def value(p):
             return fmg.mse_loss(p, table) + fmg.smooth_surplus(p, layout, cfg)
@@ -161,7 +167,8 @@ def test_04_gradient_correctness():
         h = fmg.objective(params, table, layout, cfg)
         h_bar = fmg.augmented_objective(params, table, layout, cfg)
         assert abs(h - h_bar) <= 1e-12 * max(1.0, abs(h))
-    report(4, f"50 finite-difference checks, worst relative error {worst:.2e} (<=1e-4); "
+    report(4, f"50 finite-difference checks on dense rows, shared entity blocks and mini-batches, "
+              f"worst relative error {worst:.2e} (<=1e-4); "
               "direct and reformulated objectives identical to 1e-12")
 
 
@@ -251,8 +258,7 @@ def _selection_sweep(mode):
         )
         cfg = solvers.SolverConfig(algorithm="nmapg", step=0.02, max_iters=400, checkpoint_every=400)
         params, _ = solvers.train_nmapg(problem, cfg)
-        Xv, yv = problem.valid
-        rmse_v = float(np.sqrt(np.mean((fmg.predict_batch(params, Xv) - yv) ** 2)))
+        rmse_v = float(np.sqrt(np.mean((fmg.predict_batch(params, problem.valid) - problem.valid.y) ** 2)))
         wn = fmg.group_norms(params.w, problem.layout)
         vn = fmg.group_norms(params.V, problem.layout)
         per_metagraph = [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,56 +19,79 @@ def make_pair(name, m, n, rank, seed=0, user_observed=None, item_observed=None):
 
 
 def make_ratings(users, items, values):
-    return RatingSet(np.asarray(users), np.asarray(items), np.asarray(values, dtype=float), "train")
+    return RatingSet(np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
+                     np.asarray(values, dtype=float), "train")
+
+
+def gathered(table):
+    """The (N, d) sample matrix a table stands for, built row by row from its blocks."""
+    return np.hstack([features[index] for features, index in table.blocks])
+
+
+def rating_table(pairs, ratings):
+    features, layout = fmg.factor_blocks(pairs)
+    return fmg.FeatureTable(ratings.values, tuple(zip(features, (ratings.users, ratings.items)))), layout
+
+
+def dense_row(x):
+    return fmg.FeatureTable.dense(np.asarray(x, dtype=float)[None, :], [0.0])
+
+
+def dense_table(X):
+    return fmg.FeatureTable.dense(X, np.zeros(len(X)))
+
+
+def predict_one(params, x):
+    return fmg.predict_batch(params, dense_row(x))[0]
 
 
 class TestAssemble:
     def test_widths_and_group_count(self):
         pairs = [make_pair("m1", 4, 3, 3), make_pair("m2", 4, 3, 5)]
-        table, layout = fmg.assemble_features(pairs, make_ratings([0], [1], [4.0]))
+        table, layout = rating_table(pairs, make_ratings([0], [1], [4.0]))
         assert layout.d == 16
         assert [stop - start for _, start, stop in layout.groups] == [3, 5, 3, 5]
         assert layout.labels == ["m1:user", "m2:user", "m1:item", "m2:item"]
-        assert table.X.shape == (1, 16)
+        assert len(table) == 1 and table.d == 16
+        assert [features.shape for features, _ in table.blocks] == [(4, 8), (3, 8)]
 
     def test_feature_row_ordering(self):
         pairs = [make_pair("m1", 3, 3, 2, seed=1), make_pair("m2", 3, 3, 2, seed=2)]
-        table, _ = fmg.assemble_features(pairs, make_ratings([1], [2], [3.0]))
+        table, _ = rating_table(pairs, make_ratings([1], [2], [3.0]))
         want = np.concatenate([pairs[0].U[1], pairs[1].U[1], pairs[0].B[2], pairs[1].B[2]])
-        assert np.array_equal(table.X[0], want)
+        assert np.array_equal(gathered(table)[0], want)
 
     def test_absent_item_contributes_zero_block(self):
         pair = make_pair("m1", 3, 3, 2, item_observed=np.array([True, False, True]))
-        table, layout = fmg.assemble_features([pair], make_ratings([0], [1], [2.0]))
+        table, layout = rating_table([pair], make_ratings([0], [1], [2.0]))
         _, start, stop = layout.groups[1]
-        assert np.all(table.X[0, start:stop] == 0.0)
-        assert np.any(table.X[0, :start] != 0.0)
+        X = gathered(table)
+        assert np.all(X[0, start:stop] == 0.0)
+        assert np.any(X[0, :start] != 0.0)
 
     def test_zero_ratings_gives_empty_table(self):
-        table, layout = fmg.assemble_features(
-            [make_pair("m1", 3, 3, 2)], make_ratings([], [], [])
-        )
-        assert len(table) == 0 and table.X.shape == (0, 4) and layout.d == 4
+        table, layout = rating_table([make_pair("m1", 3, 3, 2)], make_ratings([], [], []))
+        assert len(table) == 0 and gathered(table).shape == (0, 4) and table.d == layout.d == 4
 
     def test_mismatched_entity_sets_rejected(self):
         pairs = [make_pair("m1", 3, 3, 2), make_pair("m2", 4, 3, 2)]
         with pytest.raises(ValueError, match="share the entity sets"):
-            fmg.assemble_features(pairs, make_ratings([0], [0], [1.0]))
+            fmg.factor_blocks(pairs)
 
 
 class TestPredict:
     def test_bias_only(self):
         params = fmg.FmParams(2.5, np.zeros(3), np.zeros((3, 2)))
-        assert fmg.predict(params, np.array([1.0, 2.0, 3.0])) == 2.5
+        assert predict_one(params, [1.0, 2.0, 3.0]) == 2.5
 
     def test_hand_computed_example(self):
         params = fmg.FmParams(1.0, np.array([1.0, 0.0]), np.array([[1.0], [2.0]]))
-        assert fmg.predict(params, np.array([1.0, 2.0])) == pytest.approx(6.0, abs=1e-12)
+        assert predict_one(params, [1.0, 2.0]) == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_features_give_bias(self):
         rng = np.random.default_rng(0)
         params = fmg.FmParams(0.7, rng.normal(size=4), rng.normal(size=(4, 3)))
-        assert fmg.predict(params, np.zeros(4)) == pytest.approx(0.7)
+        assert predict_one(params, np.zeros(4)) == pytest.approx(0.7)
 
     def test_fast_identity_matches_double_sum(self):
         rng = np.random.default_rng(3)
@@ -75,7 +99,7 @@ class TestPredict:
             d, K = rng.integers(2, 21), rng.integers(1, 6)
             params = fmg.FmParams(rng.normal(), rng.normal(size=d), rng.normal(size=(d, K)))
             x = rng.normal(size=d)
-            fast = fmg.predict(params, x)
+            fast = predict_one(params, x)
             slow = fmg.predict_pairwise_reference(params, x)
             assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
 
@@ -83,14 +107,78 @@ class TestPredict:
         rng = np.random.default_rng(4)
         params = fmg.FmParams(rng.normal(), rng.normal(size=5), rng.normal(size=(5, 2)))
         X = rng.normal(size=(7, 5))
-        batch = fmg.predict_batch(params, X)
-        assert np.allclose(batch, [fmg.predict(params, x) for x in X], atol=1e-12)
+        batch = fmg.predict_batch(params, fmg.FeatureTable.dense(X, np.zeros(7)))
+        assert np.allclose(batch, [predict_one(params, x) for x in X], atol=1e-12)
+
+
+def shared_block_table(rng, n_users=5, n_items=4, n=12, half=3):
+    """User and item blocks that several rows share, as the pipeline builds them."""
+    users, items = rng.normal(size=(n_users, half)), rng.normal(size=(n_items, half))
+    index = (rng.integers(0, n_users, n), rng.integers(0, n_items, n))
+    return fmg.FeatureTable(rng.normal(size=n), ((users, index[0]), (items, index[1])))
+
+
+class TestBlocks:
+    def test_predictions_match_double_sum_on_gathered_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            table = shared_block_table(rng)
+            K = int(rng.integers(1, 5))
+            params = fmg.FmParams(rng.normal(), rng.normal(size=table.d), rng.normal(size=(table.d, K)))
+            for part in (table, table.rows(rng.integers(0, len(table), 8))):  # batch with repeats
+                got = fmg.predict_batch(params, part)
+                want = [fmg.predict_pairwise_reference(params, x) for x in gathered(part)]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_batch_rows_match_block_indexed_batch(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            table = shared_block_table(rng)
+            params = fmg.FmParams(rng.normal(), rng.normal(size=table.d), rng.normal(size=(table.d, 3)))
+            idx = rng.integers(0, len(table), 8)  # a draw with repeats
+            batch = table.rows(idx)
+            assert np.array_equal(gathered(batch), gathered(table)[idx]) and np.array_equal(batch.y, table.y[idx])
+            indexed = fmg.FeatureTable(table.y[idx], tuple((f, index[idx]) for f, index in table.blocks))
+            for got, ref in zip(fmg.mse_grad(params, batch), fmg.mse_grad(params, indexed)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_weighted_standardizer_equals_gathered_statistics(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            table = shared_block_table(rng, n=40)
+            got = fmg.fit_standardizer(table)
+            want = fmg.fit_standardizer(dense_table(gathered(table)))
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+            standardized = fmg.standardize([features for features, _ in table.blocks], got)
+            blocks = tuple((f, index) for f, (_, index) in zip(standardized, table.blocks))
+            (Z,) = fmg.standardize([gathered(table)], want)
+            assert np.max(np.abs(gathered(fmg.FeatureTable(table.y, blocks)) - Z)) <= 1e-12 * np.max(np.abs(Z))
+
+    def test_passes_allocate_no_dense_table(self):
+        rng = np.random.default_rng(14)
+        n, n_users, n_items, half, K = 100_000, 200, 100, 90, 10
+        table = fmg.FeatureTable(rng.normal(size=n), (
+            (rng.normal(size=(n_users, half)), rng.integers(0, n_users, n)),
+            (rng.normal(size=(n_items, half)), rng.integers(0, n_items, n)),
+        ))
+        layout = fmg.GroupLayout.from_ranks(["m1", "m2"], [45, 45])
+        params = fmg.FmParams(0.1, rng.normal(size=layout.d), rng.normal(size=(layout.d, K)))
+        cfg = fmg.RegConfig(mode="lsp", lam_w=0.1, lam_v=0.1)
+        tracemalloc.start()
+        try:
+            fmg.predict_batch(params, table)
+            fmg.augmented_grad(params, table, layout, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = n * layout.d * 8
+        assert peak < dense_bytes / 4, (peak, dense_bytes)
 
 
 class TestMseLoss:
     def table(self, ys, d=3):
-        X = np.zeros((len(ys), d))
-        return fmg.FeatureTable(X, np.asarray(ys, dtype=float), None, None)
+        return fmg.FeatureTable.dense(np.zeros((len(ys), d)), ys)
 
     def test_exact_predictions(self):
         params = fmg.FmParams(2.0, np.zeros(3), np.zeros((3, 2)))
@@ -148,8 +236,9 @@ class TestAugmentedGrad:
         return layout, params, X, y
 
     def finite_difference(self, params, X, y, layout, cfg, eps=1e-5):
+        table = fmg.FeatureTable.dense(X, y)
+
         def value(p):
-            table = fmg.FeatureTable(X, y, None, None)
             return fmg.mse_loss(p, table) + fmg.smooth_surplus(p, layout, cfg)
 
         fd_b = (
@@ -184,8 +273,9 @@ class TestAugmentedGrad:
         rng = np.random.default_rng(0)
         layout, params, X, y = self.random_instance(rng)
         cfg = fmg.RegConfig(mode="convex", lam_w=0.7, lam_v=0.7)
-        got = fmg.augmented_grad(params, X, y, layout, cfg)
-        want = fmg.mse_grad(params, X, y)
+        table = fmg.FeatureTable.dense(X, y)
+        got = fmg.augmented_grad(params, table, layout, cfg)
+        want = fmg.mse_grad(params, table)
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=0)
 
@@ -194,8 +284,9 @@ class TestAugmentedGrad:
         layout, _, X, y = self.random_instance(rng)
         params = fmg.FmParams(0.5, np.zeros(4), np.zeros((4, 2)))
         cfg = fmg.RegConfig(mode="lsp", lam_w=0.9, lam_v=0.9)
-        got = fmg.augmented_grad(params, X, y, layout, cfg)
-        want = fmg.mse_grad(params, X, y)
+        table = fmg.FeatureTable.dense(X, y)
+        got = fmg.augmented_grad(params, table, layout, cfg)
+        want = fmg.mse_grad(params, table)
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=0)
 
@@ -205,7 +296,7 @@ class TestAugmentedGrad:
             cfg = fmg.RegConfig(mode=mode, lam_w=0.4, lam_v=0.3)
             for _ in range(5):
                 layout, params, X, y = self.random_instance(rng)
-                got = fmg.augmented_grad(params, X, y, layout, cfg)
+                got = fmg.augmented_grad(params, fmg.FeatureTable.dense(X, y), layout, cfg)
                 want = self.finite_difference(params, X, y, layout, cfg)
                 for g, w in zip(got, want):
                     self.assert_close(g, w)
@@ -284,15 +375,14 @@ class TestObjective:
     def test_zero_params_zero_labels(self):
         layout = one_group_layout()
         params = fmg.FmParams(0.0, np.zeros(4), np.zeros((4, 2)))
-        table = fmg.FeatureTable(np.zeros((3, 4)), np.zeros(3), None, None)
+        table = fmg.FeatureTable.dense(np.zeros((3, 4)), np.zeros(3))
         cfg = fmg.RegConfig(mode="lsp", lam_w=1.0, lam_v=1.0)
         assert fmg.objective(params, table, layout, cfg) == 0.0
 
     def test_loss_plus_reg_example(self):
         layout = one_group_layout()
         params = fmg.FmParams(0.0, np.array([3.0, 4.0, 0.0, 0.0]), np.zeros((4, 2)))
-        X = np.zeros((2, 4))
-        table = fmg.FeatureTable(X, np.array([1.0, 3.0]), None, None)
+        table = fmg.FeatureTable.dense(np.zeros((2, 4)), [1.0, 3.0])
         cfg = fmg.RegConfig(mode="convex", lam_w=1.0, lam_v=1.0)
         assert fmg.objective(params, table, layout, cfg) == pytest.approx(10.0)
 
@@ -305,7 +395,7 @@ class TestObjective:
             cfg = fmg.RegConfig(mode=mode, lam_w=0.3, lam_v=0.6)
             for _ in range(10):
                 params = fmg.FmParams(rng.normal(), rng.normal(size=10), rng.normal(size=(10, 3)))
-                table = fmg.FeatureTable(rng.normal(size=(4, 10)), rng.normal(size=4), None, None)
+                table = fmg.FeatureTable.dense(rng.normal(size=(4, 10)), rng.normal(size=4))
                 h = fmg.objective(params, table, layout, cfg)
                 h_bar = fmg.augmented_objective(params, table, layout, cfg)
                 assert abs(h - h_bar) <= 1e-12 * max(1.0, abs(h))
@@ -318,7 +408,7 @@ class TestObjective:
         params = fmg.FmParams(rng.normal(), rng.normal(size=layout.d), rng.normal(size=(layout.d, 2)))
         X = rng.normal(size=(6, layout.d))
         y = rng.normal(size=6)
-        table = fmg.FeatureTable(X, y, None, None)
+        table = fmg.FeatureTable.dense(X, y)
 
         perm = [2, 0, 1]
         layout_p = fmg.GroupLayout.from_ranks([names[i] for i in perm], [ranks[i] for i in perm])
@@ -327,7 +417,7 @@ class TestObjective:
             + [np.arange(*layout.groups[3 + g][1:]) for g in perm]
         )
         params_p = fmg.FmParams(params.b, params.w[index], params.V[index])
-        table_p = fmg.FeatureTable(X[:, index], y, None, None)
+        table_p = fmg.FeatureTable.dense(X[:, index], y)
 
         for mode in ("convex", "lsp"):
             cfg = fmg.RegConfig(mode=mode, lam_w=0.4, lam_v=0.2)
@@ -338,7 +428,7 @@ class TestObjective:
                 fmg.reg_value(params_p, layout_p, cfg), rel=1e-12
             )
         assert fmg.mse_loss(params, table) == pytest.approx(fmg.mse_loss(params_p, table_p), rel=1e-12)
-        assert fmg.predict(params, X[0]) == pytest.approx(fmg.predict(params_p, X[0, index]), rel=1e-12)
+        assert predict_one(params, X[0]) == pytest.approx(predict_one(params_p, X[0, index]), rel=1e-12)
 
 
 class TestLayout:
@@ -363,22 +453,22 @@ class TestStandardizer:
     def test_train_columns_become_zero_mean_unit_std(self):
         rng = np.random.default_rng(0)
         X = rng.normal(loc=3.0, scale=2.0, size=(50, 4))
-        scaler = fmg.fit_standardizer(X)
-        Z = fmg.standardize(X, scaler)
+        scaler = fmg.fit_standardizer(dense_table(X))
+        (Z,) = fmg.standardize([X], scaler)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_does_not_blow_up(self):
         X = np.ones((10, 2))
-        Z = fmg.standardize(X, fmg.fit_standardizer(X))
+        (Z,) = fmg.standardize([X], fmg.fit_standardizer(dense_table(X)))
         assert np.all(np.isfinite(Z)) and np.allclose(Z, 0.0)
 
     def test_same_transform_applies_to_other_splits(self):
         rng = np.random.default_rng(1)
         X_train = rng.normal(size=(30, 3))
         X_test = rng.normal(size=(10, 3))
-        scaler = fmg.fit_standardizer(X_train)
-        Z = fmg.standardize(X_test, scaler)
+        scaler = fmg.fit_standardizer(dense_table(X_train))
+        (Z,) = fmg.standardize([X_test], scaler)
         assert np.allclose(Z * scaler[1] + scaler[0], X_test, atol=1e-12)
 
 
@@ -391,7 +481,7 @@ class TestModelPersistence:
         layout = fmg.GroupLayout.from_ranks(["m1", "m2"], [3, 2])
         params = fmg.FmParams(rng.normal(), rng.normal(size=layout.d), rng.normal(size=(layout.d, 4)))
         cfg = fmg.RegConfig(mode="lsp", lam_w=0.123456789, lam_v=0.05, eta_w=np.ones(4) * 1.5)
-        scaler = fmg.fit_standardizer(rng.normal(loc=2.0, scale=3.0, size=(20, layout.d)))
+        scaler = fmg.fit_standardizer(dense_table(rng.normal(loc=2.0, scale=3.0, size=(20, layout.d))))
         path = tmp_path / "model.npz"
         fmg.save_model(path, params, layout, cfg, scaler=scaler, **PREDICTION)
         params2, layout2, cfg2, scaler2, prediction2 = fmg.load_model(path)

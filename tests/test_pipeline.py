@@ -235,19 +235,24 @@ class TestRunPipeline:
         assert len(calls) == 1 and len(report.repeats) == 2
         assert pause <= report.stage_seconds["ingest"] < 2 * pause
 
-    def test_evaluate_assembles_only_the_test_split(self, dataset, tmp_path, monkeypatch):
+    def test_blocks_built_once_per_run(self, dataset, tmp_path, monkeypatch):
         root, schema = dataset
-        assembled = []
-        assemble = fmg.assemble_features
+        calls = []
+        factor_blocks = fmg.factor_blocks
 
-        def counting_assemble(pairs, ratings):
-            assembled.append(ratings.role)
-            return assemble(pairs, ratings)
+        def counting_blocks(pairs):
+            calls.append([pair.metagraph for pair in pairs])
+            return factor_blocks(pairs)
 
-        monkeypatch.setattr(pipeline.fmg, "assemble_features", counting_assemble)
-        cfg = small_config(str(root), schema, standardize_features=True, lambdas=(0.05,))
-        pipeline.run_pipeline(cfg, str(tmp_path / "out"))
-        assert sorted(assembled) == ["test", "train", "valid"]
+        monkeypatch.setattr(pipeline.fmg, "factor_blocks", counting_blocks)
+        out = str(tmp_path / "out")
+        cfg = small_config(str(root), schema, standardize_features=True, lambdas=(0.05,), repeats=2)
+        pipeline.run_pipeline(cfg, out)
+        assert len(calls) == 2  # once per repeat: train, valid and test share the blocks
+        calls.clear()
+        model = fmg.load_model(os.path.join(out, "model.npz"))
+        run = pipeline._Stages(cfg, out).run(cfg.seed, model=model)
+        assert len(calls) == 1 and set(run.rmses) == {"train", "valid", "test"}
 
     def test_cache_key_tracks_input_content(self, dataset, tmp_path):
         root, schema = dataset
@@ -423,6 +428,36 @@ class TestCli:
         code = cli.main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"features": {"method": "mf", "rank": 3, "mu": 0.05, "standardise": True}}, "features.standardise"),
+        ({"worker": 2}, "worker"),
+        ({"solver": {"algorithm": "svrg", "stepsize": 0.01}}, "solver.stepsize"),
+        ({"split": {"fraction": [0.8, 0.1, 0.1]}}, "split.fraction"),
+        ({"fm": {"K": 3, "lamda": [0.05]}}, "fm.lamda"),
+    ])
+    def test_unknown_config_key_rejected(self, dataset, tmp_path, capsys, extra, key):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path, **extra)
+        out = str(tmp_path / "out")
+        assert cli.main(["similarity", "--config", config, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[config]") and repr(key) in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("extra", [
+        {"fm": {"K": 3, "lambda": [0.05], "eta_weighting": "sqrt "}},
+        {"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}},
+        {"solver": {"algorithm": "svgr", "step": 0.02}},
+    ])
+    def test_bad_choice_rejected_at_load(self, dataset, tmp_path, capsys, extra):
+        # rejected before any similarity is computed, not in the train stage
+        root, _ = dataset
+        config = self.write_config(root, tmp_path, **extra)
+        out = str(tmp_path / "out")
+        assert cli.main(["similarity", "--config", config, "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith("[config] unknown")
+        assert not os.path.exists(out)
 
     def test_seed_override(self, dataset, tmp_path):
         root, _ = dataset

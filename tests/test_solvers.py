@@ -12,7 +12,7 @@ def bias_only_problem(label=3.7, n=200, d=4, K=2):
     X = rng.normal(size=(n, d))
     y = np.full(n, label)
     reg = fmg.RegConfig(mode="convex", lam_w=0.1, lam_v=0.1)
-    return solvers.TrainProblem(X, y, layout, reg, K)
+    return solvers.TrainProblem(fmg.FeatureTable.dense(X, y), layout, reg, K)
 
 
 class TestNmapg:
@@ -84,7 +84,7 @@ class TestSvrg:
         w_true = rng.normal(size=d)
         y = 1.5 + X @ w_true
         reg = fmg.RegConfig(mode="convex", lam_w=0.0, lam_v=0.0)
-        problem = solvers.TrainProblem(X, y, layout, reg, K=2)
+        problem = solvers.TrainProblem(fmg.FeatureTable.dense(X, y), layout, reg, K=2)
         cfg = solvers.SolverConfig(step=0.05, max_iters=60, fit_V=False, seed=1)
         params, _ = solvers.train_svrg(problem, cfg)
         design = np.hstack([np.ones((n, 1)), X])
@@ -102,14 +102,14 @@ class TestSvrg:
         start = solvers.init_params(problem, cfg)
         full = obj.grad(start)
         rng = np.random.default_rng(5)
-        idx = rng.integers(0, problem.n, size=32)
-        g1 = obj.grad(start, idx)
-        g0 = obj.grad(start, idx)
+        batch = problem.table.rows(rng.integers(0, problem.n, size=32))
+        g1 = obj.grad(start, batch)
+        g0 = obj.grad(start, batch)
         direction = tuple(a - b + f for a, b, f in zip(g1, g0, full))
         for got, want in zip(direction, full):
             assert np.array_equal(np.asarray(got), np.asarray(want))
         first_inner = obj.prox_step(start, full, cfg.step)
-        assert np.isfinite(fmg.predict(first_inner, problem.X[0]))
+        assert np.isfinite(fmg.predict_batch(first_inner, problem.table.rows([0]))[0])
 
     def test_batch_plan_validation(self):
         problem = bias_only_problem(n=100)
@@ -138,9 +138,9 @@ class TestSvrg:
         inner = cur
         bs = []
         for _ in range(8):
-            idx = rng.integers(0, problem.n, size=8)
-            g1 = obj.grad(inner, idx)
-            g0 = obj.grad(cur, idx)
+            batch = problem.table.rows(rng.integers(0, problem.n, size=8))
+            g1 = obj.grad(inner, batch)
+            g0 = obj.grad(cur, batch)
             direction = tuple(a - b + f for a, b, f in zip(g1, g0, full))
             inner = obj.prox_step(inner, direction, cfg.step)
             bs.append(inner.b)
@@ -238,11 +238,11 @@ class TestPerIterationScaling:
         for n in (20000, 40000):
             problem = synth.scaled_fm_problem(13, n, n_metagraphs=2, rank=5, K=5)
             params = solvers.init_params(problem, solvers.SolverConfig())
-            fmg.mse_grad(params, problem.X, problem.y)  # warm up
+            fmg.mse_grad(params, problem.table)  # warm up
             samples = []
             for _ in range(7):
                 start = time.perf_counter()
-                fmg.mse_grad(params, problem.X, problem.y)
+                fmg.mse_grad(params, problem.table)
                 samples.append(time.perf_counter() - start)
             times[n] = np.median(samples)
         assert times[40000] / times[20000] <= 3.0
