@@ -6,17 +6,16 @@ instance enumeration.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hinfuse import metagraph as mg
-from hinfuse.hin import EntitySet, HinStore, RelationDecl, SparseAdjacency
+from hinfuse.hin import EntitySet, HinStore, RelationDecl
 
 # --- a hand-made network: 3 users, 3 businesses, 4 reviews, 2 aspects ------
+# the store holds each relation as a float64 CSR matrix (head entities x tail entities)
 
 def adjacency(dense, head, tail, name, store):
-    dense = np.asarray(dense, dtype=float)
-    row, col = np.nonzero(dense)
-    adj = SparseAdjacency(*dense.shape, row, col, dense[row, col])
-    store.relations[name] = (RelationDecl(name, head, tail), adj)
+    store.relations[name] = (RelationDecl(name, head, tail), sp.csr_matrix(dense, dtype=np.float64))
 
 store = HinStore()
 for type_name, count in {"U": 3, "B": 3, "R": 4, "A": 2}.items():

@@ -18,7 +18,6 @@ from .hin import (
     HinStore,
     RatingSet,
     RelationDecl,
-    SparseAdjacency,
     attach_ratings,
     ingest,
     load_edges,

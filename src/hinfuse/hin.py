@@ -4,6 +4,11 @@ Edge files are UTF-8 text with one edge per line, fields separated by a
 single TAB: ``head_id<TAB>tail_id[<TAB>weight]``.  Ratings files use
 ``user_id<TAB>item_id<TAB>rating``.  A schema document (JSON) declares the
 entity types, one file-backed adjacency per relation, and the ratings file.
+
+The store holds every relation as the matrix the metagraph plans multiply:
+a float64 ``scipy.sparse.csr_matrix`` in canonical form (duplicate edges
+summed, column indices sorted), shaped (head entities, tail entities) at the
+final entity counts.  It is built once, at ingestion; readers never write it.
 """
 
 from __future__ import annotations
@@ -60,54 +65,26 @@ class RelationDecl:
     tail_type: str
 
 
-@dataclass
-class SparseAdjacency:
-    """COO-style adjacency between two entity types; weights are >= 0."""
-
-    rows: int
-    cols: int
-    row: np.ndarray
-    col: np.ndarray
-    weight: np.ndarray
-
-    @property
-    def nnz(self):
-        return len(self.row)
-
-    @property
-    def entries(self):
-        return list(zip(self.row.tolist(), self.col.tolist(), self.weight.tolist()))
-
-    def to_csr(self):
-        m = sp.csr_matrix(
-            (self.weight.astype(np.float64), (self.row, self.col)),
-            shape=(self.rows, self.cols),
-        )
-        m.sum_duplicates()
-        return m
-
-    def with_shape(self, rows, cols):
-        """Same entries under enlarged dimensions (id maps may have grown)."""
-        if rows < self.rows or cols < self.cols:
-            raise ValueError("adjacency can only grow, not shrink")
-        return SparseAdjacency(rows, cols, self.row, self.col, self.weight)
+def _canonical_csr(weight, row, col, shape):
+    """The float64 CSR matrix of the (row, col, weight) edges, duplicates summed."""
+    m = sp.csr_matrix((np.asarray(weight, dtype=np.float64), (row, col)), shape=shape)
+    m.sum_duplicates()
+    return m
 
 
 @dataclass
 class HinStore:
-    """Immutable-after-ingestion container: entity sets plus one adjacency per relation."""
+    """Entity sets plus one adjacency per relation; plans read the matrices and never write them."""
 
     entities: dict = field(default_factory=dict)
-    relations: dict = field(default_factory=dict)  # name -> (RelationDecl, SparseAdjacency)
+    # name -> (RelationDecl, canonical float64 csr_matrix shaped (head count, tail count))
+    relations: dict = field(default_factory=dict)
 
     def entity(self, type_name):
         try:
             return self.entities[type_name]
         except KeyError:
             raise KeyError(f"undeclared entity type {type_name!r}") from None
-
-    def decl(self, relation):
-        return self.relations[relation][0]
 
     def adjacency(self, relation):
         return self.relations[relation][1]
@@ -124,10 +101,6 @@ class RatingSet:
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def triples(self):
-        return list(zip(self.users.tolist(), self.items.tolist(), self.values.tolist()))
 
 
 @dataclass
@@ -165,10 +138,11 @@ def _parse_edge_line(path, lineno, line):
 
 
 def load_edges(path, decl, entities):
-    """Read one relation's edge file into a :class:`SparseAdjacency`.
+    """Read one relation's edge file into a canonical CSR adjacency.
 
     Duplicate (head, tail) lines have their weights summed; a missing weight
-    defaults to 1.  External ids not seen before extend the entity id maps.
+    defaults to 1.  External ids not seen before extend the entity id maps;
+    the matrix is shaped by the entity counts after the file is read.
     """
     head_set = entities[decl.head_type]
     tail_set = entities[decl.tail_type]
@@ -180,13 +154,8 @@ def load_edges(path, decl, entities):
             head, tail, weight = _parse_edge_line(path, lineno, line)
             key = (head_set.index(head), tail_set.index(tail))
             acc[key] = acc.get(key, 0.0) + weight
-    if acc:
-        row, col = map(np.asarray, zip(*acc.keys()))
-        weight = np.asarray(list(acc.values()), dtype=np.float64)
-    else:
-        row = col = np.zeros(0, dtype=np.int64)
-        weight = np.zeros(0, dtype=np.float64)
-    return SparseAdjacency(head_set.count, tail_set.count, row, col, weight)
+    edges = np.asarray(list(acc), dtype=np.int64).reshape(-1, 2)
+    return _canonical_csr(list(acc.values()), edges[:, 0], edges[:, 1], (head_set.count, tail_set.count))
 
 
 def load_ratings(path, user_set, item_set, rating_range=(1.0, 5.0)):
@@ -223,11 +192,8 @@ def rating_adjacency(ratings, n_users, n_items, binarize=True):
     ``binarize`` maps every rating to weight 1 (default); otherwise raw
     rating values are kept as weights.
     """
-    weight = np.ones(len(ratings)) if binarize else ratings.values.astype(np.float64)
-    acc = sp.csr_matrix((weight, (ratings.users, ratings.items)), shape=(n_users, n_items))
-    acc.sum_duplicates()
-    coo = acc.tocoo()
-    return SparseAdjacency(n_users, n_items, coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data)
+    weight = np.ones(len(ratings)) if binarize else ratings.values
+    return _canonical_csr(weight, ratings.users, ratings.items, (n_users, n_items))
 
 
 def attach_ratings(hin, ratings, decl, binarize=True):
@@ -245,7 +211,7 @@ def validate(hin):
     referenced = set()
     for name, (decl, adj) in hin.relations.items():
         referenced.update((decl.head_type, decl.tail_type))
-        for side, type_name, have in (("rows", decl.head_type, adj.rows), ("cols", decl.tail_type, adj.cols)):
+        for side, type_name, have in zip(("rows", "cols"), (decl.head_type, decl.tail_type), adj.shape):
             want = hin.entity(type_name).count
             if have != want:
                 report.errors.append(
@@ -335,10 +301,7 @@ def ingest(schema, base_dir=None):
         adj = load_edges(os.path.join(base_dir, rel["file"]), decl, store.entities)
         store.relations[decl.name] = (decl, adj)
 
-    # id maps may have grown after an adjacency was built; re-shape to final counts
-    for name, (decl, adj) in store.relations.items():
-        store.relations[name] = (
-            decl,
-            adj.with_shape(store.entity(decl.head_type).count, store.entity(decl.tail_type).count),
-        )
+    # id maps may have grown after an adjacency was built; pad to the final counts in place
+    for decl, adj in store.relations.values():
+        adj.resize(store.entity(decl.head_type).count, store.entity(decl.tail_type).count)
     return store, ratings, rating_decl

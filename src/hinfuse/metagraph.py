@@ -457,9 +457,9 @@ class _PlanBuilder:
         decl, adj = self.hin.relations[edge.relation]
         transposed = resolve_orientation(decl, src_type, dst_type, edge.reverse)
         declared = (self.count(decl.head_type), self.count(decl.tail_type))
-        if (adj.rows, adj.cols) != declared:
+        if adj.shape != declared:
             raise PlanCompileError(
-                f"adjacency for {edge.relation!r} has shape {(adj.rows, adj.cols)}, "
+                f"adjacency for {edge.relation!r} has shape {adj.shape}, "
                 f"expected {declared}; was the store re-shaped after ingestion?"
             )
         shape = (declared[1], declared[0]) if transposed else declared
@@ -538,26 +538,23 @@ def compile_plan(spec, hin, optimize=False):
     return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name)
 
 
-def execute_plan(plan, hin, magnitude_floor=0.0, nnz_budget=10**8, keep_slots=False):
+def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     """Run a compiled plan over the store's adjacencies.
 
-    Entries with magnitude below ``magnitude_floor`` are dropped from
-    storage (default keeps everything but exact zeros).  Intermediates whose
-    stored nonzeros exceed ``nnz_budget`` raise :class:`ResourceLimitError`
-    rather than silently ballooning.
+    Exact zeros are dropped from storage.  Intermediates whose stored
+    nonzeros exceed ``nnz_budget`` raise :class:`ResourceLimitError` rather
+    than silently ballooning.  Every slot is a new matrix: a load step copies
+    the store's adjacency, so callers may scale a result in place.
     """
     slots = []
     for step, shape in zip(plan.steps, plan.shapes):
         if isinstance(step, LoadStep):
-            mat = hin.adjacency(step.relation).to_csr()
-            if step.transposed:
-                mat = mat.T.tocsr()
+            adj = hin.adjacency(step.relation)
+            mat = adj.T.tocsr() if step.transposed else adj.copy()
         elif isinstance(step, MatMulStep):
             mat = (slots[step.left] @ slots[step.right]).tocsr()
         else:
             mat = slots[step.left].multiply(slots[step.right]).tocsr()
-        if magnitude_floor > 0.0:
-            mat.data[np.abs(mat.data) < magnitude_floor] = 0.0
         mat.eliminate_zeros()
         if mat.nnz > nnz_budget:
             raise ResourceLimitError(
@@ -599,8 +596,9 @@ def _oriented_successors(hin, spec):
         decl, adj = hin.relations[rel]
         transposed = resolve_orientation(decl, node_type[a], node_type[b], reverse)
         succ = {}
-        rows, cols = (adj.col, adj.row) if transposed else (adj.row, adj.col)
-        for i, j, w in zip(rows.tolist(), cols.tolist(), adj.weight.tolist()):
+        coo = adj.tocoo()
+        rows, cols = (coo.col, coo.row) if transposed else (coo.row, coo.col)
+        for i, j, w in zip(rows.tolist(), cols.tolist(), coo.data.tolist()):
             if w != 0:
                 succ.setdefault(i, set()).add(j)
         maps.append(((a, b), succ))

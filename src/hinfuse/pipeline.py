@@ -75,15 +75,46 @@ def report_selected(params, layout, threshold=1e-10):
 # sections); a key sets the ExperimentConfig field of its name, or of its _RENAMED name.
 _CONFIG_KEYS = {
     "": ("schema", "metagraphs", "select", "seed", "binarize_ratings", "log_scale_similarity",
-         "optimize_plans", "clip_predictions", "rating_range", "repeats", "workers"),
+         "optimize_plans", "clip_predictions", "rating_range", "repeats"),
     "split": ("fractions", "seed"),
     "features": ("method", "rank", "mu", "max_rank", "standardize"),
     "fm": ("K", "mode", "lambda", "eta_weighting"),
     "solver": tuple(f.name for f in fields(solvers.SolverConfig)),
 }
 _RENAMED = {"method": "feature_method", "standardize": "standardize_features", "lambda": "lambdas"}
-_CASTS = {"seed": int, "rank": int, "mu": float, "K": int, "repeats": int, "workers": int,
-          "fractions": tuple, "rating_range": tuple}
+
+
+def _number(key, value, kind):
+    """``value`` as a config number of ``kind`` ("int" or "float"); anything else fails, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if kind == "int":
+        if not float(value).is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _typed(key, value, spec):
+    """Config ``value`` of ``key`` checked against the annotation of the dataclass field ``spec``.
+
+    An int field takes an integral number, a float field any number and a
+    tuple field a list of numbers (``fm.lambda`` also a single number); null
+    is kept where the field's default is None.  Other fields pass unchecked.
+    """
+    if value is None and spec.default is None:
+        return None
+    if spec.type in ("int", "float"):
+        return _number(key, value, spec.type)
+    if spec.type != "tuple":
+        return value
+    if key == "fm.lambda" and not isinstance(value, (list, tuple)):
+        return _number(key, value, "float")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    for item in value:
+        _number(key, item, "float")
+    return tuple(value)
 
 
 @dataclass
@@ -111,7 +142,6 @@ class ExperimentConfig:
     clip_predictions: bool = True
     rating_range: tuple = (1.0, 5.0)
     repeats: int = 1
-    workers: int = 1  # per-metagraph similarity/factorization jobs in flight
 
     def __post_init__(self):
         if self.K < 1:
@@ -139,16 +169,21 @@ class ExperimentConfig:
             unknown = [repr(f"{name}.{key}" if name else key) for key in sorted(set(section) - set(known))]
             if unknown:
                 raise ValueError(f"unknown config key {', '.join(unknown)}")
+        specs = {f.name: f for f in fields(cls)}
         values = {}
         for name in ("", "split", "features", "fm"):  # split after the top level: its seed wins
             for key in set(sections[name]) & set(_CONFIG_KEYS[name]):
                 field_name = _RENAMED.get(key, key)
-                values[field_name] = _CASTS.get(field_name, lambda v: v)(sections[name][key])
+                values[field_name] = _typed(f"{name}.{key}" if name else key, sections[name][key],
+                                            specs[field_name])
+        solver_specs = {f.name: f for f in fields(solvers.SolverConfig)}
+        solver = {key: _typed(f"solver.{key}", value, solver_specs[key])
+                  for key, value in sections["solver"].items()}
         for key in ("schema", "metagraphs"):
             if key not in doc:
                 raise ValueError(f"config lacks {key!r}")
             values[key] = os.path.join(base_dir, doc[key])
-        cfg = cls(**values, solver=solvers.SolverConfig(**sections["solver"]))
+        cfg = cls(**values, solver=solvers.SolverConfig(**solver))
         if "seed" in doc and "seed" not in sections["split"]:
             cfg.solver.seed = int(doc["seed"])
         for path in (cfg.schema, cfg.metagraphs):
@@ -273,15 +308,6 @@ class _Stages:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + time.perf_counter() - start
         return result
 
-    def map_jobs(self, items, fn):
-        """Run independent per-metagraph jobs, in order or on a thread pool."""
-        if self.config.workers <= 1:
-            return [fn(item) for item in items]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            return list(pool.map(fn, items))
-
     # -- stage bodies ------------------------------------------------------
 
     def ingest(self):
@@ -316,31 +342,32 @@ class _Stages:
                     f"metagraph {spec.name!r} runs {spec.source_type}->{spec.sink_type}, but "
                     f"ratings connect {rating_decl.head_type}->{rating_decl.tail_type}"
                 )
-        def job(spec):
+        sims = []
+        for spec in specs:
             key = _key(
                 "similarity", self.fingerprint, metagraph.format_metagraph(spec),
                 cfg.fractions, seed, cfg.binarize_ratings, cfg.log_scale_similarity,
                 cfg.optimize_plans,
             )
             path = os.path.join(self.cache_dir, f"sim_{spec.name}_{key}.npz")
-            if os.path.exists(path):
-                return metagraph.load_similarity(path), True
-            plan = metagraph.compile_plan(spec, store, optimize=cfg.optimize_plans)
-            sim = metagraph.execute_plan(plan, store)
-            if cfg.log_scale_similarity:
-                sim.matrix.data = np.log1p(sim.matrix.data)
-            metagraph.save_similarity(path, sim)
-            return sim, False
-
-        results = self.map_jobs(specs, job)
-        for spec, (_, hit) in zip(specs, results):
+            hit = os.path.exists(path)
+            if hit:
+                sim = metagraph.load_similarity(path)
+            else:
+                plan = metagraph.compile_plan(spec, store, optimize=cfg.optimize_plans)
+                sim = metagraph.execute_plan(plan, store)
+                if cfg.log_scale_similarity:
+                    sim.matrix.data = np.log1p(sim.matrix.data)
+                metagraph.save_similarity(path, sim)
             self.cache_events["similarity"].append({"metagraph": spec.name, "hit": hit})
-        return [sim for sim, _ in results]
+            sims.append(sim)
+        return sims
 
     def factorize(self, sims, seed):
         cfg = self.config
 
-        def job(sim):
+        pairs = []
+        for sim in sims:
             key = _key(
                 "factors", self.fingerprint, sim.metagraph, cfg.feature_method, cfg.rank,
                 cfg.mu, cfg.max_rank, cfg.fractions, seed, cfg.binarize_ratings,
@@ -348,23 +375,22 @@ class _Stages:
             )
             upath = os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.user.npz")
             ipath = os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.item.npz")
-            if os.path.exists(upath) and os.path.exists(ipath):
-                return factors.load_factor_pair(upath, ipath), True
-            obs = factors.ObservedMatrix.from_similarity(sim)
-            if cfg.feature_method == "mf":
-                pair = factors.factorize_mf(obs, cfg.rank, cfg.mu, seed=seed, name=sim.metagraph)
+            hit = os.path.exists(upath) and os.path.exists(ipath)
+            if hit:
+                pair = factors.load_factor_pair(upath, ipath)
             else:
-                pair = factors.factorize_nnr(
-                    obs, cfg.mu, seed=seed, max_rank=cfg.max_rank, name=sim.metagraph
-                )
-            factors.save_factor_side(upath, pair, "user")
-            factors.save_factor_side(ipath, pair, "item")
-            return pair, False
-
-        results = self.map_jobs(sims, job)
-        for sim, (_, hit) in zip(sims, results):
+                obs = factors.ObservedMatrix.from_similarity(sim)
+                if cfg.feature_method == "mf":
+                    pair = factors.factorize_mf(obs, cfg.rank, cfg.mu, seed=seed, name=sim.metagraph)
+                else:
+                    pair = factors.factorize_nnr(
+                        obs, cfg.mu, seed=seed, max_rank=cfg.max_rank, name=sim.metagraph
+                    )
+                factors.save_factor_side(upath, pair, "user")
+                factors.save_factor_side(ipath, pair, "item")
             self.cache_events["factorize"].append({"metagraph": sim.metagraph, "hit": hit})
-        return [pair for pair, _ in results]
+            pairs.append(pair)
+        return pairs
 
     def assemble(self, pairs, train_rs, model=None):
         """``(features, layout, scaler)``: the factor pairs' entity feature arrays, built once per run

@@ -19,9 +19,10 @@ import json
 import os
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fmg, solvers
-from .hin import EntitySet, HinStore, RelationDecl, SparseAdjacency
+from .hin import EntitySet, HinStore, RelationDecl
 
 ORACLE_SCHEMA = {
     "types": ("U", "B", "R", "A"),
@@ -51,12 +52,6 @@ ORACLE_METAGRAPHS = (
 )
 
 
-def _random_adjacency(rng, rows, cols, density):
-    mask = rng.random((rows, cols)) < density
-    row, col = np.nonzero(mask)
-    return SparseAdjacency(rows, cols, row.astype(np.int64), col.astype(np.int64), np.ones(len(row)))
-
-
 def random_binary_hin(seed, max_entities=40, density_range=(0.04, 0.12)):
     """Random binary adjacencies over the oracle schema (counts and densities vary)."""
     rng = np.random.default_rng(seed)
@@ -70,8 +65,8 @@ def random_binary_hin(seed, max_entities=40, density_range=(0.04, 0.12)):
     lo, hi = density_range
     for name, head, tail in ORACLE_SCHEMA["relations"]:
         density = rng.uniform(lo, hi)
-        adj = _random_adjacency(rng, counts[head], counts[tail], density)
-        store.relations[name] = (RelationDecl(name, head, tail), adj)
+        mask = rng.random((counts[head], counts[tail])) < density
+        store.relations[name] = (RelationDecl(name, head, tail), sp.csr_matrix(mask, dtype=np.float64))
     return store
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinfuse import hin
 
@@ -28,17 +29,17 @@ class TestLoadEdges:
         path = write(tmp_path / "e.tsv", "a\tx\na\ty\nb\tx\n")
         adj = hin.load_edges(path, DECL, registry("U", "B"))
         assert adj.nnz == 3
-        assert all(w == 1.0 for _, _, w in adj.entries)
+        assert adj.toarray().tolist() == [[1.0, 1.0], [1.0, 0.0]]
 
     def test_duplicates_sum(self, tmp_path):
         path = write(tmp_path / "e.tsv", "a\tx\na\tx\n")
         adj = hin.load_edges(path, DECL, registry("U", "B"))
-        assert adj.entries == [(0, 0, 2.0)]
+        assert adj.toarray().tolist() == [[2.0]]
 
     def test_explicit_weights(self, tmp_path):
         path = write(tmp_path / "e.tsv", "a\tx\t0.5\na\tx\t2\n")
         adj = hin.load_edges(path, DECL, registry("U", "B"))
-        assert adj.entries == [(0, 0, 2.5)]
+        assert adj.toarray().tolist() == [[2.5]]
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = write(tmp_path / "e.tsv", "a\tx\nbad-line\n")
@@ -72,8 +73,7 @@ class TestValidate:
             for i in range(n):
                 ents[name].index(f"{name}{i}")
         store.entities = ents
-        adj = hin.SparseAdjacency(2, 3, np.array([0]), np.array([1]), np.array([1.0]))
-        store.relations["rate"] = (DECL, adj)
+        store.relations["rate"] = (DECL, sp.csr_matrix(([1.0], ([0], [1])), shape=(2, 3)))
         return store
 
     def test_consistent_store_is_clean(self):
@@ -83,15 +83,14 @@ class TestValidate:
     def test_dimension_mismatch_is_error(self):
         store = self.build()
         decl, adj = store.relations["rate"]
-        store.relations["rate"] = (decl, hin.SparseAdjacency(1, 3, adj.row, adj.col, adj.weight))
+        store.relations["rate"] = (decl, adj[:1])
         report = hin.validate(store)
         assert not report.ok
         assert len(report.errors) == 1 and "rows=1" in report.errors[0]
 
     def test_empty_relation_is_warning(self):
         store = self.build()
-        empty = hin.SparseAdjacency(2, 3, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
-        store.relations["rate"] = (DECL, empty)
+        store.relations["rate"] = (DECL, sp.csr_matrix((2, 3)))
         report = hin.validate(store)
         assert report.ok and len(report.warnings) == 1
 
@@ -170,7 +169,8 @@ class TestIngest:
         assert s1.entity("U").id_map == s2.entity("U").id_map
         assert np.array_equal(r1.values, r2.values)
         a1, a2 = s1.adjacency("friend"), s2.adjacency("friend")
-        assert np.array_equal(a1.row, a2.row) and np.array_equal(a1.weight, a2.weight)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a1, name), getattr(a2, name)), name
 
     def test_rating_out_of_range_rejected(self, tmp_path):
         write(tmp_path / "ratings.tsv", "u1\tb1\t9\n")
@@ -187,21 +187,29 @@ class TestIngest:
     def test_attach_ratings_binarized_and_raw(self, tmp_path):
         store, rs, decl = hin.ingest(write_dataset(tmp_path))
         hin.attach_ratings(store, rs, decl)
-        assert set(store.adjacency("rate").weight.tolist()) == {1.0}
+        assert set(store.adjacency("rate").data.tolist()) == {1.0}
         hin.attach_ratings(store, rs, decl, binarize=False)
-        assert set(store.adjacency("rate").weight.tolist()) == {3.0, 4.0, 5.0}
+        assert set(store.adjacency("rate").data.tolist()) == {3.0, 4.0, 5.0}
 
     def test_adjacency_covers_rating_only_entities(self, tmp_path):
-        # u3 appears only in the ratings file; friend adjacency must still span it
+        # u3 appears only in the ratings file and u4 only in a later relation's file;
+        # the friend adjacency must still span both
         write(tmp_path / "ratings.tsv", "u1\tb1\t4\nu3\tb1\t2\n")
-        write(tmp_path / "friend.tsv", "u1\tu2\n")
+        write(tmp_path / "friend.tsv", "u2\tu1\nu1\tu2\nu2\tu1\n")
+        write(tmp_path / "follow.tsv", "u4\tu1\n")
         schema = {
             "entities": ["U", "B"],
-            "relations": [{"name": "friend", "head": "U", "tail": "U", "file": "friend.tsv"}],
+            "relations": [{"name": "friend", "head": "U", "tail": "U", "file": "friend.tsv"},
+                          {"name": "follow", "head": "U", "tail": "U", "file": "follow.tsv"}],
             "ratings": {"file": "ratings.tsv", "user_type": "U", "item_type": "B"},
         }
         store, _, _ = hin.ingest(write(tmp_path / "schema.json", json.dumps(schema)))
-        assert store.entity("U").count == 3
+        assert store.entity("U").count == 4
         adj = store.adjacency("friend")
-        assert (adj.rows, adj.cols) == (3, 3)
+        assert adj.shape == (4, 4) and adj.dtype == np.float64
+        # u1, u3, u2, u4 = 0, 1, 2, 3; the duplicate u2 -> u1 line sums
+        want = sp.csr_matrix(([1.0, 1.0, 1.0], ([2, 0, 2], [0, 2, 0])), shape=(4, 4))
+        want.sum_duplicates()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adj, name), getattr(want, name)), name
         assert hin.validate(store).ok

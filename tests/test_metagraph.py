@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hinfuse import hin
 from hinfuse import metagraph as mg
 from hinfuse import synth
-from hinfuse.hin import EntitySet, HinStore, RelationDecl, SparseAdjacency
+from hinfuse.hin import EntitySet, HinStore, RelationDecl
 from hinfuse.metagraph import HadamardStep, LoadStep, MatMulStep
 
 M3_TEXT = "M3: U -[rate]- B -[rate~]- U -[rate]- B"
@@ -22,10 +24,7 @@ def store_with(entities, relations):
             es.index(f"{type_name.lower()}{i}")
         store.entities[type_name] = es
     for name, (head, tail, dense) in relations.items():
-        dense = np.asarray(dense, dtype=float)
-        row, col = np.nonzero(dense)
-        adj = SparseAdjacency(*dense.shape, row.astype(np.int64), col.astype(np.int64), dense[row, col])
-        store.relations[name] = (RelationDecl(name, head, tail), adj)
+        store.relations[name] = (RelationDecl(name, head, tail), sp.csr_matrix(dense, dtype=np.float64))
     return store
 
 
@@ -250,11 +249,22 @@ class TestExecute:
         h_idx = next(i for i, s in enumerate(plan.steps) if isinstance(s, HadamardStep))
         assert np.array_equal(np.asarray(slots[h_idx].todense()), [[1, 1], [1, 1]])
 
-    def test_magnitude_floor_drops_small_entries(self):
-        store = store_with({"U": 2, "B": 2}, {"rate": ("U", "B", [[0.1, 0], [0, 2.0]])})
-        plan = mg.compile_plan(mg.parse_metagraph("M: U -[rate]- B"), store)
-        assert mg.execute_plan(plan, store).nnz == 2
-        assert mg.execute_plan(plan, store, magnitude_floor=0.5).nnz == 1
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_store_unchanged_by_bundled_yelp_plans(self, tmp_path):
+        # slots are new matrices: scaling every slot in place leaves the store's arrays as they were
+        store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=3))
+        hin.attach_ratings(store, ratings, decl)
+        before = {name: [arr.copy() for arr in (adj.indptr, adj.indices, adj.data)]
+                  for name, (_, adj) in store.relations.items()}
+        for spec in mg.bundled_metagraphs("yelp"):
+            for optimize in (False, True):
+                plan = mg.compile_plan(spec, store, optimize=optimize)
+                _, slots = mg.execute_plan(plan, store, keep_slots=True)
+                for slot in slots:
+                    slot.data *= 2.0
+        for name, (_, adj) in store.relations.items():
+            for want, got in zip(before[name], (adj.indptr, adj.indices, adj.data)):
+                assert np.array_equal(want, got), name
 
     def test_nnz_budget_enforced(self):
         store = two_by_two_store()

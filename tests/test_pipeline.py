@@ -191,15 +191,18 @@ class TestRunPipeline:
             f"M{i}" for i in range(1, 10)
         }
 
-    def test_parallel_workers_match_sequential(self, dataset, tmp_path):
+    def test_log_scaling_one_similarity_leaves_the_next_unscaled(self, dataset, tmp_path):
+        # M1 is the bare rating adjacency; log-scaling its result must not reach the store M2 reads
         root, schema = dataset
-        seq = pipeline.run_pipeline(
-            small_config(str(root), schema), str(tmp_path / "s"), str(tmp_path / "cs")
-        )
-        par = pipeline.run_pipeline(
-            small_config(str(root), schema, workers=3), str(tmp_path / "p"), str(tmp_path / "cp")
-        )
-        assert seq.comparable() == par.comparable()
+        sims = {}
+        for select in (["M1", "M2"], ["M2"]):
+            cfg = small_config(str(root), schema, select=select)
+            out = str(tmp_path / "-".join(select))
+            sims[len(select)] = pipeline._Stages(cfg, out).run(cfg.seed, through="similarity").sims
+        assert sims[2][0].matrix.data.max() == pytest.approx(np.log1p(1.0))
+        pair, alone = sims[2][1].matrix, sims[1][0].matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(pair, name), getattr(alone, name)), name
 
     def test_standardized_features_run_end_to_end(self, dataset, tmp_path):
         root, schema = dataset
@@ -445,18 +448,22 @@ class TestCli:
         assert err.startswith("[config]") and repr(key) in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("extra", [
-        {"fm": {"K": 3, "lambda": [0.05], "eta_weighting": "sqrt "}},
-        {"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}},
-        {"solver": {"algorithm": "svgr", "step": 0.02}},
-    ])
-    def test_bad_choice_rejected_at_load(self, dataset, tmp_path, capsys, extra):
+    BAD_VALUES = [
+        ({"fm": {"K": 3, "lambda": [0.05], "eta_weighting": "sqrt "}}, "unknown eta weighting"),
+        ({"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}}, "unknown fm mode"),
+        ({"solver": {"algorithm": "svgr", "step": 0.02}}, "unknown algorithm"),
+        ({"solver": {"step": "0.1"}}, "solver.step must be a number, got '0.1'"),
+        ({"features": {"rank": 2.5}}, "features.rank must be an integer, got 2.5"),
+    ]
+
+    @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])
+    def test_bad_choice_rejected_at_load(self, dataset, tmp_path, capsys, extra, message):
         # rejected before any similarity is computed, not in the train stage
         root, _ = dataset
         config = self.write_config(root, tmp_path, **extra)
         out = str(tmp_path / "out")
         assert cli.main(["similarity", "--config", config, "--out-dir", out]) == 1
-        assert capsys.readouterr().err.startswith("[config] unknown")
+        assert capsys.readouterr().err.startswith(f"[config] {message}")
         assert not os.path.exists(out)
 
     def test_seed_override(self, dataset, tmp_path):
