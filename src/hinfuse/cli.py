@@ -5,8 +5,11 @@ cache directory::
 
     hinfuse pipeline --config exp.json --out-dir out/
     hinfuse ingest|similarity|factorize|train --config exp.json --out-dir out/
-    hinfuse evaluate --config exp.json --out-dir out/   # needs a trained model
+    hinfuse evaluate --config exp.json --out-dir out/   # scores out/model.npz
     hinfuse report --out-dir out/                       # per-group selection
+
+``evaluate`` scores the model on the entity features stored in it; it runs
+no similarity or factorize stage and reads no cache.
 
 Exit status is 0 on success and 1 with a stage-tagged message otherwise.
 """
@@ -31,11 +34,11 @@ def _load_config(args):
     return cfg
 
 
-def _run(args, through, model=None):
+def _run(args, through):
     """Run the stages through ``through`` under the command's config; return (stages, run)."""
     cfg = _load_config(args)
     stages = pipeline._Stages(cfg, args.out_dir, args.cache_dir)
-    return stages, stages.run(cfg.seed, through, model)
+    return stages, stages.run(cfg.seed, through)
 
 
 def cmd_ingest(args):
@@ -88,8 +91,10 @@ def _model_path(args, stage):
 
 
 def cmd_evaluate(args):
-    _, run = _run(args, "evaluate", fmg.load_model(_model_path(args, "evaluate")))
-    print(json.dumps(run.rmses, indent=2))
+    model = fmg.load_model(_model_path(args, "evaluate"))
+    cfg = _load_config(args)
+    rmses = pipeline._Stages(cfg, args.out_dir, args.cache_dir).score_model(model, cfg.seed)
+    print(json.dumps(rmses, indent=2))
     return 0
 
 
@@ -101,12 +106,12 @@ def cmd_pipeline(args):
 
 
 def cmd_report(args):
-    params, layout, _, _, _ = fmg.load_model(_model_path(args, "report"))
-    rows = pipeline.report_selected(params, layout, threshold=args.threshold)
+    model = fmg.load_model(_model_path(args, "report"))
+    rows = pipeline.report_selected(model.params, model.layout, threshold=args.threshold)
     for row in rows:
         flags = ("w" if row["w_selected"] else "-") + ("V" if row["v_selected"] else "-")
         print(f"{row['group']:>24} [{flags}] w_norm={row['w_norm']:.5f} v_norm={row['v_norm']:.5f}")
-    print(f"nnz={fmg.param_nnz_ratio(params):.4f}")
+    print(f"nnz={fmg.param_nnz_ratio(model.params):.4f}")
     return 0
 
 

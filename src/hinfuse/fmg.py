@@ -5,8 +5,8 @@ the item blocks, so the d = 2 * sum(F_l) coordinates split into 2L groups.
 The regularizer penalizes each group's norm, either directly (convex group
 lasso) or through the log-sum penalty kappa(t) = log(1 + t).  The nonconvex
 penalty is optimized through its smooth-plus-convex split: the smooth
-surplus g = lambda * (kappa(norm) - kappa0 * norm) joins the loss, and the
-convex part stays in the proximal step (kappa0 = 1 for both penalties).
+surplus g = lambda * (kappa(norm) - norm) joins the loss, and the convex part
+stays in the proximal step (both penalties have slope 1 at zero).
 """
 
 from __future__ import annotations
@@ -122,18 +122,13 @@ class FmParams:
 
 @dataclass
 class RegConfig:
-    """Group regularization: mode, weights and per-group multipliers.
-
-    ``kappa0`` is the limiting derivative of the penalty at zero; it equals
-    1 for both the identity penalty (convex mode) and log(1 + t).
-    """
+    """Group regularization: mode, weights and per-group multipliers."""
 
     mode: str = "convex"  # convex | lsp
     lam_w: float = 0.0
     lam_v: float = 0.0
     eta_w: np.ndarray = None
     eta_v: np.ndarray = None
-    kappa0: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("convex", "lsp"):
@@ -266,26 +261,26 @@ def reg_value(params, layout, cfg):
 
 
 def smooth_surplus(params, layout, cfg):
-    """g = penalty minus kappa0 * convex envelope; identically 0 in convex mode."""
+    """g = penalty minus its convex envelope (the norm); identically 0 in convex mode."""
     if cfg.mode == "convex":
         return 0.0
     eta_w, eta_v = cfg.resolved_etas(layout)
     tw = group_norms(params.w, layout)
     tv = group_norms(params.V, layout)
-    return cfg.lam_w * float(eta_w @ (np.log1p(tw) - cfg.kappa0 * tw)) + cfg.lam_v * float(
-        eta_v @ (np.log1p(tv) - cfg.kappa0 * tv)
+    return cfg.lam_w * float(eta_w @ (np.log1p(tw) - tw)) + cfg.lam_v * float(
+        eta_v @ (np.log1p(tv) - tv)
     )
 
 
-def _surplus_grad_block(z, layout, lam, eta, kappa0):
+def _surplus_grad_block(z, layout, lam, eta):
     grad = np.zeros_like(z)
     if lam == 0.0:
         return grad
     for g, sl in enumerate(layout.slices()):
         t = np.linalg.norm(z[sl])
         if t > 0.0:
-            # d/dz [kappa(t) - kappa0 * t] = (kappa'(t) - kappa0) * z / t
-            grad[sl] = lam * eta[g] * (1.0 / (1.0 + t) - kappa0) / t * z[sl]
+            # d/dz [kappa(t) - t] = (kappa'(t) - 1) * z / t
+            grad[sl] = lam * eta[g] * (1.0 / (1.0 + t) - 1.0) / t * z[sl]
     return grad
 
 
@@ -319,8 +314,8 @@ def augmented_grad(params, table, layout, cfg):
     grad_b, grad_w, grad_v = mse_grad(params, table)
     if cfg.mode == "lsp":
         eta_w, eta_v = cfg.resolved_etas(layout)
-        grad_w = grad_w + _surplus_grad_block(params.w, layout, cfg.lam_w, eta_w, cfg.kappa0)
-        grad_v = grad_v + _surplus_grad_block(params.V, layout, cfg.lam_v, eta_v, cfg.kappa0)
+        grad_w = grad_w + _surplus_grad_block(params.w, layout, cfg.lam_w, eta_w)
+        grad_v = grad_v + _surplus_grad_block(params.V, layout, cfg.lam_v, eta_v)
     return grad_b, grad_w, grad_v
 
 
@@ -348,12 +343,12 @@ def objective(params, table, layout, cfg):
 
 
 def augmented_objective(params, table, layout, cfg):
-    """Loss + g plus kappa0-weighted convex penalty; equals :func:`objective` exactly."""
+    """Loss + g plus the convex penalty; equals :func:`objective` exactly."""
     eta_w, eta_v = cfg.resolved_etas(layout)
     convex = cfg.lam_w * float(eta_w @ group_norms(params.w, layout)) + cfg.lam_v * float(
         eta_v @ group_norms(params.V, layout)
     )
-    return mse_loss(params, table) + smooth_surplus(params, layout, cfg) + cfg.kappa0 * convex
+    return mse_loss(params, table) + smooth_surplus(params, layout, cfg) + convex
 
 
 def param_nnz_ratio(params, tol=1e-10):
@@ -362,60 +357,58 @@ def param_nnz_ratio(params, tol=1e-10):
     return nnz / (params.d + params.d * params.K)
 
 
-def save_model(path, params, layout, cfg, scaler=None, *, clip_predictions, rating_range,
-               feature_method):
-    """Persist the model, its layout, regularizer config and the ``(mean, std)`` standardizer
-    its features were fit with (None if unstandardized); round-trips bit-exactly.
+@dataclass
+class SavedModel:
+    """A trained FM with the entity features it was trained on: ``features`` is the (user, item)
+    pair of blocks, standardized if the run was, whose rows have the external ids ``user_ids``
+    and ``item_ids``; ``prediction`` holds ``clip_predictions`` and ``rating_range``."""
 
-    The prediction settings it is scored with are recorded too: whether
-    predictions are clipped to ``rating_range``, and the feature method
-    (``mf`` or ``nnr``) that produced its features."""
+    params: FmParams
+    layout: GroupLayout
+    reg: RegConfig
+    prediction: dict
+    features: tuple
+    user_ids: np.ndarray
+    item_ids: np.ndarray
+
+
+def save_model(path, model):
+    """Persist a :class:`SavedModel`; it round-trips bit-exactly, its ids as unicode arrays."""
+    params, reg = model.params, model.reg
     header = {
         "d": params.d,
         "K": params.K,
-        "groups": [list(g) for g in layout.groups],
+        "groups": [list(g) for g in model.layout.groups],
         "reg": {
-            "mode": cfg.mode,
-            "lam_w": cfg.lam_w,
-            "lam_v": cfg.lam_v,
-            "eta_w": None if cfg.eta_w is None else np.asarray(cfg.eta_w).tolist(),
-            "eta_v": None if cfg.eta_v is None else np.asarray(cfg.eta_v).tolist(),
-            "kappa0": cfg.kappa0,
+            "mode": reg.mode,
+            "lam_w": reg.lam_w,
+            "lam_v": reg.lam_v,
+            "eta_w": None if reg.eta_w is None else np.asarray(reg.eta_w).tolist(),
+            "eta_v": None if reg.eta_v is None else np.asarray(reg.eta_v).tolist(),
         },
-        "standardized": scaler is not None,
-        "prediction": {
-            "clip_predictions": bool(clip_predictions),
-            "rating_range": [float(v) for v in rating_range],
-            "feature_method": str(feature_method),
-        },
+        "prediction": model.prediction,
     }
-    arrays = {} if scaler is None else {"mean": scaler[0], "std": scaler[1]}
-    np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V, **arrays)
+    np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V,
+             user_features=model.features[0], item_features=model.features[1],
+             user_ids=np.asarray(model.user_ids, dtype=str), item_ids=np.asarray(model.item_ids, dtype=str))
 
 
 def load_model(path):
-    """Return ``(params, layout, reg_config, scaler, prediction)`` as saved by :func:`save_model`;
-    ``prediction`` is the dict of its ``clip_predictions``, ``rating_range`` and
-    ``feature_method``."""
+    """The :class:`SavedModel` written by :func:`save_model`; older files are refused."""
     data = np.load(path, allow_pickle=False)
     header = json.loads(str(data["header"]))
-    params = FmParams(float(data["b"]), data["w"], data["V"])
-    layout = GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"])
-    reg = header["reg"]
-    cfg = RegConfig(
-        mode=reg["mode"],
-        lam_w=reg["lam_w"],
-        lam_v=reg["lam_v"],
-        eta_w=None if reg["eta_w"] is None else np.asarray(reg["eta_w"]),
-        eta_v=None if reg["eta_v"] is None else np.asarray(reg["eta_v"]),
-        kappa0=reg["kappa0"],
-    )
-    if "standardized" not in header:
-        raise ValueError(f"{path} does not record its feature standardizer; train the model again")
+    if "user_features" not in data.files:
+        raise ValueError(f"{path} does not hold the entity features it was trained on; train the model again")
     if "prediction" not in header:
-        raise ValueError(
-            f"{path} does not record its prediction settings (clip range, feature method); "
-            "train the model again"
-        )
-    scaler = (data["mean"], data["std"]) if header["standardized"] else None
-    return params, layout, cfg, scaler, header["prediction"]
+        raise ValueError(f"{path} does not record its prediction settings; train the model again")
+    reg = header["reg"]
+    eta_w, eta_v = (None if reg[key] is None else np.asarray(reg[key]) for key in ("eta_w", "eta_v"))
+    return SavedModel(
+        params=FmParams(float(data["b"]), data["w"], data["V"]),
+        layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
+        reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"], eta_w=eta_w, eta_v=eta_v),
+        prediction=header["prediction"],
+        features=(data["user_features"], data["item_features"]),
+        user_ids=data["user_ids"],
+        item_ids=data["item_ids"],
+    )

@@ -303,31 +303,15 @@ def validate_spec(spec):
     ids = [n for n, _ in spec.nodes]
     if len(set(ids)) != len(ids):
         raise MetagraphValidationError("duplicate node ids")
-    indeg = {n: 0 for n in ids}
-    outdeg = {n: 0 for n in ids}
-    succ = {n: [] for n in ids}
-    for a, b, _, _ in spec.edges:
-        indeg[b] += 1
-        outdeg[a] += 1
-        succ[a].append(b)
-    sources = [n for n in ids if indeg[n] == 0]
-    sinks = [n for n in ids if outdeg[n] == 0]
+    heads = {a for a, _, _, _ in spec.edges}
+    tails = {b for _, b, _, _ in spec.edges}
+    sources = [n for n in ids if n not in tails]
+    sinks = [n for n in ids if n not in heads]
     if sources != [spec.source] or len(sources) != 1:
         raise MetagraphValidationError(f"expected single source {spec.source!r}, found {sources}")
     if sinks != [spec.sink] or len(sinks) != 1:
         raise MetagraphValidationError(f"expected single sink {spec.sink!r}, found {sinks}")
-    # Kahn's algorithm: leftovers mean a cycle
-    pending = dict(indeg)
-    queue = [n for n in ids if pending[n] == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for nxt in succ[node]:
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(ids):
+    if len(_topological_order(spec)) != len(ids):  # Kahn's algorithm leaves a cycle's nodes out
         raise MetagraphValidationError("cycle detected")
 
 
@@ -570,6 +554,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
 
 
 def _topological_order(spec):
+    """Node ids with every edge running forward (Kahn's algorithm); nodes on or after a cycle are left out."""
     ids = [n for n, _ in spec.nodes]
     indeg = {n: 0 for n in ids}
     succ = {n: [] for n in ids}

@@ -270,7 +270,6 @@ class StageRun:
     pairs: list = None
     features: tuple = None  # (user, item) entity feature arrays, standardized if configured
     layout: fmg.GroupLayout = None
-    scaler: tuple = None  # (mean, std) of the training features, or None
     params: fmg.FmParams = None
     trace: solvers.TrainTrace = None
     lam: float = None
@@ -392,23 +391,14 @@ class _Stages:
             pairs.append(pair)
         return pairs
 
-    def assemble(self, pairs, train_rs, model=None):
-        """``(features, layout, scaler)``: the factor pairs' entity feature arrays, built once per run
-        and standardized by the saved ``model``'s scaler or, if configured, one fit on train."""
+    def assemble(self, pairs, train_rs):
+        """``(features, layout)``: the factor pairs' entity feature arrays, built once per run
+        and, if configured, standardized by a fit on train."""
         features, layout = fmg.factor_blocks(pairs)
-        if model is not None:
-            if model[1] != layout:
-                raise StageError("evaluate", ValueError(
-                    f"model groups {model[1].labels} differ from the config's {layout.labels}"
-                ))
-            scaler = model[3]
-        elif self.config.standardize_features:
+        if self.config.standardize_features:
             scaler = fmg.fit_standardizer(self.table(features, train_rs, "train"))
-        else:
-            scaler = None
-        if scaler is not None:
             features = fmg.standardize(features, scaler)
-        return features, layout, scaler
+        return features, layout
 
     @staticmethod
     def table(features, rating_set, stage):
@@ -456,7 +446,6 @@ class _Stages:
         return {
             "clip_predictions": bool(cfg.clip_predictions),
             "rating_range": [float(v) for v in cfg.rating_range],
-            "feature_method": cfg.feature_method,
         }
 
     def evaluate(self, params, features, splits):
@@ -466,24 +455,15 @@ class _Stages:
             for role, rating_set in splits.items()
         }
 
-    def run(self, seed, through="evaluate", model=None):
+    def run(self, seed, through="evaluate"):
         """Run the stages in order through ``through``; return what they built.
 
-        ``through`` is ingest, similarity, factorize, train or evaluate.
-        ``model``, as returned by :func:`fmg.load_model`, stands in for the
-        train stage and its scaler for the standardizer fit, so evaluation
-        scores it as it was saved; its prediction settings and feature groups
-        must match the config's.  The inputs are ingested on the first run
-        only; later runs reuse them.
+        ``through`` is ingest, similarity, factorize, train or evaluate.  The
+        inputs are ingested on the first run only; later runs reuse them.  A
+        saved model is scored by :meth:`score_model`, not here.
         """
-        settings = self.prediction_settings()
-        if model is not None and model[4] != settings:
-            raise StageError(
-                "evaluate", ValueError(f"model was trained with {model[4]}, the config asks for {settings}")
-            )
         run = StageRun()
-        if self.ingested is None:
-            self.ingested = self.timed("ingest", self.ingest)
+        self.ingested = self.ingested or self.timed("ingest", self.ingest)
         run.store, run.ratings, decl, run.specs, run.validation = self.ingested
         if through == "ingest":
             return run
@@ -497,31 +477,62 @@ class _Stages:
         run.pairs = self.timed("factorize", lambda: self.factorize(run.sims, seed))
         if through == "factorize":
             return run
-        run.features, run.layout, run.scaler = self.timed(
-            "assemble", lambda: self.assemble(run.pairs, train_rs, model)
+        run.features, run.layout = self.timed("assemble", lambda: self.assemble(run.pairs, train_rs))
+        run.params, run.trace, run.lam, run.series = self.timed(
+            "train", lambda: self.train(run.features, train_rs, valid_rs, run.layout)
         )
-        if model is not None:
-            run.params = model[0]
-        else:
-            run.params, run.trace, run.lam, run.series = self.timed(
-                "train", lambda: self.train(run.features, train_rs, valid_rs, run.layout)
-            )
         if through == "train":
             return run
         run.rmses = self.timed("evaluate", lambda: self.evaluate(run.params, run.features, run.splits))
         return run
 
+    def score_model(self, model, seed):
+        """RMSE per split of a saved :class:`fmg.SavedModel`, on its own entity features.
+
+        Only ingest and split run first; each split's users and items map to
+        the model's rows through its ids, so no similarity, factorization or
+        cache read takes part.  The model's prediction settings must match
+        the config's, and every rated user and item must be in the model.
+        """
+        settings = self.prediction_settings()
+        if model.prediction != settings:
+            raise StageError("evaluate", ValueError(
+                f"model was trained with {model.prediction}, the config asks for {settings}"))
+        self.ingested = self.ingested or self.timed("ingest", self.ingest)
+        store, ratings, decl, _, _ = self.ingested
+        splits = self.timed("split", lambda: self.split(ratings, seed))
+
+        def evaluate():
+            rows = []  # the model row of each store entity, -1 where the model lacks it
+            for ids, type_name in ((model.user_ids, decl.head_type), (model.item_ids, decl.tail_type)):
+                row = dict(zip(ids.tolist(), range(len(ids))))
+                rows.append(np.array([row.get(eid, -1) for eid in store.entity(type_name).id_map], int))
+            unknown = [np.unique(index[side[index] < 0]).size
+                       for side, index in zip(rows, (ratings.users, ratings.items))]
+            if any(unknown):
+                raise ValueError(f"{unknown[0]} rated users and {unknown[1]} rated items not in the model")
+            mapped = {rs.role: hin.RatingSet(rows[0][rs.users], rows[1][rs.items], rs.values, rs.role)
+                      for rs in splits}
+            return self.evaluate(model.params, model.features, mapped)
+
+        return self.timed("evaluate", evaluate)
+
     def save_model(self, run):
-        """Write the trained model (with its standardizer and prediction settings) and its
+        """Write the trained model, with the entity features and ids it was trained on, and its
         solver trace to out_dir."""
-        fmg.save_model(os.path.join(self.out_dir, "model.npz"), run.params, run.layout,
-                       self.reg_config(run.layout, run.lam), scaler=run.scaler,
-                       **self.prediction_settings())
+        store, _, decl, _, _ = self.ingested
+        model = fmg.SavedModel(
+            run.params, run.layout, self.reg_config(run.layout, run.lam), self.prediction_settings(),
+            run.features, *(list(store.entity(t).id_map) for t in (decl.head_type, decl.tail_type)),
+        )
+        fmg.save_model(os.path.join(self.out_dir, "model.npz"), model)
         run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))
 
 
 def run_pipeline(config, out_dir, cache_dir=None):
     """Execute every stage and write metrics.json, model.npz and trace.jsonl."""
+    if config.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {config.repeats}")
     stages = _Stages(config, out_dir, cache_dir)
     report = MetricsReport()
 

@@ -159,8 +159,8 @@ class _Objective:
         self.cfg = cfg
         eta_w, eta_v = problem.reg.resolved_etas(problem.layout)
         reg = problem.reg
-        self.thr_w = reg.kappa0 * reg.lam_w * eta_w
-        self.thr_v = reg.kappa0 * reg.lam_v * eta_v
+        self.thr_w = reg.lam_w * eta_w
+        self.thr_v = reg.lam_v * eta_v
 
     def value(self, params):
         """Augmented objective; identical to the reported objective h."""

@@ -472,52 +472,61 @@ class TestStandardizer:
         assert np.allclose(Z * scaler[1] + scaler[0], X_test, atol=1e-12)
 
 
-PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0], "feature_method": "nnr"}
+PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
+
+
+def saved_model(rng, layout, reg):
+    params = fmg.FmParams(rng.normal(), rng.normal(size=layout.d), rng.normal(size=(layout.d, 4)))
+    features = (rng.normal(size=(5, layout.d // 2)), rng.normal(size=(3, layout.d // 2)))
+    return fmg.SavedModel(params, layout, reg, PREDICTION, features,
+                          ["u0", "u1", "üser 2", "u3", "u4"], ["i0", "i1", "i2"])
 
 
 class TestModelPersistence:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         layout = fmg.GroupLayout.from_ranks(["m1", "m2"], [3, 2])
-        params = fmg.FmParams(rng.normal(), rng.normal(size=layout.d), rng.normal(size=(layout.d, 4)))
         cfg = fmg.RegConfig(mode="lsp", lam_w=0.123456789, lam_v=0.05, eta_w=np.ones(4) * 1.5)
-        scaler = fmg.fit_standardizer(dense_table(rng.normal(loc=2.0, scale=3.0, size=(20, layout.d))))
+        model = saved_model(rng, layout, cfg)
         path = tmp_path / "model.npz"
-        fmg.save_model(path, params, layout, cfg, scaler=scaler, **PREDICTION)
-        params2, layout2, cfg2, scaler2, prediction2 = fmg.load_model(path)
+        fmg.save_model(path, model)
+        loaded = fmg.load_model(path)
+        params, params2 = model.params, loaded.params
         assert params2.b == params.b
         assert np.array_equal(params2.w, params.w) and np.array_equal(params2.V, params.V)
-        assert layout2 == layout
+        assert loaded.layout == layout
+        cfg2 = loaded.reg
         assert cfg2.mode == cfg.mode and cfg2.lam_w == cfg.lam_w
         assert np.array_equal(cfg2.eta_w, cfg.eta_w) and cfg2.eta_v is None
-        assert np.array_equal(scaler2[0], scaler[0]) and np.array_equal(scaler2[1], scaler[1])
-        assert prediction2 == PREDICTION
-        fmg.save_model(path, params, layout, cfg, **PREDICTION)  # unstandardized: no scaler
-        assert fmg.load_model(path)[3] is None
+        assert loaded.prediction == PREDICTION
+        for stored, given in zip(loaded.features, model.features):
+            assert stored.dtype == given.dtype and np.array_equal(stored, given)
+        assert loaded.user_ids.tolist() == model.user_ids and loaded.item_ids.tolist() == model.item_ids
 
     @staticmethod
     def save_without(path, field):
+        """A saved model with the header entry or array ``field`` taken out."""
         layout = fmg.GroupLayout.from_ranks(["m1"], [2])
-        fmg.save_model(path, fmg.FmParams.zeros(layout.d, 2), layout, fmg.RegConfig(mode="convex"),
-                       **PREDICTION)
+        fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
         with np.load(path) as data:
             arrays = dict(data)
         header = json.loads(str(arrays["header"]))
-        del header[field]
+        header.pop(field, None)
+        arrays.pop(field, None)
         arrays["header"] = json.dumps(header)
         np.savez(path, **arrays)
 
-    def test_file_without_standardizer_record_rejected(self, tmp_path):
-        # a model file that does not say whether its features were standardized
-        # cannot be scored safely, so it is refused rather than read as unstandardized
+    def test_file_without_entity_features_rejected(self, tmp_path):
+        # a file from before models carried their features: its weights cannot be
+        # scored without re-deriving features, so it is refused
         path = tmp_path / "model.npz"
-        self.save_without(path, "standardized")
-        with pytest.raises(ValueError, match="standardizer"):
+        self.save_without(path, "user_features")
+        with pytest.raises(ValueError, match="entity features.*train the model again"):
             fmg.load_model(path)
 
     def test_file_without_prediction_settings_rejected(self, tmp_path):
-        # without its clip range and feature method a model would be scored with
-        # whatever the config says, so it is refused
+        # without its clip range a model would be scored with whatever the
+        # config says, so it is refused
         path = tmp_path / "model.npz"
         self.save_without(path, "prediction")
         with pytest.raises(ValueError, match="prediction settings.*train the model again"):

@@ -1,12 +1,13 @@
 import json
 import os
 import re
+import shutil
 import time
 
 import numpy as np
 import pytest
 
-from hinfuse import cli, fmg, hin, pipeline, solvers, synth
+from hinfuse import cli, factors, fmg, hin, metagraph, pipeline, solvers, synth
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -254,8 +255,8 @@ class TestRunPipeline:
         assert len(calls) == 2  # once per repeat: train, valid and test share the blocks
         calls.clear()
         model = fmg.load_model(os.path.join(out, "model.npz"))
-        run = pipeline._Stages(cfg, out).run(cfg.seed, model=model)
-        assert len(calls) == 1 and set(run.rmses) == {"train", "valid", "test"}
+        rmses = pipeline._Stages(cfg, out).score_model(model, cfg.seed)
+        assert not calls and set(rmses) == {"train", "valid", "test"}  # a saved model brings its own
 
     def test_cache_key_tracks_input_content(self, dataset, tmp_path):
         root, schema = dataset
@@ -291,6 +292,19 @@ class TestExperimentConfig:
         assert cfg.lambdas == (0.01, 0.1)
         assert cfg.solver.algorithm == "nmapg" and cfg.solver.step == 0.02
         assert cfg.rank == 4 and cfg.mu == 0.02
+
+    def test_benchmark_workload_configs_load(self, tmp_path):
+        # a config key the benchmark's workloads still set must not be removed silently
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")
+        with open(path, encoding="utf-8") as fh:
+            workloads = json.load(fh)["workloads"]
+        data = str(tmp_path / "data")
+        synth.write_review_dataset(data, seed=0, n_users=12, n_items=8, ratings_per_user=3, n_friends=2)
+        assert workloads
+        for name, workload in workloads.items():
+            doc = {"schema": "schema.json", "metagraphs": "metagraphs.txt", **workload["config"]}
+            cfg = pipeline.ExperimentConfig.from_dict(doc, base_dir=data)
+            assert cfg.fractions == tuple(workload["config"]["split"]["fractions"]), name
 
     def test_default_lambda_grid(self, dataset):
         root, schema = dataset
@@ -405,15 +419,71 @@ class TestCli:
             written = json.load(fh)["rmse"]
         assert printed == {split: written[split] for split in ("train", "valid", "test")}
 
-    def test_evaluate_rejects_model_trained_on_other_groups(self, dataset, tmp_path, capsys):
+    def test_evaluate_scores_the_models_own_groups(self, dataset, tmp_path, capsys):
+        # the model carries its features, so the config's metagraph order does not reach them
         root, _ = dataset
         out = str(tmp_path / "out")
         config = self.write_config(root, tmp_path, select=["M1", "M2"])
         assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
         capsys.readouterr()
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 0
+        trained_order = json.loads(capsys.readouterr().out)
         config = self.write_config(root, tmp_path, select=["M2", "M1"])
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 0
+        assert json.loads(capsys.readouterr().out) == trained_order
+
+    @pytest.mark.parametrize("lines", ["as-trained", "reversed"])
+    def test_evaluate_under_another_seed_runs_no_feature_stage(self, dataset, tmp_path, capsys,
+                                                               monkeypatch, lines):
+        root, _ = dataset
+        out, cache = str(tmp_path / "out"), tmp_path / "empty-cache"
+        config = self.write_config(root, tmp_path)
+        assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
+        capsys.readouterr()
+        data = root
+        if lines == "reversed":  # the same ids get other store indices: only the ids find the rows
+            data = tmp_path / "reversed"
+            shutil.copytree(str(root), str(data))
+            ratings_file = data / "ratings.tsv"
+            ratings_file.write_text("".join(reversed(ratings_file.read_text().splitlines(keepends=True))))
+            config = self.write_config(data, tmp_path)
+        calls = []
+        for module, name in ((metagraph, "execute_plan"), (factors, "factorize_mf"),
+                             (factors, "factorize_nnr"), (fmg, "factor_blocks")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        cache.mkdir()
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out, "--seed", "6",
+                         "--cache-dir", str(cache)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert calls == [] and list(cache.iterdir()) == []
+
+        # the model's stored blocks, indexed through its ids, on the seed-6 splits
+        model = fmg.load_model(os.path.join(out, "model.npz"))
+        store, ratings, _ = hin.ingest(os.path.join(str(data), "schema.json"))
+        user_row = {u: r for r, u in enumerate(model.user_ids)}
+        item_row = {i: r for r, i in enumerate(model.item_ids)}
+        users, items = (list(store.entities[t].id_map) for t in ("U", "B"))
+        assert (users == model.user_ids.tolist()) == (lines == "as-trained")
+        for split in hin.split_ratings(ratings, (0.8, 0.1, 0.1), 6):
+            index = (np.array([user_row[users[u]] for u in split.users]),
+                     np.array([item_row[items[i]] for i in split.items]))
+            table = fmg.FeatureTable(split.values, tuple(zip(model.features, index)))
+            expected = pipeline.rmse(np.clip(fmg.predict_batch(model.params, table), 1.0, 5.0), split.values)
+            assert printed[split.role] == pytest.approx(expected, rel=1e-12), split.role
+
+    def test_evaluate_rejects_unknown_entities(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", out]) == 0
+        capsys.readouterr()
+        grown = tmp_path / "grown"
+        shutil.copytree(str(root), str(grown))
+        with open(grown / "ratings.tsv", "a", encoding="utf-8") as fh:
+            fh.write("new_user\tnew_item_a\t4\nnew_user\tnew_item_b\t2\n")
+        config = self.write_config(grown, tmp_path)
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
-        assert "[evaluate]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("[evaluate]") and "1 rated users and 2 rated items not in the model" in err
 
     def test_evaluate_rejects_other_rating_range(self, dataset, tmp_path, capsys):
         root, _ = dataset
@@ -465,6 +535,16 @@ class TestCli:
         assert cli.main(["similarity", "--config", config, "--out-dir", out]) == 1
         assert capsys.readouterr().err.startswith(f"[config] {message}")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_repeats_below_one_rejected(self, dataset, tmp_path, capsys, where):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path, **({"repeats": 0} if where == "config" else {}))
+        out = str(tmp_path / "out")
+        argv = ["pipeline", "--config", config, "--out-dir", out]
+        assert cli.main(argv + (["--repeats", "0"] if where == "flag" else [])) == 1
+        assert capsys.readouterr().err.startswith("[config] repeats must be >= 1, got 0")
+        assert not os.path.exists(os.path.join(out, "metrics.json"))
 
     def test_seed_override(self, dataset, tmp_path):
         root, _ = dataset
