@@ -8,8 +8,9 @@ cache directory::
     hinfuse evaluate --config exp.json --out-dir out/   # scores out/model.npz
     hinfuse report --out-dir out/                       # per-group selection
 
-``evaluate`` scores the model on the entity features stored in it; it runs
-no similarity or factorize stage and reads no cache.
+``evaluate`` scores the model on the entity features stored in it, under the
+split it was trained on; it runs no similarity or factorize stage and reads
+no cache.
 
 Exit status is 0 on success and 1 with a stage-tagged message otherwise.
 """

@@ -10,15 +10,23 @@ Two routes produce per-metagraph user/item factors:
   and split as U = P Σ^{1/2}, B = Q Σ^{1/2} on exit.
 
 Both engines evaluate on one fixed observed pattern.  An
-:class:`ObservedMatrix` builds, once, the CSR layout of the matrix and of
-its transpose at the observed positions (entry order, column indices and
-row pointers).  Each objective or gradient evaluation then gathers factor
-rows with ``np.take`` (:meth:`ObservedMatrix.entries`) and puts the
-per-entry residuals straight into those layouts
-(:meth:`ObservedMatrix.scatter`): no COO conversion, index sort or CSC
-transpose runs inside the loops.  The accumulation order matches scipy's
-canonical CSR, so without duplicate positions the factors are bit-identical
-to building the matrix from COO on every call.
+:class:`ObservedMatrix` builds, once, the CSR matrix and its transpose at
+the observed positions.  An evaluation gathers factor rows with ``np.take``
+(:meth:`ObservedMatrix.entries`); a gradient writes the per-entry
+residuals into the data arrays of those two matrices
+(:meth:`ObservedMatrix.scatter`): no sparse matrix is constructed and no
+COO conversion, index sort or CSC transpose runs inside the loops.  The
+accumulation order matches scipy's canonical CSR, so without duplicate
+positions the factors are bit-identical to building the matrix from COO on
+every call.
+
+No evaluation repeats work whose result the loop already holds.  MF's
+backtracking makes one residual pass (gather, residuals, objective) per
+trial point and forms the two gradients only at an accepted point, from
+that point's residuals: one scatter and two sparse products per accepted
+step.  An NNR iterate (:class:`NnrState`) keeps its entries at the
+observed positions once its objective has computed them, and the next
+proximal steps reuse them for the current and the previous iterate.
 """
 
 from __future__ import annotations
@@ -50,9 +58,9 @@ def _csr_layout(major, minor, n_major, index_dtype):
 class ObservedMatrix:
     """Entries of a partially observed matrix; positions define the mask.
 
-    The positions are fixed once constructed: the CSR layouts of the matrix
-    and of its transpose at those positions are built here and shared,
-    read-only, by every :meth:`scatter`.
+    The positions are fixed once constructed: the CSR matrix and its
+    transpose at those positions are built here, once, and every
+    :meth:`scatter` writes new values into their data arrays.
     """
 
     shape: tuple
@@ -63,21 +71,26 @@ class ObservedMatrix:
     def __post_init__(self):
         m, n = self.shape
         index_dtype = sp.get_index_dtype(maxval=max(m, n, len(self.row)))
-        self._by_row = _csr_layout(self.row, self.col, m, index_dtype)
-        self._by_col = _csr_layout(self.col, self.row, n, index_dtype)
+        self._scattered = []  # (entry order, CSR matrix) of the matrix, then of its transpose
+        for major, minor, shape in ((self.row, self.col, (m, n)), (self.col, self.row, (n, m))):
+            order, indices, indptr = _csr_layout(major, minor, shape[0], index_dtype)
+            matrix = sp.csr_matrix((np.zeros(len(order)), indices, indptr), shape=shape)
+            self._scattered.append((order, matrix))
 
     def entries(self, U, B):
         """(U Bᵀ)_ij at every observed position, in O(nnz * rank)."""
         return np.einsum("ij,ij->i", np.take(U, self.row, axis=0), np.take(B, self.col, axis=0))
 
     def scatter(self, values):
-        """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR."""
-        m, n = self.shape
-        order, indices, indptr = self._by_row
-        order_t, indices_t, indptr_t = self._by_col
-        E = sp.csr_matrix((np.take(values, order), indices, indptr), shape=(m, n))
-        Et = sp.csr_matrix((np.take(values, order_t), indices_t, indptr_t), shape=(n, m))
-        return E, Et
+        """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR.
+
+        Both are the matrices built at construction, with ``values`` written
+        into their data arrays: the pair is valid until the next ``scatter``
+        on this matrix, which overwrites it.
+        """
+        for order, matrix in self._scattered:
+            np.take(values, order, out=matrix.data)
+        return tuple(matrix for _, matrix in self._scattered)
 
     @classmethod
     def from_similarity(cls, sim):
@@ -139,25 +152,35 @@ class FactorPair:
         )
 
 
+def _mf_residual(U, B, obs, mu):
+    """Residuals (U Bᵀ)_ij - R_ij at the observed positions, and the objective value."""
+    err = obs.entries(U, B) - obs.val
+    value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
+    return err, value
+
+
+def _mf_grad(U, B, obs, mu, err):
+    """Gradients with respect to U and B, given the residuals ``err`` at (U, B)."""
+    E, Et = obs.scatter(err)
+    return E @ B + mu * U, Et @ U + mu * B
+
+
 def mf_value_and_grad(U, B, obs, mu):
     """Objective and gradients of the regularized factorization problem.
 
     value = 0.5 * sum over observed (i,j) of ((U Bᵀ)_ij - R_ij)^2
             + 0.5 * mu * (||U||_F^2 + ||B||_F^2)
     """
-    err = obs.entries(U, B) - obs.val
-    value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
-    E, Et = obs.scatter(err)
-    grad_u = E @ B + mu * U
-    grad_b = Et @ U + mu * B
-    return value, grad_u, grad_b
+    err, value = _mf_residual(U, B, obs, mu)
+    return (value, *_mf_grad(U, B, obs, mu, err))
 
 
 def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     """Factor an observed matrix as U Bᵀ by gradient descent with backtracking.
 
     Accepted steps never increase the objective; iteration stops once the
-    relative objective change drops below ``tol``.
+    relative objective change drops below ``tol``.  A trial point costs one
+    residual pass; the gradients are formed only at accepted points.
     """
     m, n = obs.shape
     if rank < 1:
@@ -172,7 +195,8 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     U = rng.normal(0.0, scale, (m, rank))
     B = rng.normal(0.0, scale, (n, rank))
 
-    value, grad_u, grad_b = mf_value_and_grad(U, B, obs, mu)
+    err, value = _mf_residual(U, B, obs, mu)
+    grad_u, grad_b = _mf_grad(U, B, obs, mu, err)
     history = [value]
     step = 0.1
     for _ in range(max_iters):
@@ -183,7 +207,7 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
         for _ in range(40):
             U_new = U - step * grad_u
             B_new = B - step * grad_b
-            value_new, gu_new, gb_new = mf_value_and_grad(U_new, B_new, obs, mu)
+            err, value_new = _mf_residual(U_new, B_new, obs, mu)
             if value_new <= value - 1e-4 * step * grad_sq:
                 accepted = True
                 break
@@ -192,7 +216,8 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
             break
         U, B = U_new, B_new
         relative = (value - value_new) / max(value, 1e-12)
-        value, grad_u, grad_b = value_new, gu_new, gb_new
+        value = value_new
+        grad_u, grad_b = _mf_grad(U, B, obs, mu, err)
         history.append(value)
         step *= 1.3
         if relative < tol:
@@ -226,26 +251,33 @@ class NnrState:
     Q: np.ndarray
     mu: float
     objective_history: list = field(default_factory=list)
+    _entries: tuple = field(default=None, init=False, repr=False, compare=False)  # (obs, values)
 
     @property
     def rank(self):
         return len(self.sigma)
 
     def entries(self, obs):
-        """Values of the iterate at the observed positions, in O(nnz * rank)."""
-        if self.rank == 0:
-            return np.zeros(obs.n_observed)
-        return obs.entries(self.P * self.sigma, self.Q)
+        """Values of the iterate at the observed positions of ``obs``, in O(nnz * rank).
+
+        Computed on the first call for ``obs`` and kept: the iterate does not
+        change, so later calls return the same (read-only) array.
+        """
+        if self._entries is None or self._entries[0] is not obs:
+            values = np.zeros(obs.n_observed) if self.rank == 0 else obs.entries(self.P * self.sigma, self.Q)
+            self._entries = (obs, values)
+        return self._entries[1]
 
 
 class _LowRankPlusSparse:
     """Implicit  sum_k c_k P_k diag(s_k) Q_kᵀ  +  S  with matmat/rmatmat products.
 
-    ``St`` is Sᵀ in CSR form, as :meth:`ObservedMatrix.scatter` returns it.
+    ``terms`` are ``(c_k, NnrState)`` pairs; ``St`` is Sᵀ in CSR form, as
+    :meth:`ObservedMatrix.scatter` returns it.
     """
 
     def __init__(self, terms, S, St):
-        self.terms = [(c, P, s, Q) for c, P, s, Q in terms if len(s) > 0 and c != 0.0]
+        self.terms = [(c, st.P, st.sigma, st.Q) for c, st in terms if st.rank > 0 and c != 0.0]
         self.S = S
         self.St = St
 
@@ -328,30 +360,27 @@ def factorize_nnr(
         return 0.5 * float(err @ err) + mu * float(np.sum(st.sigma))
 
     def prox_from(terms):
-        """One proximal step at the point given by ``terms`` (step size 1, Lipschitz 1)."""
+        """One proximal step at Y = sum of c * iterate over the ``(c, NnrState)`` pairs ``terms``
+        (step size 1, Lipschitz 1); each iterate's entries come from its objective evaluation."""
         coeffs = np.zeros(len(obs.val))
-        for c, P, s, Q in terms:
-            if len(s):
-                coeffs += c * obs.entries(P * s, Q)
+        for c, st in terms:
+            if st.rank:
+                coeffs += c * st.entries(obs)
         # Z = Y - P_Omega(Y - R)  =  Y + sparse correction at the observed entries
         op = _LowRankPlusSparse(terms, *obs.scatter(obs.val - coeffs))
-        guess = max(len(terms[0][2]) + 5, 10) if terms else 10
+        guess = max(terms[0][1].rank + 5, 10)
         return _svt_of_operator(op, m, n, mu, guess, rng, dense_cutoff)
 
     state.objective_history.append(objective(state))
     a_prev, a = 0.0, 1.0
     for it in range(max_iters):
         beta = (a_prev - 1.0) / a
-        terms = [
-            (1.0 + beta, state.P, state.sigma, state.Q),
-            (-beta, prev.P, prev.sigma, prev.Q),
-        ]
-        P, s, Q = prox_from(terms)
+        P, s, Q = prox_from([(1.0 + beta, state), (-beta, prev)])
         candidate = NnrState(P, s, Q, mu, state.objective_history)
         value = objective(candidate)
         if value > state.objective_history[-1] + 1e-12:
             # restart: plain proximal step from the current iterate is a descent step
-            P, s, Q = prox_from([(1.0, state.P, state.sigma, state.Q)])
+            P, s, Q = prox_from([(1.0, state)])
             candidate = NnrState(P, s, Q, mu, state.objective_history)
             value = objective(candidate)
             a_prev, a = 0.0, 1.0

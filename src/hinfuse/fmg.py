@@ -361,7 +361,8 @@ def param_nnz_ratio(params, tol=1e-10):
 class SavedModel:
     """A trained FM with the entity features it was trained on: ``features`` is the (user, item)
     pair of blocks, standardized if the run was, whose rows have the external ids ``user_ids``
-    and ``item_ids``; ``prediction`` holds ``clip_predictions`` and ``rating_range``."""
+    and ``item_ids``; ``prediction`` holds ``clip_predictions`` and ``rating_range``, and
+    ``split`` the ``seed`` and ``fractions`` of the rating split it was trained on."""
 
     params: FmParams
     layout: GroupLayout
@@ -370,6 +371,7 @@ class SavedModel:
     features: tuple
     user_ids: np.ndarray
     item_ids: np.ndarray
+    split: dict
 
 
 def save_model(path, model):
@@ -387,6 +389,7 @@ def save_model(path, model):
             "eta_v": None if reg.eta_v is None else np.asarray(reg.eta_v).tolist(),
         },
         "prediction": model.prediction,
+        "split": model.split,
     }
     np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V,
              user_features=model.features[0], item_features=model.features[1],
@@ -401,6 +404,8 @@ def load_model(path):
         raise ValueError(f"{path} does not hold the entity features it was trained on; train the model again")
     if "prediction" not in header:
         raise ValueError(f"{path} does not record its prediction settings; train the model again")
+    if "split" not in header:
+        raise ValueError(f"{path} does not record the rating split it was trained on; train the model again")
     reg = header["reg"]
     eta_w, eta_v = (None if reg[key] is None else np.asarray(reg[key]) for key in ("eta_w", "eta_v"))
     return SavedModel(
@@ -411,4 +416,5 @@ def load_model(path):
         features=(data["user_features"], data["item_features"]),
         user_ids=data["user_ids"],
         item_ids=data["item_ids"],
+        split=header["split"],
     )

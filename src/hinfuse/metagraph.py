@@ -368,12 +368,14 @@ class SimilarityMatrix:
         return self.matrix.nnz
 
 
-def resolve_orientation(decl, src_type, dst_type, reverse):
-    """Decide whether traversing ``decl`` from ``src_type`` to ``dst_type`` transposes it.
+def resolve_orientation(decl, adj, src_type, dst_type, reverse):
+    """Decide whether traversing ``decl`` (adjacency ``adj``) from ``src_type`` to ``dst_type``
+    transposes it.
 
     Between distinct types the orientation that type-checks is unique.  For
     same-type relations both orientations type-check: ``~`` selects reverse,
-    otherwise forward is used and a warning is emitted.
+    otherwise forward is used.  A warning is emitted only when ``adj`` differs
+    from its transpose, the one case where the two orientations disagree.
     """
     forward_ok = (src_type, dst_type) == (decl.head_type, decl.tail_type)
     reverse_ok = (src_type, dst_type) == (decl.tail_type, decl.head_type)
@@ -385,6 +387,8 @@ def resolve_orientation(decl, src_type, dst_type, reverse):
             )
         return True
     if forward_ok and reverse_ok:
+        if (adj != adj.T).nnz == 0:
+            return False
         warnings.warn(
             f"relation {decl.name!r} connects {src_type} to itself; traversing forward "
             "(mark the edge with '~' to traverse in reverse)",
@@ -439,13 +443,13 @@ class _PlanBuilder:
         if edge.relation not in self.hin.relations:
             raise PlanCompileError(f"unknown relation {edge.relation!r}")
         decl, adj = self.hin.relations[edge.relation]
-        transposed = resolve_orientation(decl, src_type, dst_type, edge.reverse)
         declared = (self.count(decl.head_type), self.count(decl.tail_type))
         if adj.shape != declared:
             raise PlanCompileError(
                 f"adjacency for {edge.relation!r} has shape {adj.shape}, "
                 f"expected {declared}; was the store re-shaped after ingestion?"
             )
+        transposed = resolve_orientation(decl, adj, src_type, dst_type, edge.reverse)
         shape = (declared[1], declared[0]) if transposed else declared
         return self.emit(LoadStep(edge.relation, transposed), shape)
 
@@ -579,7 +583,7 @@ def _oriented_successors(hin, spec):
     maps = []
     for a, b, rel, reverse in spec.edges:
         decl, adj = hin.relations[rel]
-        transposed = resolve_orientation(decl, node_type[a], node_type[b], reverse)
+        transposed = resolve_orientation(decl, adj, node_type[a], node_type[b], reverse)
         succ = {}
         coo = adj.tocoo()
         rows, cols = (coo.col, coo.row) if transposed else (coo.row, coo.col)

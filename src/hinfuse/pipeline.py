@@ -261,6 +261,7 @@ def _input_fingerprint(config):
 class StageRun:
     """What one pass through the stages built; fields of stages not run stay None."""
 
+    seed: int = None  # the split seed of this pass
     store: hin.HinStore = None
     ratings: hin.RatingSet = None
     specs: list = None
@@ -290,7 +291,6 @@ class _Stages:
         self.out_dir = out_dir
         self.cache_dir = cache_dir or os.path.join(out_dir, "cache")
         os.makedirs(self.out_dir, exist_ok=True)
-        os.makedirs(self.cache_dir, exist_ok=True)
         self.stage_seconds = {}
         self.cache_events = {"similarity": [], "factorize": []}
         self.fingerprint = None
@@ -334,6 +334,7 @@ class _Stages:
 
     def similarities(self, store, train_ratings, rating_decl, specs, seed):
         cfg = self.config
+        os.makedirs(self.cache_dir, exist_ok=True)
         hin.attach_ratings(store, train_ratings, rating_decl, binarize=cfg.binarize_ratings)
         for spec in specs:
             if (spec.source_type, spec.sink_type) != (rating_decl.head_type, rating_decl.tail_type):
@@ -364,7 +365,7 @@ class _Stages:
 
     def factorize(self, sims, seed):
         cfg = self.config
-
+        os.makedirs(self.cache_dir, exist_ok=True)
         pairs = []
         for sim in sims:
             key = _key(
@@ -440,6 +441,10 @@ class _Stages:
             pred = np.clip(pred, *self.config.rating_range)
         return rmse(pred, table.y)
 
+    def split_record(self, seed):
+        """The split a model trained under ``seed`` was fit on: its seed and the config's fractions."""
+        return {"seed": int(seed), "fractions": [float(f) for f in self.config.fractions]}
+
     def prediction_settings(self):
         """The config fields that turn a model's raw output into scored predictions."""
         cfg = self.config
@@ -462,7 +467,7 @@ class _Stages:
         inputs are ingested on the first run only; later runs reuse them.  A
         saved model is scored by :meth:`score_model`, not here.
         """
-        run = StageRun()
+        run = StageRun(seed=seed)
         self.ingested = self.ingested or self.timed("ingest", self.ingest)
         run.store, run.ratings, decl, run.specs, run.validation = self.ingested
         if through == "ingest":
@@ -491,9 +496,15 @@ class _Stages:
 
         Only ingest and split run first; each split's users and items map to
         the model's rows through its ids, so no similarity, factorization or
-        cache read takes part.  The model's prediction settings must match
-        the config's, and every rated user and item must be in the model.
+        cache read takes part.  The model's split (seed and fractions) and
+        prediction settings must match the config's, or its "test" ratings
+        would include ones it was trained on; every rated user and item must
+        be in the model.
         """
+        split = self.split_record(seed)
+        if model.split != split:
+            raise StageError("evaluate", ValueError(
+                f"model was trained on the split {model.split}, the config asks for {split}"))
         settings = self.prediction_settings()
         if model.prediction != settings:
             raise StageError("evaluate", ValueError(
@@ -518,12 +529,13 @@ class _Stages:
         return self.timed("evaluate", evaluate)
 
     def save_model(self, run):
-        """Write the trained model, with the entity features and ids it was trained on, and its
-        solver trace to out_dir."""
+        """Write the trained model, with its split, the entity features and ids it was trained on,
+        and its solver trace to out_dir."""
         store, _, decl, _, _ = self.ingested
         model = fmg.SavedModel(
             run.params, run.layout, self.reg_config(run.layout, run.lam), self.prediction_settings(),
             run.features, *(list(store.entity(t).id_map) for t in (decl.head_type, decl.tail_type)),
+            split=self.split_record(run.seed),
         )
         fmg.save_model(os.path.join(self.out_dir, "model.npz"), model)
         run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))

@@ -147,6 +147,165 @@ class TestFixedPattern:
         assert np.array_equal(op.rmatmat(G), S.T @ G)
 
 
+def mf_loop_reference(obs, rank, mu, seed=0, tol=1e-5, max_iters=2000):
+    """The MF loop as written before trial points became value-only: both gradients at every
+    trial.  Returns U, B, the objective history and the number of evaluations."""
+    m, n = obs.shape
+    rng = np.random.default_rng(seed)
+    scale = 0.1 / np.sqrt(rank)
+    U = rng.normal(0.0, scale, (m, rank))
+    B = rng.normal(0.0, scale, (n, rank))
+    value, grad_u, grad_b = factors.mf_value_and_grad(U, B, obs, mu)
+    history, evals = [value], 1
+    step = 0.1
+    for _ in range(max_iters):
+        grad_sq = float(np.sum(grad_u * grad_u) + np.sum(grad_b * grad_b))
+        if grad_sq == 0.0:
+            break
+        accepted = False
+        for _ in range(40):
+            U_new = U - step * grad_u
+            B_new = B - step * grad_b
+            value_new, gu_new, gb_new = factors.mf_value_and_grad(U_new, B_new, obs, mu)
+            evals += 1
+            if value_new <= value - 1e-4 * step * grad_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        U, B = U_new, B_new
+        relative = (value - value_new) / max(value, 1e-12)
+        value, grad_u, grad_b = value_new, gu_new, gb_new
+        history.append(value)
+        step *= 1.3
+        if relative < tol:
+            break
+    return U, B, history, evals
+
+
+def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300, dense_cutoff=200):
+    """The NNR loop as written before iterates kept their entries: each proximal step gathers
+    the entries of both iterates again.  Returns (P, sigma, Q) and the objective history."""
+    m, n = obs.shape
+    rng = np.random.default_rng(seed)
+
+    def entries(P, s, Q):
+        return obs.entries(P * s, Q) if len(s) else np.zeros(obs.n_observed)
+
+    def objective(P, s, Q):
+        err = entries(P, s, Q) - obs.val
+        return 0.5 * float(err @ err) + mu * float(np.sum(s))
+
+    def prox_from(terms):
+        coeffs = np.zeros(obs.n_observed)
+        for c, P, s, Q in terms:
+            if len(s):
+                coeffs += c * obs.entries(P * s, Q)
+        states = [(c, factors.NnrState(P, s, Q, mu)) for c, P, s, Q in terms]
+        op = factors._LowRankPlusSparse(states, *obs.scatter(obs.val - coeffs))
+        return factors._svt_of_operator(op, m, n, mu, max(len(terms[0][2]) + 5, 10), rng, dense_cutoff)
+
+    state = prev = (np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
+    history = [objective(*state)]
+    a_prev, a = 0.0, 1.0
+    for _ in range(max_iters):
+        beta = (a_prev - 1.0) / a
+        candidate = prox_from([(1.0 + beta, *state), (-beta, *prev)])
+        value = objective(*candidate)
+        if value > history[-1] + 1e-12:
+            candidate = prox_from([(1.0, *state)])
+            value = objective(*candidate)
+            a_prev, a = 0.0, 1.0
+        prev, state = state, candidate
+        last = history[-1]
+        history.append(value)
+        a_prev, a = a, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * a * a))
+        if abs(last - value) / max(abs(last), 1e-12) < tol:
+            break
+    return state, history
+
+
+def masked_dense(seed, m=25, n=18, density=0.4):
+    rng = np.random.default_rng(seed)
+    return factors.ObservedMatrix.from_dense(rng.normal(size=(m, n)), rng.random((m, n)) < density)
+
+
+def duplicate_positions(seed, m=30, n=20, n_obs=900):
+    rng = np.random.default_rng(seed)
+    return factors.ObservedMatrix(
+        (m, n), rng.integers(0, m, n_obs), rng.integers(0, n, n_obs), rng.normal(size=n_obs)
+    )
+
+
+def counting(monkeypatch, name, events):
+    """Wrap ``ObservedMatrix.<name>`` so that each call appends ``name`` to ``events``."""
+    original = getattr(factors.ObservedMatrix, name)
+
+    def wrapper(self, *args):
+        events.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(factors.ObservedMatrix, name, wrapper)
+
+
+class TestNoRepeatedWork:
+    """The loops skip work whose result they already hold and produce the same bits as before."""
+
+    MF_CASES = {
+        "unsorted-csr": (lambda: unsorted_similarity(3), 4, 0.3),
+        "masked-dense": (lambda: masked_dense(4), 3, 0.1),
+        "duplicates": (lambda: duplicate_positions(5), 4, 0.2),
+    }
+
+    @pytest.mark.parametrize("case", list(MF_CASES))
+    def test_mf_equals_gradient_at_every_trial_loop(self, case):
+        make, rank, mu = self.MF_CASES[case]
+        obs = make()
+        U, B, history, evals = mf_loop_reference(obs, rank, mu, seed=2)
+        assert evals > len(history)  # some trial points were rejected
+        pair = factors.factorize_mf(obs, rank, mu, seed=2)
+        assert np.array_equal(pair.U, U) and np.array_equal(pair.B, B)
+        assert pair.objective_history == history
+
+    def test_mf_scatters_once_per_accepted_iterate(self, monkeypatch):
+        obs = unsorted_similarity(3)
+        evals = mf_loop_reference(obs, 4, 0.3, seed=2)[3]
+        events = []
+        counting(monkeypatch, "scatter", events)
+        pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
+        assert len(events) == len(pair.objective_history) < evals
+
+    @pytest.mark.parametrize("dense_cutoff", [200, 1])
+    def test_nnr_equals_entries_at_every_step_loop(self, dense_cutoff):
+        obs = unsorted_similarity(8, m=50, k=70, n=45)
+        (P, sigma, Q), history = nnr_loop_reference(obs, 0.3, dense_cutoff=dense_cutoff)
+        _, state = factors.factorize_nnr(obs, 0.3, dense_cutoff=dense_cutoff, return_state=True)
+        assert len(history) > 3
+        assert np.array_equal(state.P, P) and np.array_equal(state.sigma, sigma)
+        assert np.array_equal(state.Q, Q)
+        assert state.objective_history == history
+
+    def test_nnr_gathers_entries_once_per_objective(self, monkeypatch):
+        # each proximal step scatters once; the entries of a candidate are gathered by its
+        # objective, right after, and never again inside the next proximal step
+        obs = masked_dense(9, m=40, n=30, density=0.5)
+        events = []
+        counting(monkeypatch, "entries", events)
+        counting(monkeypatch, "scatter", events)
+        pair = factors.factorize_nnr(obs, 0.1)
+        assert len(pair.objective_history) > 3
+        assert events == ["scatter", "entries"] * (len(events) // 2)
+
+    def test_second_scatter_overwrites_the_first(self):
+        obs = unsorted_similarity(7)
+        first, first_t = obs.scatter(obs.val)
+        values = np.arange(obs.n_observed, dtype=float)
+        obs.scatter(values)
+        want = sp.csr_matrix((values, (obs.row, obs.col)), shape=obs.shape).toarray()
+        assert np.array_equal(first.toarray(), want) and np.array_equal(first_t.toarray(), want.T)
+
+
 def svt_oracle(X, tau):
     """Shrinkage built from symmetric eigendecompositions, independent of svt's SVD."""
     X = np.asarray(X, dtype=float)

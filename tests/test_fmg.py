@@ -473,13 +473,14 @@ class TestStandardizer:
 
 
 PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
+SPLIT = {"seed": 3, "fractions": [0.8, 0.1, 0.1]}
 
 
 def saved_model(rng, layout, reg):
     params = fmg.FmParams(rng.normal(), rng.normal(size=layout.d), rng.normal(size=(layout.d, 4)))
     features = (rng.normal(size=(5, layout.d // 2)), rng.normal(size=(3, layout.d // 2)))
     return fmg.SavedModel(params, layout, reg, PREDICTION, features,
-                          ["u0", "u1", "üser 2", "u3", "u4"], ["i0", "i1", "i2"])
+                          ["u0", "u1", "üser 2", "u3", "u4"], ["i0", "i1", "i2"], SPLIT)
 
 
 class TestModelPersistence:
@@ -498,7 +499,7 @@ class TestModelPersistence:
         cfg2 = loaded.reg
         assert cfg2.mode == cfg.mode and cfg2.lam_w == cfg.lam_w
         assert np.array_equal(cfg2.eta_w, cfg.eta_w) and cfg2.eta_v is None
-        assert loaded.prediction == PREDICTION
+        assert loaded.prediction == PREDICTION and loaded.split == SPLIT
         for stored, given in zip(loaded.features, model.features):
             assert stored.dtype == given.dtype and np.array_equal(stored, given)
         assert loaded.user_ids.tolist() == model.user_ids and loaded.item_ids.tolist() == model.item_ids
@@ -530,4 +531,11 @@ class TestModelPersistence:
         path = tmp_path / "model.npz"
         self.save_without(path, "prediction")
         with pytest.raises(ValueError, match="prediction settings.*train the model again"):
+            fmg.load_model(path)
+
+    def test_file_without_split_record_rejected(self, tmp_path):
+        # without its split a model cannot tell held-out ratings from ones it was trained on
+        path = tmp_path / "model.npz"
+        self.save_without(path, "split")
+        with pytest.raises(ValueError, match="rating split.*train the model again"):
             fmg.load_model(path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -208,6 +210,18 @@ class TestCompile:
             plan = mg.compile_plan(mg.parse_metagraph("M: U -[friend]- U -[rate]- B"), store)
         assert plan.steps[0] == LoadStep("friend", False)
 
+    def test_bundled_yelp_set_compiles_without_warnings(self, tmp_path):
+        # friend is symmetric: both orientations give the same plan result, so nothing to warn about
+        store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=3))
+        hin.attach_ratings(store, ratings, decl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in mg.bundled_metagraphs("yelp"):
+                for optimize in (False, True):
+                    mg.compile_plan(spec, store, optimize=optimize)
+            m2 = next(s for s in mg.bundled_metagraphs("yelp") if s.name == "M2")
+            mg.brute_force_count(m2, store, 0, 0)
+
     def test_compile_is_deterministic(self):
         spec = mg.parse_metagraph(M9_TEXT)
         store = synth.random_binary_hin(4)
@@ -249,7 +263,6 @@ class TestExecute:
         h_idx = next(i for i, s in enumerate(plan.steps) if isinstance(s, HadamardStep))
         assert np.array_equal(np.asarray(slots[h_idx].todense()), [[1, 1], [1, 1]])
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_store_unchanged_by_bundled_yelp_plans(self, tmp_path):
         # slots are new matrices: scaling every slot in place leaves the store's arrays as they were
         store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=3))

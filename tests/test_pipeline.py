@@ -433,8 +433,7 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == trained_order
 
     @pytest.mark.parametrize("lines", ["as-trained", "reversed"])
-    def test_evaluate_under_another_seed_runs_no_feature_stage(self, dataset, tmp_path, capsys,
-                                                               monkeypatch, lines):
+    def test_evaluate_runs_no_feature_stage(self, dataset, tmp_path, capsys, monkeypatch, lines):
         root, _ = dataset
         out, cache = str(tmp_path / "out"), tmp_path / "empty-cache"
         config = self.write_config(root, tmp_path)
@@ -452,24 +451,52 @@ class TestCli:
                              (factors, "factorize_nnr"), (fmg, "factor_blocks")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         cache.mkdir()
-        assert cli.main(["evaluate", "--config", config, "--out-dir", out, "--seed", "6",
-                         "--cache-dir", str(cache)]) == 0
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out, "--cache-dir", str(cache)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert calls == [] and list(cache.iterdir()) == []
 
-        # the model's stored blocks, indexed through its ids, on the seed-6 splits
+        # the model's stored blocks, indexed through its ids, on the training seed's splits
         model = fmg.load_model(os.path.join(out, "model.npz"))
         store, ratings, _ = hin.ingest(os.path.join(str(data), "schema.json"))
         user_row = {u: r for r, u in enumerate(model.user_ids)}
         item_row = {i: r for r, i in enumerate(model.item_ids)}
         users, items = (list(store.entities[t].id_map) for t in ("U", "B"))
         assert (users == model.user_ids.tolist()) == (lines == "as-trained")
-        for split in hin.split_ratings(ratings, (0.8, 0.1, 0.1), 6):
+        for split in hin.split_ratings(ratings, (0.8, 0.1, 0.1), 5):
             index = (np.array([user_row[users[u]] for u in split.users]),
                      np.array([item_row[items[i]] for i in split.items]))
             table = fmg.FeatureTable(split.values, tuple(zip(model.features, index)))
             expected = pipeline.rmse(np.clip(fmg.predict_batch(model.params, table), 1.0, 5.0), split.values)
             assert printed[split.role] == pytest.approx(expected, rel=1e-12), split.role
+
+    @pytest.mark.parametrize("change", ["seed", "fractions"])
+    def test_evaluate_under_another_split_rejected(self, dataset, tmp_path, capsys, monkeypatch, change):
+        # another split's "test" ratings hold ones the model was trained on: refused before ingest
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", out]) == 0
+        capsys.readouterr()
+        if change == "seed":
+            args = ["--config", self.write_config(root, tmp_path), "--seed", "1"]
+        else:
+            split = {"fractions": [0.7, 0.2, 0.1], "seed": 5}
+            args = ["--config", self.write_config(root, tmp_path, split=split)]
+        calls = []
+        monkeypatch.setattr(hin, "ingest", lambda *a, **k: calls.append("ingest"))
+        assert cli.main(["evaluate", *args, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[evaluate] model was trained on the split") and calls == []
+
+    def test_evaluate_copied_model_leaves_no_cache_dir(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path)
+        trained, fresh = tmp_path / "trained", tmp_path / "fresh"
+        assert cli.main(["train", "--config", config, "--out-dir", str(trained)]) == 0
+        fresh.mkdir()
+        shutil.copy(str(trained / "model.npz"), str(fresh / "model.npz"))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", config, "--out-dir", str(fresh)]) == 0
+        assert os.listdir(str(fresh)) == ["model.npz"]
 
     def test_evaluate_rejects_unknown_entities(self, dataset, tmp_path, capsys):
         root, _ = dataset
