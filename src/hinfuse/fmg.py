@@ -362,7 +362,8 @@ class SavedModel:
     """A trained FM with the entity features it was trained on: ``features`` is the (user, item)
     pair of blocks, standardized if the run was, whose rows have the external ids ``user_ids``
     and ``item_ids``; ``prediction`` holds ``clip_predictions`` and ``rating_range``, and
-    ``split`` the ``seed`` and ``fractions`` of the rating split it was trained on."""
+    ``split`` the ``seed`` and ``fractions`` of the rating split it was trained on and the
+    ``ratings_sha256`` of the ratings file it split."""
 
     params: FmParams
     layout: GroupLayout
@@ -406,6 +407,8 @@ def load_model(path):
         raise ValueError(f"{path} does not record its prediction settings; train the model again")
     if "split" not in header:
         raise ValueError(f"{path} does not record the rating split it was trained on; train the model again")
+    if "ratings_sha256" not in header["split"]:
+        raise ValueError(f"{path} does not record the ratings file it was trained on; train the model again")
     reg = header["reg"]
     eta_w, eta_v = (None if reg[key] is None else np.asarray(reg[key]) for key in ("eta_w", "eta_v"))
     return SavedModel(

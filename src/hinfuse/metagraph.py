@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -526,28 +527,148 @@ def compile_plan(spec, hin, optimize=False):
     return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name)
 
 
+_COUNT_CHUNK = 2**20  # stored entries counted per np.bincount call
+
+
+def _column_counts(matrix):
+    """Stored entries per column, counted in chunks: ``np.bincount`` copies its input to int64."""
+    counts = np.zeros(matrix.shape[1], dtype=np.int64)
+    for start in range(0, matrix.nnz, _COUNT_CHUNK):
+        counts += np.bincount(matrix.indices[start:start + _COUNT_CHUNK], minlength=matrix.shape[1])
+    return counts
+
+
+def _product_nnz_bound(left, right):
+    """Upper bound on the stored nonzeros of ``left @ right``, without forming it.
+
+    Σ_k nnz(left[:, k]) · nnz(right[k, :]) counts the scalar products the
+    multiplication makes; it is capped at the result's m·n.
+    """
+    return min(int(_column_counts(left) @ np.diff(right.indptr)), left.shape[0] * right.shape[1])
+
+
+def _values_at(matrix, rows, cols):
+    """``matrix[rows, cols]`` as a flat array, zero where nothing is stored.
+
+    Binary search for each position in the matrix's row-major keys.
+    """
+    matrix = matrix if matrix.has_sorted_indices else matrix.sorted_indices()
+    n = matrix.shape[1]
+    keys = np.empty(matrix.nnz + 1, dtype=np.int64)
+    keys[:-1] = np.repeat(np.arange(matrix.shape[0], dtype=np.int64) * n, np.diff(matrix.indptr))
+    keys[:-1] += matrix.indices
+    keys[-1] = matrix.shape[0] * n  # above every position, so each search lands on a valid index
+    data = np.append(matrix.data, 0.0)
+    query = rows.astype(np.int64) * n + cols
+    at = np.searchsorted(keys, query)
+    values = data[at]
+    values[keys[at] != query] = 0.0
+    return values
+
+
+def _masked_product(left, right, rows, cols):
+    """``(left @ right)[rows, cols]`` as a flat array, computed only at those positions.
+
+    Each position (i, j) is repeated over the stored k of ``left``'s row i,
+    ``right[k, j]`` is looked up, and the products are summed per position
+    in k order.  When ``right``'s columns hold fewer terms, the same runs
+    on the transposed product (right^T left^T)[j, i].
+    """
+    counts = np.diff(left.indptr)[rows]
+    col_counts = _column_counts(right)[cols]
+    if col_counts.sum() < counts.sum():
+        left, right, rows, cols, counts = right.T.tocsr(), left.T.tocsr(), cols, rows, col_counts
+    entry = np.repeat(np.arange(len(rows)), counts)
+    pos = np.arange(len(entry)) + np.repeat(left.indptr[rows] - (np.cumsum(counts) - counts), counts)
+    terms = left.data[pos] * _values_at(right, left.indices[pos], cols[entry])
+    return np.bincount(entry, terms, minlength=len(rows))
+
+
+def _on_pattern(mask, values):
+    """A new CSR matrix with ``mask``'s stored positions holding ``values``, zeros dropped."""
+    mat = sp.csr_matrix((values, mask.indices, mask.indptr), shape=mask.shape, copy=True)
+    mat.eliminate_zeros()
+    return mat
+
+
 def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     """Run a compiled plan over the store's adjacencies.
 
-    Exact zeros are dropped from storage.  Intermediates whose stored
-    nonzeros exceed ``nnz_budget`` raise :class:`ResourceLimitError` rather
-    than silently ballooning.  Every slot is a new matrix: a load step copies
-    the store's adjacency, so callers may scale a result in place.
+    A product whose only reader is a Hadamard step is deferred to that step
+    (masked evaluation).  The Hadamard step ranks its two operands by an
+    upper bound on their nnz: a deferred product by the bound of
+    :func:`_product_nnz_bound`, a computed slot by its nnz.  It computes the
+    smaller operand in full and uses it as the mask; the other operand is
+    evaluated only at the mask's stored positions, so the full product of a
+    denser branch is never allocated.  In a block of three or more
+    branches, the inner Hadamard result is an operand of the next one and
+    so can mask it.  The counts equal those of forming every product in
+    full; only the entry order of a Hadamard result may differ.
+
+    Before a slot is allocated, a bound on its nnz is checked against
+    ``nnz_budget``: a load's nnz, or a product's bound (computed only when
+    the product's m·n exceeds the budget).  Over budget,
+    :class:`ResourceLimitError` is raised before the product is formed.  A
+    masked operand and a Hadamard result hold at most the mask's nnz, which
+    passed the same check.
+
+    Exact zeros are dropped from storage.  Every slot is a new matrix: a
+    load step copies the store's adjacency, so callers may scale a result
+    in place.  With ``keep_slots=True`` the slots are returned too; a masked
+    operand's slot holds its product restricted to the mask's pattern.
     """
-    slots = []
-    for step, shape in zip(plan.steps, plan.shapes):
+    reads = Counter(i for s in plan.steps if not isinstance(s, LoadStep) for i in (s.left, s.right))
+    deferred = {
+        i for step in plan.steps if isinstance(step, HadamardStep) for i in (step.left, step.right)
+        if isinstance(plan.steps[i], MatMulStep) and reads[i] == 1
+    }
+    slots = []  # None for a deferred product until its Hadamard step fills it (if keep_slots)
+
+    def guard(bound, shape):
+        if bound > nnz_budget:
+            raise ResourceLimitError(
+                f"intermediate of shape {shape} may hold {bound} nonzeros, over budget {nnz_budget}"
+            )
+
+    def bound(index):
+        if slots[index] is not None:
+            return slots[index].nnz
+        step = plan.steps[index]
+        return _product_nnz_bound(slots[step.left], slots[step.right])
+
+    def multiply(index):
+        step, shape = plan.steps[index], plan.shapes[index]
+        left, right = slots[step.left], slots[step.right]
+        if shape[0] * shape[1] > nnz_budget:  # otherwise even the cap m·n fits
+            guard(_product_nnz_bound(left, right), shape)
+        mat = (left @ right).tocsr()
+        mat.eliminate_zeros()
+        return mat
+
+    for index, (step, shape) in enumerate(zip(plan.steps, plan.shapes)):
         if isinstance(step, LoadStep):
             adj = hin.adjacency(step.relation)
+            guard(adj.nnz, shape)
             mat = adj.T.tocsr() if step.transposed else adj.copy()
+            mat.eliminate_zeros()
+        elif index in deferred:
+            mat = None
         elif isinstance(step, MatMulStep):
-            mat = (slots[step.left] @ slots[step.right]).tocsr()
+            mat = multiply(index)
         else:
-            mat = slots[step.left].multiply(slots[step.right]).tocsr()
-        mat.eliminate_zeros()
-        if mat.nnz > nnz_budget:
-            raise ResourceLimitError(
-                f"intermediate of shape {shape} holds {mat.nnz} nonzeros, over budget {nnz_budget}"
-            )
+            first, second = sorted((step.left, step.right), key=bound)
+            if slots[first] is None:
+                slots[first] = multiply(first)
+            mask = slots[first]
+            rows = np.repeat(np.arange(shape[0]), np.diff(mask.indptr))
+            if slots[second] is None:
+                other = plan.steps[second]
+                values = _masked_product(slots[other.left], slots[other.right], rows, mask.indices)
+                if keep_slots:
+                    slots[second] = _on_pattern(mask, values)
+            else:
+                values = _values_at(slots[second], rows, mask.indices)
+            mat = _on_pattern(mask, mask.data * values)
         slots.append(mat)
     sim = SimilarityMatrix(slots[plan.result], plan.metagraph)
     return (sim, slots) if keep_slots else sim

@@ -442,8 +442,16 @@ class _Stages:
         return rmse(pred, table.y)
 
     def split_record(self, seed):
-        """The split a model trained under ``seed`` was fit on: its seed and the config's fractions."""
-        return {"seed": int(seed), "fractions": [float(f) for f in self.config.fractions]}
+        """The split a model trained under ``seed`` was fit on: its seed, the config's fractions and
+        the SHA-256 of the ratings file, whose line order the split's draw depends on."""
+        schema = hin.load_schema(self.config.schema)
+        if not schema.get("ratings"):
+            raise ValueError("schema declares no ratings section")
+        digest = hashlib.sha256()
+        _hash_file(os.path.join(os.path.dirname(os.path.abspath(self.config.schema)),
+                                schema["ratings"]["file"]), digest)
+        return {"seed": int(seed), "fractions": [float(f) for f in self.config.fractions],
+                "ratings_sha256": digest.hexdigest()}
 
     def prediction_settings(self):
         """The config fields that turn a model's raw output into scored predictions."""
@@ -499,9 +507,13 @@ class _Stages:
         cache read takes part.  The model's split (seed and fractions) and
         prediction settings must match the config's, or its "test" ratings
         would include ones it was trained on; every rated user and item must
-        be in the model.
+        be in the model.  A ratings file other than the one it was trained
+        on is refused too: the same seed draws another split from it.
         """
-        split = self.split_record(seed)
+        split = self.timed("evaluate", lambda: self.split_record(seed))
+        if model.split["ratings_sha256"] != split["ratings_sha256"]:
+            raise StageError("evaluate", ValueError(
+                "model was trained on another ratings file: its SHA-256 differs from the config's"))
         if model.split != split:
             raise StageError("evaluate", ValueError(
                 f"model was trained on the split {model.split}, the config asks for {split}"))

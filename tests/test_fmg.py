@@ -473,7 +473,7 @@ class TestStandardizer:
 
 
 PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
-SPLIT = {"seed": 3, "fractions": [0.8, 0.1, 0.1]}
+SPLIT = {"seed": 3, "fractions": [0.8, 0.1, 0.1], "ratings_sha256": "0" * 64}
 
 
 def saved_model(rng, layout, reg):
@@ -538,4 +538,14 @@ class TestModelPersistence:
         path = tmp_path / "model.npz"
         self.save_without(path, "split")
         with pytest.raises(ValueError, match="rating split.*train the model again"):
+            fmg.load_model(path)
+
+    def test_file_without_ratings_digest_rejected(self, tmp_path):
+        # the split's draw depends on the ratings file's line order, so a model must name its file
+        path = tmp_path / "model.npz"
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        model = saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex"))
+        model.split = {key: value for key, value in SPLIT.items() if key != "ratings_sha256"}
+        fmg.save_model(path, model)
+        with pytest.raises(ValueError, match="ratings file.*train the model again"):
             fmg.load_model(path)

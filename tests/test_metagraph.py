@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,6 +285,166 @@ class TestExecute:
         plan = mg.compile_plan(mg.parse_metagraph(M3_TEXT), store)
         with pytest.raises(mg.ResourceLimitError, match="budget"):
             mg.execute_plan(plan, store, nnz_budget=2)
+
+
+def full_product_slots(plan, store):
+    """Every slot of ``plan`` with each product formed in full, then Hadamard by ``multiply``."""
+    slots = []
+    for step in plan.steps:
+        if isinstance(step, LoadStep):
+            adj = store.adjacency(step.relation)
+            mat = adj.T.tocsr() if step.transposed else adj.copy()
+        elif isinstance(step, MatMulStep):
+            mat = (slots[step.left] @ slots[step.right]).tocsr()
+        else:
+            mat = slots[step.left].multiply(slots[step.right]).tocsr()
+        mat.eliminate_zeros()
+        slots.append(mat)
+    return slots
+
+
+def weighted_store(seed, weights):
+    """``synth.random_binary_hin`` with integer weights in 1..4 or fractional ones in (0.1, 2.1)."""
+    store = synth.random_binary_hin(seed, max_entities=30, density_range=(0.08, 0.3))
+    rng = np.random.default_rng(seed + 100)
+    for _, adj in store.relations.values():
+        if weights == "integer":
+            adj.data = rng.integers(1, 5, adj.nnz).astype(float)
+        else:
+            adj.data = rng.uniform(0.1, 2.1, adj.nnz)
+    return store
+
+
+def assert_same_matrix(got, want, weights):
+    got, want = got.copy(), want.copy()
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    assert got.shape == want.shape and got.nnz == want.nnz
+    assert ((got != 0) != (want != 0)).nnz == 0
+    if weights == "integer":  # integer sums are exact in any order
+        assert (got != want).nnz == 0
+    else:  # a masked sum may add its terms in another order: float64 rounding only
+        assert np.allclose(got.toarray(), want.toarray(), rtol=1e-12, atol=0.0)
+
+
+THREE_BRANCH = (
+    "T: U -[write]- R -( -[mention]- A -[mention~]- | -[about]- B -[about~]- "
+    "| -[write~]- U -[write]- )- R -[about]- B"
+)
+SINGLE_EDGE_BRANCH = "S: U -( -[rate]- | -[write]- R -[about]- )- B -[about~]- R -[about]- B"
+
+
+class TestMaskedExecution:
+    """``execute_plan`` against every product formed in full (``full_product_slots``)."""
+
+    def check(self, plan, store, weights):
+        sim, slots = mg.execute_plan(plan, store, keep_slots=True)
+        want = full_product_slots(plan, store)
+        assert_same_matrix(sim.matrix, want[plan.result], weights)
+        for index, step in enumerate(plan.steps):
+            if not isinstance(step, HadamardStep):
+                continue
+            assert_same_matrix(slots[index], want[index], weights)
+            # an operand is computed in full or, if deferred, only on the other operand's pattern
+            for mask, masked in ((step.left, step.right), (step.right, step.left)):
+                if slots[masked].nnz < want[masked].nnz:
+                    assert_same_matrix(slots[mask], want[mask], weights)
+                    assert_same_matrix(slots[masked], want[masked].multiply(want[mask] != 0).tocsr(), weights)
+                else:
+                    assert_same_matrix(slots[masked], want[masked], weights)
+
+    @pytest.mark.parametrize("weights", ["integer", "fractional"])
+    @pytest.mark.parametrize("text", [
+        synth.ORACLE_METAGRAPHS[5], THREE_BRANCH, synth.ORACLE_METAGRAPHS[8], SINGLE_EDGE_BRANCH,
+    ], ids=["M9", "three-branch", "nested", "single-edge-branch"])
+    def test_blocks_match_full_products(self, text, weights):
+        spec = mg.parse_metagraph(text)
+        for seed in range(6):
+            store = weighted_store(seed, weights)
+            for optimize in (False, True):
+                self.check(mg.compile_plan(spec, store, optimize=optimize), store, weights)
+
+    @pytest.mark.parametrize("weights", ["integer", "fractional"])
+    def test_product_with_a_second_reader_is_not_deferred(self, weights):
+        # X = mention·mention~ feeds the Hadamard and a later product, so it is formed in full
+        store = weighted_store(2, weights)
+        r, a, b = (store.entity(t).count for t in ("R", "A", "B"))
+        steps = (
+            LoadStep("mention", False), LoadStep("mention", True), MatMulStep(0, 1),
+            LoadStep("about", False), LoadStep("about", True), MatMulStep(3, 4),
+            HadamardStep(2, 5), MatMulStep(6, 2),
+        )
+        shapes = ((r, a), (a, r), (r, r), (r, b), (b, r), (r, r), (r, r), (r, r))
+        plan = mg.ExecutionPlan(steps, shapes, "shared")
+        self.check(plan, store, weights)
+        _, slots = mg.execute_plan(plan, store, keep_slots=True)
+        want = full_product_slots(plan, store)
+        assert (slots[2] != want[2]).nnz == 0 and slots[2].nnz == want[2].nnz
+
+    @pytest.mark.parametrize("weights", ["integer", "fractional"])
+    def test_empty_mask(self, weights):
+        store = weighted_store(1, weights)
+        decl, adj = store.relations["about"]
+        store.relations["about"] = (decl, sp.csr_matrix(adj.shape))
+        spec = mg.parse_metagraph(synth.ORACLE_METAGRAPHS[5])
+        for optimize in (False, True):
+            plan = mg.compile_plan(spec, store, optimize=optimize)
+            self.check(plan, store, weights)
+            assert mg.execute_plan(plan, store).nnz == 0
+
+
+def sparse_mask_store(n_reviews=600, n_users=300, n_businesses=300):
+    """M9's mention branch is every review pair (one aspect), its about branch 2 reviews per business."""
+    reviews = np.arange(n_reviews)
+    write = np.zeros((n_users, n_reviews))
+    write[reviews % n_users, reviews] = 1
+    about = np.zeros((n_reviews, n_businesses))
+    about[reviews, reviews % n_businesses] = 1
+    rate = np.random.default_rng(0).random((n_users, n_businesses)) < 0.05
+    return store_with(
+        {"U": n_users, "R": n_reviews, "A": 1, "B": n_businesses},
+        {"write": ("U", "R", write), "mention": ("R", "A", np.ones((n_reviews, 1))),
+         "about": ("R", "B", about), "rate": ("U", "B", rate)},
+    )
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn`` allocates through Python and numpy; its exception, if any."""
+    tracemalloc.start()
+    try:
+        fn()
+        error = None
+    except mg.ResourceLimitError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+def csr_bytes(nnz, rows):
+    return nnz * (8 + 4) + (rows + 1) * 4
+
+
+class TestExecutionMemory:
+    def test_masked_branch_product_is_never_allocated(self):
+        store = sparse_mask_store()
+        plan = mg.compile_plan(mg.parse_metagraph(M9_TEXT), store)
+        want = full_product_slots(plan, store)
+        h = next(s for s in plan.steps if isinstance(s, HadamardStep))
+        full, mask = want[h.left], want[h.right]
+        assert full.nnz >= 50 * mask.nnz
+        peak, error = traced_peak(lambda: mg.execute_plan(plan, store, nnz_budget=full.nnz - 1))
+        assert error is None and peak < csr_bytes(full.nnz, full.shape[0])
+        assert (mg.execute_plan(plan, store).matrix != want[plan.result]).nnz == 0
+
+    def test_budget_trips_before_the_product_is_allocated(self):
+        n = 2000  # mention·mention~ would hold n * n nonzeros
+        store = store_with({"R": n, "A": 1}, {"mention": ("R", "A", np.ones((n, 1)))})
+        plan = mg.compile_plan(mg.parse_metagraph("M: R -[mention]- A -[mention~]- R"), store)
+        peak, error = traced_peak(lambda: mg.execute_plan(plan, store, nnz_budget=10 * n))
+        assert isinstance(error, mg.ResourceLimitError) and "budget" in str(error)
+        assert peak < n * n * 8  # below the product's data array alone
 
 
 class TestBruteForce:

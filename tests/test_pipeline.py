@@ -107,6 +107,10 @@ def small_config(root, schema, **overrides):
     return pipeline.ExperimentConfig(**base)
 
 
+def reverse_lines(path):
+    path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+
+
 class TestRunPipeline:
     def test_no_metagraphs_error(self, dataset, tmp_path):
         root, schema = dataset
@@ -440,12 +444,18 @@ class TestCli:
         assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
         capsys.readouterr()
         data = root
-        if lines == "reversed":  # the same ids get other store indices: only the ids find the rows
+        if lines == "reversed":
+            # a relation file in another line order is accepted: the model carries its features.
+            # The ratings file is read first, so its ids keep their store indices; the model's rows
+            # are reversed instead, so only the ids find the rows.
             data = tmp_path / "reversed"
             shutil.copytree(str(root), str(data))
-            ratings_file = data / "ratings.tsv"
-            ratings_file.write_text("".join(reversed(ratings_file.read_text().splitlines(keepends=True))))
+            reverse_lines(data / "friend.tsv")
             config = self.write_config(data, tmp_path)
+            model = fmg.load_model(os.path.join(out, "model.npz"))
+            model.features = tuple(block[::-1] for block in model.features)
+            model.user_ids, model.item_ids = model.user_ids[::-1], model.item_ids[::-1]
+            fmg.save_model(os.path.join(out, "model.npz"), model)
         calls = []
         for module, name in ((metagraph, "execute_plan"), (factors, "factorize_mf"),
                              (factors, "factorize_nnr"), (fmg, "factor_blocks")):
@@ -487,6 +497,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("[evaluate] model was trained on the split") and calls == []
 
+    def test_evaluate_on_reordered_ratings_rejected(self, dataset, tmp_path, capsys, monkeypatch):
+        # the same seed splits a reordered file differently, so its "test" ratings hold trained ones
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", out]) == 0
+        capsys.readouterr()
+        data = tmp_path / "reordered"
+        shutil.copytree(str(root), str(data))
+        reverse_lines(data / "ratings.tsv")
+        calls = []
+        monkeypatch.setattr(hin, "ingest", lambda *a, **k: calls.append("ingest"))
+        assert cli.main(["evaluate", "--config", self.write_config(data, tmp_path), "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[evaluate] model was trained on another ratings file") and calls == []
+
     def test_evaluate_copied_model_leaves_no_cache_dir(self, dataset, tmp_path, capsys):
         root, _ = dataset
         config = self.write_config(root, tmp_path)
@@ -503,11 +528,12 @@ class TestCli:
         out = str(tmp_path / "out")
         assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", out]) == 0
         capsys.readouterr()
-        grown = tmp_path / "grown"
-        shutil.copytree(str(root), str(grown))
-        with open(grown / "ratings.tsv", "a", encoding="utf-8") as fh:
-            fh.write("new_user\tnew_item_a\t4\nnew_user\tnew_item_b\t2\n")
-        config = self.write_config(grown, tmp_path)
+        # the ratings file must stay as trained, so the model is what lacks the entities
+        model = fmg.load_model(os.path.join(out, "model.npz"))
+        model.user_ids = np.where(model.user_ids == "u0", "gone_user", model.user_ids)
+        model.item_ids = np.where(np.isin(model.item_ids, ["b0", "b1"]), "gone_item", model.item_ids)
+        fmg.save_model(os.path.join(out, "model.npz"), model)
+        config = self.write_config(root, tmp_path)
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[evaluate]") and "1 rated users and 2 rated items not in the model" in err
@@ -521,6 +547,28 @@ class TestCli:
         config = self.write_config(root, tmp_path, rating_range=[0.0, 5.0])
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         assert "[evaluate]" in capsys.readouterr().err
+
+    def test_similarity_over_budget_fails_with_stage_tag(self, tmp_path, capsys):
+        # every review mentions the one aspect, so the (user, review) product could hold
+        # n * n > 1e8 nonzeros: the default nnz_budget refuses it before it is formed
+        n = 10001
+        data = tmp_path / "wide"
+        data.mkdir()
+        (data / "ratings.tsv").write_text("".join(f"u{i}\tb0\t4\n" for i in range(n)))
+        (data / "write.tsv").write_text("".join(f"u{i}\tr{i}\n" for i in range(n)))
+        (data / "mention.tsv").write_text("".join(f"r{i}\ta0\n" for i in range(n)))
+        (data / "metagraphs.txt").write_text(
+            "M8: U -[write]- R -[mention]- A -[mention~]- R -[write~]- U -[rate]- B\n")
+        relations = [{"name": name, "head": head, "tail": tail, "file": f"{name}.tsv"}
+                     for name, head, tail in (("write", "U", "R"), ("mention", "R", "A"))]
+        (data / "schema.json").write_text(json.dumps({
+            "entities": ["U", "B", "R", "A"], "relations": relations,
+            "ratings": {"file": "ratings.tsv", "user_type": "U", "item_type": "B", "relation": "rate"},
+        }))
+        config = self.write_config(data, tmp_path)
+        assert cli.main(["similarity", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[similarity] intermediate of shape (10001, 10001)") and "over budget" in err
 
     def test_broken_config_fails_nonzero(self, dataset, tmp_path, capsys):
         root, _ = dataset
