@@ -12,13 +12,13 @@ Two routes produce per-metagraph user/item factors:
 Both engines evaluate on one fixed observed pattern.  An
 :class:`ObservedMatrix` builds, once, the CSR matrix and its transpose at
 the observed positions.  An evaluation gathers factor rows with ``np.take``
-(:meth:`ObservedMatrix.entries`); a gradient writes the per-entry
-residuals into the data arrays of those two matrices
-(:meth:`ObservedMatrix.scatter`): no sparse matrix is constructed and no
-COO conversion, index sort or CSC transpose runs inside the loops.  The
-accumulation order matches scipy's canonical CSR, so without duplicate
-positions the factors are bit-identical to building the matrix from COO on
-every call.
+(:meth:`ObservedMatrix.entries`), into two buffers that an MF fit allocates
+once; a gradient writes the per-entry residuals into the data arrays of
+those two matrices (:meth:`ObservedMatrix.scatter`): no sparse matrix is
+constructed and no COO conversion, index sort or CSC transpose runs inside
+the loops.  The accumulation order matches scipy's canonical CSR, so
+without duplicate positions the factors are bit-identical to building the
+matrix from COO on every call.
 
 No evaluation repeats work whose result the loop already holds.  MF's
 backtracking makes one residual pass (gather, residuals, objective) per
@@ -77,9 +77,19 @@ class ObservedMatrix:
             matrix = sp.csr_matrix((np.zeros(len(order)), indices, indptr), shape=shape)
             self._scattered.append((order, matrix))
 
-    def entries(self, U, B):
-        """(U Bᵀ)_ij at every observed position, in O(nnz * rank)."""
-        return np.einsum("ij,ij->i", np.take(U, self.row, axis=0), np.take(B, self.col, axis=0))
+    def entries(self, U, B, gathered=None):
+        """(U Bᵀ)_ij at every observed position, in O(nnz * rank).
+
+        ``gathered``, two float arrays of shape (nnz, rank), receives the
+        gathered factor rows, so a loop that evaluates many points can
+        allocate them once.
+        """
+        if gathered is None:
+            return np.einsum("ij,ij->i", np.take(U, self.row, axis=0), np.take(B, self.col, axis=0))
+        left, right = gathered
+        np.take(U, self.row, axis=0, out=left, mode="clip")  # mode "raise" would buffer the output
+        np.take(B, self.col, axis=0, out=right, mode="clip")
+        return np.einsum("ij,ij->i", left, right)
 
     def scatter(self, values):
         """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR.
@@ -152,9 +162,9 @@ class FactorPair:
         )
 
 
-def _mf_residual(U, B, obs, mu):
+def _mf_residual(U, B, obs, mu, gathered=None):
     """Residuals (U Bᵀ)_ij - R_ij at the observed positions, and the objective value."""
-    err = obs.entries(U, B) - obs.val
+    err = obs.entries(U, B, gathered) - obs.val
     value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
     return err, value
 
@@ -194,8 +204,11 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     scale = 0.1 / np.sqrt(rank)
     U = rng.normal(0.0, scale, (m, rank))
     B = rng.normal(0.0, scale, (n, rank))
+    # reused by every trial: a fresh nnz·rank array per trial costs page faults whenever
+    # the allocator hands it fresh pages, which depends on what the process freed earlier
+    gathered = (np.empty((obs.n_observed, rank)), np.empty((obs.n_observed, rank)))
 
-    err, value = _mf_residual(U, B, obs, mu)
+    err, value = _mf_residual(U, B, obs, mu, gathered)
     grad_u, grad_b = _mf_grad(U, B, obs, mu, err)
     history = [value]
     step = 0.1
@@ -207,7 +220,7 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
         for _ in range(40):
             U_new = U - step * grad_u
             B_new = B - step * grad_b
-            err, value_new = _mf_residual(U_new, B_new, obs, mu)
+            err, value_new = _mf_residual(U_new, B_new, obs, mu, gathered)
             if value_new <= value - 1e-4 * step * grad_sq:
                 accepted = True
                 break

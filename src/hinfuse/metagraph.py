@@ -343,6 +343,7 @@ class ExecutionPlan:
     steps: tuple
     shapes: tuple  # result shape per step
     metagraph: str
+    costs: tuple = ()  # estimated scalar multiplications per step; 0 for loads and Hadamard steps
 
     @property
     def result(self):
@@ -406,23 +407,68 @@ def resolve_orientation(decl, adj, src_type, dst_type, reverse):
     )
 
 
-def _chain_order(shapes):
-    """Matrix-chain DP: returns the split tree minimizing scalar multiply count."""
-    n = len(shapes)
-    dims = [shapes[0][0]] + [s[1] for s in shapes]
-    cost = [[0.0] * n for _ in range(n)]
-    split = [[0] * n for _ in range(n)]
+@dataclass(frozen=True)
+class _Sketch:
+    """Stored entries per row and per column of a slot, and in all: exact for a load, estimated otherwise."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    nnz: float
+
+
+def _load_sketch(adj, transposed):
+    rows, cols = np.diff(adj.indptr).astype(float), _column_counts(adj).astype(float)
+    return _Sketch(cols, rows, float(adj.nnz)) if transposed else _Sketch(rows, cols, float(adj.nnz))
+
+
+def _product_sketch(left, right):
+    """Sketch of ``left @ right`` from its operands' sketches (MNC: Sommer et al., SIGMOD 2019).
+
+    The nnz is exact when a row of ``left`` or a column of ``right`` holds
+    at most one entry, since no two scalar products then meet in one
+    output entry; otherwise it is the density-map estimate
+    m·n·(1 - Π_k (1 - c_left[k]·r_right[k] / (m·n))).  The row counts
+    scale ``left``'s and the column counts ``right``'s to that nnz, capped
+    at n and m.
+    """
+    m, n = len(left.rows), len(right.cols)
+    terms = float(_product_terms(left.cols, right.rows))
+    if terms == 0 or left.rows.max() <= 1 or right.cols.max() <= 1:
+        nnz = terms
+    else:
+        with np.errstate(divide="ignore"):  # a k with c·r = m·n fills the product: log1p(-1) = -inf
+            nnz = -m * n * float(np.expm1(np.log1p(-left.cols * right.rows / (m * n)).sum()))
+    if nnz == 0:
+        return _Sketch(np.zeros(m), np.zeros(n), 0.0)
+    return _Sketch(
+        np.minimum(left.rows * (nnz / left.nnz), n), np.minimum(right.cols * (nnz / right.nnz), m), nnz
+    )
+
+
+def _cheapest_splits(sketches):
+    """Matrix-chain DP over estimated scalar multiplications.
+
+    ``sketches`` are the chain's operands.  Returns the sketch of every
+    interval (i, j), always propagated left to right so that it does not
+    depend on the split, and the split k of (i, j) into (i, k) and
+    (k + 1, j) that minimises Σ :func:`_product_terms` over the
+    interval's products.  Ties go to the largest k, so a chain whose
+    splits all cost the same keeps its left-to-right association.
+    """
+    n = len(sketches)
+    sketch = {(i, i): s for i, s in enumerate(sketches)}
+    cost = {(i, i): 0.0 for i in range(n)}
+    split = {}
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            best = None
-            for k in range(i, j):
-                c = cost[i][k] + cost[k + 1][j] + dims[i] * dims[k + 1] * dims[j + 1]
-                if best is None or c < best:
-                    best = c
-                    split[i][j] = k
-            cost[i][j] = best
-    return split
+            sketch[i, j] = _product_sketch(sketch[i, j - 1], sketch[j, j])
+            for k in range(j - 1, i - 1, -1):
+                c = cost[i, k] + cost[k + 1, j]
+                c += float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
+                if (i, j) not in cost or c < cost[i, j]:
+                    cost[i, j], split[i, j] = c, k
+    return sketch, split
 
 
 class _PlanBuilder:
@@ -431,10 +477,14 @@ class _PlanBuilder:
         self.optimize = optimize
         self.steps = []
         self.shapes = []
+        self.sketches = []  # one per slot
+        self.costs = []
 
-    def emit(self, step, shape):
+    def emit(self, step, shape, sketch, cost=0.0):
         self.steps.append(step)
         self.shapes.append(shape)
+        self.sketches.append(sketch)
+        self.costs.append(cost)
         return len(self.steps) - 1
 
     def count(self, type_name):
@@ -452,7 +502,14 @@ class _PlanBuilder:
             )
         transposed = resolve_orientation(decl, adj, src_type, dst_type, edge.reverse)
         shape = (declared[1], declared[0]) if transposed else declared
-        return self.emit(LoadStep(edge.relation, transposed), shape)
+        return self.emit(LoadStep(edge.relation, transposed), shape, _load_sketch(adj, transposed))
+
+    def mask_rank(self, slot):
+        """What :func:`execute_plan` ranks a Hadamard operand by: a product's bound, else the nnz."""
+        if isinstance(self.steps[slot], MatMulStep):
+            m, n = self.shapes[slot]
+            return min(self.costs[slot], m * n)
+        return self.sketches[slot].nnz
 
     def connector(self, conn, src_type, dst_type):
         if isinstance(conn, EdgeRef):
@@ -469,7 +526,8 @@ class _PlanBuilder:
             slots.append(slot)
         out = slots[0]
         for slot in slots[1:]:
-            out = self.emit(HadamardStep(out, slot), want)
+            mask = min((out, slot), key=self.mask_rank)  # the left operand on a tie, as in execute_plan
+            out = self.emit(HadamardStep(out, slot), want, self.sketches[mask])
         return out
 
     def branch(self, branch, src_type, dst_type):
@@ -487,22 +545,17 @@ class _PlanBuilder:
                 raise PlanCompileError(
                     f"cannot multiply {self.shapes[left]} by {self.shapes[right]}"
                 )
-        if not self.optimize:
-            out = slots[0]
-            for slot in slots[1:]:
-                shape = (self.shapes[out][0], self.shapes[slot][1])
-                out = self.emit(MatMulStep(out, slot), shape)
-            return out
-        split = _chain_order([self.shapes[s] for s in slots])
+        sketch, split = _cheapest_splits([self.sketches[s] for s in slots])
 
         def assemble(i, j):
             if i == j:
                 return slots[i]
-            k = split[i][j]
+            k = split[i, j] if self.optimize else j - 1
             left = assemble(i, k)
             right = assemble(k + 1, j)
             shape = (self.shapes[left][0], self.shapes[right][1])
-            return self.emit(MatMulStep(left, right), shape)
+            cost = float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
+            return self.emit(MatMulStep(left, right), shape, sketch[i, j], cost)
 
         return assemble(0, len(slots) - 1)
 
@@ -510,8 +563,16 @@ class _PlanBuilder:
 def compile_plan(spec, hin, optimize=False):
     """Compile a metagraph into loads, sparse products and Hadamard products.
 
-    Chains associate left to right; ``optimize=True`` reassociates pure
-    products by dimension (matrix-chain DP) to shrink intermediates.
+    With ``optimize=False`` every chain associates left to right, as the
+    paper writes it.  ``optimize=True`` reassociates each chain (a block's
+    branches and the outer chain) to the association with the fewest
+    estimated scalar multiplications Σ_k c_A[k]·r_B[k] over its products
+    (:func:`_cheapest_splits`).  The counts come from a sketch of every
+    slot: exact row and column counts for a load, an MNC estimate for a
+    product, and for a Hadamard step the sketch of the operand that
+    :func:`execute_plan` uses as its mask.  Every association gives the
+    same integer counts, so only the cost changes.  ``plan.costs`` holds
+    each step's estimate.
     """
     if spec.chain is None:
         raise PlanCompileError("spec carries no surface chain; compile from parsed specs")
@@ -524,7 +585,7 @@ def compile_plan(spec, hin, optimize=False):
         for i, conn in enumerate(chain.connectors)
     ]
     builder.product(slots)
-    return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name)
+    return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name, tuple(builder.costs))
 
 
 _COUNT_CHUNK = 2**20  # stored entries counted per np.bincount call
@@ -538,13 +599,24 @@ def _column_counts(matrix):
     return counts
 
 
+def _product_terms(left_cols, right_rows):
+    """Σ_k left_cols[k]·right_rows[k]: the scalar multiplications of a sparse product.
+
+    ``left_cols`` counts the left operand's stored entries per column and
+    ``right_rows`` the right operand's per row, exactly or as a sketch's
+    estimates.  The planner minimises it; capped at m·n, it bounds the
+    product's nnz for the executor.
+    """
+    return left_cols @ right_rows
+
+
 def _product_nnz_bound(left, right):
     """Upper bound on the stored nonzeros of ``left @ right``, without forming it.
 
-    Σ_k nnz(left[:, k]) · nnz(right[k, :]) counts the scalar products the
-    multiplication makes; it is capped at the result's m·n.
+    :func:`_product_terms` of the exact counts, capped at the result's m·n.
     """
-    return min(int(_column_counts(left) @ np.diff(right.indptr)), left.shape[0] * right.shape[1])
+    terms = _product_terms(_column_counts(left), np.diff(right.indptr))
+    return min(int(terms), left.shape[0] * right.shape[1])
 
 
 def _values_at(matrix, rows, cols):

@@ -128,7 +128,7 @@ class ExperimentConfig:
     seed: int = 0
     binarize_ratings: bool = True
     log_scale_similarity: bool = False
-    optimize_plans: bool = False
+    optimize_plans: bool = True  # False: the paper-literal left-to-right plans
     feature_method: str = "mf"  # mf | nnr
     rank: int = 10
     mu: float = 0.01

@@ -276,6 +276,22 @@ class TestNoRepeatedWork:
         pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
         assert len(events) == len(pair.objective_history) < evals
 
+    def test_mf_trials_gather_into_one_pair_of_buffers(self, monkeypatch):
+        obs = unsorted_similarity(3)
+        seen = []
+        entries = factors.ObservedMatrix.entries
+
+        def recording(self, U, B, gathered=None):
+            seen.append(gathered)
+            return entries(self, U, B, gathered)
+
+        monkeypatch.setattr(factors.ObservedMatrix, "entries", recording)
+        pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
+        assert len(seen) > len(pair.objective_history)  # some trial points were rejected
+        left, right = seen[0]
+        assert left.shape == right.shape == (obs.n_observed, 4)
+        assert all(g[0] is left and g[1] is right for g in seen)
+
     @pytest.mark.parametrize("dense_cutoff", [200, 1])
     def test_nnr_equals_entries_at_every_step_loop(self, dense_cutoff):
         obs = unsorted_similarity(8, m=50, k=70, n=45)

@@ -447,6 +447,78 @@ class TestExecutionMemory:
         assert peak < n * n * 8  # below the product's data array alone
 
 
+def plan_cost(spec, store, optimize):
+    return sum(mg.compile_plan(spec, store, optimize=optimize).costs)
+
+
+class TestCostPlanner:
+    """``compile_plan(optimize=True)``: each chain associated by estimated scalar multiplications."""
+
+    @pytest.mark.parametrize("text,left,right", [
+        ("M: U -[write]- R -[about]- B", ("write", False), ("about", False)),
+        ("M: U -[rate]- B -[about~]- R", ("rate", False), ("about", True)),
+    ])
+    def test_two_load_cost_is_the_guards_count(self, text, left, right):
+        for seed in range(6):
+            store = synth.random_binary_hin(seed)
+            plan = mg.compile_plan(mg.parse_metagraph(text), store, optimize=True)
+            a, b = (store.adjacency(rel).T.tocsr() if t else store.adjacency(rel) for rel, t in (left, right))
+            count = int(np.asarray((a != 0).sum(axis=0)).ravel() @ np.asarray((b != 0).sum(axis=1)).ravel())
+            assert plan.costs == (0.0, 0.0, count)
+            m, n = plan.shape
+            assert min(plan.costs[-1], m * n) == mg._product_nnz_bound(a, b)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_never_costlier_than_left_to_right(self):
+        cheaper = 0
+        for seed in range(8):
+            store = synth.random_binary_hin(seed)
+            for text in synth.ORACLE_METAGRAPHS:
+                spec = mg.parse_metagraph(text)
+                best, ltr = plan_cost(spec, store, True), plan_cost(spec, store, False)
+                assert best <= ltr, (seed, spec.name)
+                cheaper += best < ltr
+        assert cheaper > 0
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_compile_twice_gives_the_same_plan(self):
+        for seed in range(6):
+            store = synth.random_binary_hin(seed)
+            for text in synth.ORACLE_METAGRAPHS:
+                spec = mg.parse_metagraph(text)
+                assert mg.compile_plan(spec, store, optimize=True) == mg.compile_plan(spec, store, optimize=True)
+
+    def test_equal_costs_keep_the_left_to_right_association(self):
+        # every product of a chain of identity matrices costs the same
+        store = store_with({"U": 3, "B": 3}, {"rate": ("U", "B", np.eye(3))})
+        spec = mg.parse_metagraph("M: U -[rate]- B -[rate~]- U -[rate]- B -[rate~]- U")
+        assert mg.compile_plan(spec, store, optimize=True).steps == mg.compile_plan(spec, store).steps
+
+    def test_hadamard_takes_the_sketch_of_its_mask(self):
+        # the about branch masks the 600 x 600 mention branch; write has one entry per review, so
+        # write·H costs exactly the mask's row counts, which sum to its nnz
+        store = sparse_mask_store()
+        plan = mg.compile_plan(mg.parse_metagraph(M9_TEXT), store)
+        h_idx = next(i for i, s in enumerate(plan.steps) if isinstance(s, HadamardStep))
+        after = next(i for i, s in enumerate(plan.steps) if isinstance(s, MatMulStep) and s.right == h_idx)
+        about = store.adjacency("about")
+        assert plan.costs[after] == (about @ about.T).nnz < plan.shapes[h_idx][0] ** 2
+
+    def test_m8_forms_no_slot_above_its_result(self, tmp_path):
+        store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=3))
+        hin.attach_ratings(store, ratings, decl)
+        m8 = next(s for s in mg.bundled_metagraphs("yelp") if s.name == "M8")
+        users, reviews = store.entity("U").count, store.entity("R").count
+        ltr = mg.compile_plan(m8, store)
+        ltr_sim, ltr_slots = mg.execute_plan(ltr, store, keep_slots=True)
+        assert any(shape == (users, reviews) and slot.nnz > ltr_sim.nnz
+                   for step, shape, slot in zip(ltr.steps, ltr.shapes, ltr_slots)
+                   if isinstance(step, MatMulStep))
+        sim, slots = mg.execute_plan(mg.compile_plan(m8, store, optimize=True), store, keep_slots=True)
+        assert max(slot.nnz for slot in slots) <= sim.nnz
+        assert (sim.matrix != ltr_sim.matrix).nnz == 0
+
+
 class TestBruteForce:
     def test_m3_pair_count(self):
         spec = mg.parse_metagraph(M3_TEXT)

@@ -196,6 +196,31 @@ class TestRunPipeline:
             f"M{i}" for i in range(1, 10)
         }
 
+    def test_default_config_runs_the_cost_planner(self, tmp_path, monkeypatch):
+        # a config without optimize_plans compiles with optimize=True; its matrices equal the
+        # left-to-right plans' ones
+        data = str(tmp_path / "data")
+        synth.write_review_dataset(data, seed=4)
+        doc = {"schema": "schema.json", "metagraphs": "metagraphs.txt"}
+        compiled = []
+        compile_plan = metagraph.compile_plan
+
+        def recording_compile(spec, store, optimize=False):
+            compiled.append(optimize)
+            return compile_plan(spec, store, optimize=optimize)
+
+        monkeypatch.setattr(pipeline.metagraph, "compile_plan", recording_compile)
+        sims = {}
+        for name, extra in (("default", {}), ("literal", {"optimize_plans": False})):
+            cfg = pipeline.ExperimentConfig.from_dict({**doc, **extra}, base_dir=data)
+            run = pipeline._Stages(cfg, str(tmp_path / name)).run(cfg.seed, through="similarity")
+            sims[name] = run.sims
+        assert compiled == [True] * 9 + [False] * 9
+        assert [s.metagraph for s in sims["default"]] == [f"M{i}" for i in range(1, 10)]
+        for got, want in zip(sims["default"], sims["literal"]):
+            assert got.metagraph == want.metagraph and got.nnz == want.nnz
+            assert (got.matrix != want.matrix).nnz == 0, got.metagraph
+
     def test_log_scaling_one_similarity_leaves_the_next_unscaled(self, dataset, tmp_path):
         # M1 is the bare rating adjacency; log-scaling its result must not reach the store M2 reads
         root, schema = dataset
@@ -548,10 +573,9 @@ class TestCli:
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         assert "[evaluate]" in capsys.readouterr().err
 
-    def test_similarity_over_budget_fails_with_stage_tag(self, tmp_path, capsys):
-        # every review mentions the one aspect, so the (user, review) product could hold
-        # n * n > 1e8 nonzeros: the default nnz_budget refuses it before it is formed
-        n = 10001
+    @staticmethod
+    def write_wide_store(tmp_path, n):
+        """Every one of ``n`` users writes one review, and every review mentions the one aspect."""
         data = tmp_path / "wide"
         data.mkdir()
         (data / "ratings.tsv").write_text("".join(f"u{i}\tb0\t4\n" for i in range(n)))
@@ -565,10 +589,23 @@ class TestCli:
             "entities": ["U", "B", "R", "A"], "relations": relations,
             "ratings": {"file": "ratings.tsv", "user_type": "U", "item_type": "B", "relation": "rate"},
         }))
-        config = self.write_config(data, tmp_path)
+        return data
+
+    def test_similarity_over_budget_fails_with_stage_tag(self, tmp_path, capsys):
+        # the left-to-right plan's (user, review) product could hold n * n > 1e8 nonzeros:
+        # the default nnz_budget refuses it before it is formed
+        data = self.write_wide_store(tmp_path, 10001)
+        config = self.write_config(data, tmp_path, optimize_plans=False)
         assert cli.main(["similarity", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[similarity] intermediate of shape (10001, 10001)") and "over budget" in err
+
+    def test_similarity_default_planner_runs_wide_store(self, tmp_path, capsys):
+        # the cost planner pairs mention~ with write~ and never forms the (user, review) product
+        data = self.write_wide_store(tmp_path, 10001)
+        config = self.write_config(data, tmp_path)
+        assert cli.main(["similarity", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == "M8: 10001x1, nnz=10001 (computed)\n"
 
     def test_broken_config_fails_nonzero(self, dataset, tmp_path, capsys):
         root, _ = dataset
