@@ -57,3 +57,15 @@ print("every plan matches brute-force instance counting")
 plan = mg.compile_plan(mg.parse_metagraph(SHAPES[3]), store)
 for i, step in enumerate(plan.steps):
     print(f"  slot {i:2d}: {step} -> shape {plan.shapes[i]}")
+
+# the pipeline compiles with optimize=True: a cost-based planner. On M9 it splices the
+# block into the chain as K = mention • about (face-splitting product: row r of K is
+# kron(mention[r], about[r])) and its Khatri-Rao counterpart, so no review x review
+# matrix is formed. The counts are the same.
+m9 = next(spec for spec in mg.bundled_metagraphs("yelp") if spec.name == "M9")
+plan = mg.compile_plan(m9, store, optimize=True)
+print(f"{m9.name}, optimized plan:")
+for i, step in enumerate(plan.steps):
+    print(f"  slot {i:2d}: {step} -> shape {plan.shapes[i]}")
+counts = np.asarray(mg.execute_plan(plan, store).matrix.todense()).astype(int)
+assert np.array_equal(counts, mg.brute_force_matrix(m9, store)), "optimized plan disagrees!"

@@ -146,16 +146,35 @@ def load_edges(path, decl, entities):
     """
     head_set = entities[decl.head_type]
     tail_set = entities[decl.tail_type]
-    acc = {}
+    head_ids, tail_ids = head_set.id_map, tail_set.id_map
+    head_get, tail_get = head_ids.get, tail_ids.get
+    heads, tails, weights = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == 2 and parts[0] and parts[1] and not line.isspace():
+                head, tail = parts
+                weight = 1.0
+            elif not line.strip():
                 continue
-            head, tail, weight = _parse_edge_line(path, lineno, line)
-            key = (head_set.index(head), tail_set.index(tail))
-            acc[key] = acc.get(key, 0.0) + weight
-    edges = np.asarray(list(acc), dtype=np.int64).reshape(-1, 2)
-    return _canonical_csr(list(acc.values()), edges[:, 0], edges[:, 1], (head_set.count, tail_set.count))
+            else:  # weighted or malformed
+                head, tail, weight = _parse_edge_line(path, lineno, line)
+            # EntitySet.index, inlined: ids are assigned in order of first appearance
+            h = head_get(head)
+            if h is None:
+                h = head_ids[head] = len(head_ids)
+            t = tail_get(tail)
+            if t is None:
+                t = tail_ids[tail] = len(tail_ids)
+            heads.append(h)
+            tails.append(t)
+            weights.append(weight)
+    shape = (head_set.count, tail_set.count)
+    keys = np.asarray(heads, dtype=np.int64) * shape[1] + np.asarray(tails, dtype=np.int64)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(keys, shape[1])
+    # np.bincount adds each edge's weights in file order; a sort of the duplicates would not keep it
+    return _canonical_csr(np.bincount(inverse, weights), rows, cols, shape)
 
 
 def load_ratings(path, user_set, item_set, rating_range=(1.0, 5.0)):

@@ -18,6 +18,8 @@ entity u to sink entity b.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import warnings
 from collections import Counter
@@ -339,6 +341,20 @@ class HadamardStep:
 
 
 @dataclass(frozen=True)
+class FaceSplitStep:
+    """The row-wise Kronecker (face-splitting) product •ᵢ Aᵢ of operands with equal row counts.
+
+    Row r of the result is kron(A₁[r, :], A₂[r, :], ...), so its shape is
+    (a, Πᵢ cᵢ).  With ``columns`` it is the column-wise Kronecker
+    (Khatri–Rao) product ⊙ᵢ Aᵢ of operands with equal column counts, of
+    shape (Πᵢ cᵢ, b).
+    """
+
+    operands: tuple
+    columns: bool
+
+
+@dataclass(frozen=True)
 class ExecutionPlan:
     steps: tuple
     shapes: tuple  # result shape per step
@@ -445,15 +461,36 @@ def _product_sketch(left, right):
     )
 
 
+def _face_split_sketch(sketches):
+    """Sketch of the face-splitting product of operands with these sketches.
+
+    Its row counts are the products of the operands' row counts, exact when
+    theirs are, and they sum to its nnz Σ_r Πᵢ nnz(Aᵢ[r, :]).  Its column
+    counts spread that nnz over the Πᵢ cᵢ columns in proportion to the
+    Kronecker product of the operands' column shares, capped at the row
+    count.
+    """
+    rows = np.prod([s.rows for s in sketches], axis=0)
+    nnz = float(rows.sum())
+    shares = np.ones(1)
+    for s in sketches:
+        shares = np.kron(shares, s.cols / s.nnz if s.nnz else s.cols)
+    return _Sketch(rows, np.minimum(shares * nnz, len(rows)), nnz)
+
+
+def _transposed(sketch):
+    return _Sketch(sketch.cols, sketch.rows, sketch.nnz)
+
+
 def _cheapest_splits(sketches):
     """Matrix-chain DP over estimated scalar multiplications.
 
     ``sketches`` are the chain's operands.  Returns the sketch of every
     interval (i, j), always propagated left to right so that it does not
-    depend on the split, and the split k of (i, j) into (i, k) and
-    (k + 1, j) that minimises Σ :func:`_product_terms` over the
-    interval's products.  Ties go to the largest k, so a chain whose
-    splits all cost the same keeps its left-to-right association.
+    depend on the split; the split k of (i, j) into (i, k) and (k + 1, j)
+    that minimises Σ :func:`_product_terms` over the interval's products;
+    and that minimum.  Ties go to the largest k, so a chain whose splits
+    all cost the same keeps its left-to-right association.
     """
     n = len(sketches)
     sketch = {(i, i): s for i, s in enumerate(sketches)}
@@ -468,22 +505,39 @@ def _cheapest_splits(sketches):
                 c += float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
                 if (i, j) not in cost or c < cost[i, j]:
                     cost[i, j], split[i, j] = c, k
-    return sketch, split
+    return sketch, split, cost
+
+
+@dataclass(frozen=True)
+class _Node:
+    """A slot before its steps are emitted.
+
+    ``rank`` is what :func:`execute_plan` ranks the slot by as a Hadamard
+    operand (a product's bound, else the nnz), ``cost`` the estimated scalar
+    multiplications of all its steps, and ``emit`` emits them and returns
+    the slot's index.
+    """
+
+    shape: tuple
+    sketch: _Sketch
+    rank: float
+    cost: float
+    emit: object
 
 
 class _PlanBuilder:
+    """Compiles a chain into nodes, chooses each block's form, then emits the chosen steps."""
+
     def __init__(self, hin, optimize):
         self.hin = hin
         self.optimize = optimize
         self.steps = []
         self.shapes = []
-        self.sketches = []  # one per slot
         self.costs = []
 
-    def emit(self, step, shape, sketch, cost=0.0):
+    def emit(self, step, shape, cost=0.0):
         self.steps.append(step)
         self.shapes.append(shape)
-        self.sketches.append(sketch)
         self.costs.append(cost)
         return len(self.steps) - 1
 
@@ -502,89 +556,173 @@ class _PlanBuilder:
             )
         transposed = resolve_orientation(decl, adj, src_type, dst_type, edge.reverse)
         shape = (declared[1], declared[0]) if transposed else declared
-        return self.emit(LoadStep(edge.relation, transposed), shape, _load_sketch(adj, transposed))
+        sketch = _load_sketch(adj, transposed)
+        step = LoadStep(edge.relation, transposed)
+        return _Node(shape, sketch, sketch.nnz, 0.0, lambda: self.emit(step, shape))
 
-    def mask_rank(self, slot):
-        """What :func:`execute_plan` ranks a Hadamard operand by: a product's bound, else the nnz."""
-        if isinstance(self.steps[slot], MatMulStep):
-            m, n = self.shapes[slot]
-            return min(self.costs[slot], m * n)
-        return self.sketches[slot].nnz
+    def chain(self, connectors, types):
+        """The cheapest product of a chain, its operands, and the operand positions where a connector ends.
+
+        Each connector offers one or more forms (:meth:`connector`).  Starting
+        from every block as a Hadamard slot, each block in turn takes the form
+        that lowers the product's cost, the others held fixed.
+        """
+        forms = [self.connector(conn, types[i], types[i + 1]) for i, conn in enumerate(connectors)]
+        choice = [0] * len(forms)
+
+        def operands(choice):
+            return [node for form, c in zip(forms, choice) for node in form[c]]
+
+        best = self.product(operands(choice))
+        for i, form in enumerate(forms):
+            for c in range(1, len(form)):
+                trial = choice[:i] + [c] + choice[i + 1:]
+                node = self.product(operands(trial))
+                if node.cost < best.cost:
+                    best, choice = node, trial
+        ends = np.cumsum([len(form[c]) for form, c in zip(forms, choice)])
+        return best, operands(choice), ends[:-1].tolist()
 
     def connector(self, conn, src_type, dst_type):
+        """The forms a connector can take in its chain, each a list of operands.
+
+        An edge is one load.  A block is first one Hadamard slot; with
+        ``optimize`` it may also be spliced as the two operands
+        (•ᵢ Lᵢ)(⊙ᵢ Rᵢ) of :meth:`splices`.
+        """
         if isinstance(conn, EdgeRef):
-            return self.load(conn, src_type, dst_type)
+            return [[self.load(conn, src_type, dst_type)]]
         want = (self.count(src_type), self.count(dst_type))
-        slots = []
+        branches = []
         for branch in conn.branches:
-            slot = self.branch(branch, src_type, dst_type)
-            if self.shapes[slot] != want:
+            node, operands, ends = self.chain(branch.connectors, [src_type, *branch.inner_types, dst_type])
+            if node.shape != want:
                 raise PlanCompileError(
                     f"branch endpoint mismatch: block joins {src_type} to {dst_type} "
-                    f"{want} but a branch produced {self.shapes[slot]}"
+                    f"{want} but a branch produced {node.shape}"
                 )
-            slots.append(slot)
-        out = slots[0]
-        for slot in slots[1:]:
-            mask = min((out, slot), key=self.mask_rank)  # the left operand on a tie, as in execute_plan
-            out = self.emit(HadamardStep(out, slot), want, self.sketches[mask])
-        return out
+            branches.append((node, operands, ends))
+        forms = [[self.hadamard([node for node, _, _ in branches], want)]]
+        return (forms + self.splices(branches)) if self.optimize else forms
 
-    def branch(self, branch, src_type, dst_type):
-        types = [src_type, *branch.inner_types, dst_type]
-        slots = [
-            self.connector(conn, types[i], types[i + 1]) for i, conn in enumerate(branch.connectors)
-        ]
-        return self.product(slots)
+    def hadamard(self, branches, shape):
+        sketch, rank = branches[0].sketch, branches[0].rank
+        for node in branches[1:]:
+            if node.rank < rank:  # the mask; the left operand on a tie, as in execute_plan
+                sketch = node.sketch
+            rank = sketch.nnz
 
-    def product(self, slots):
-        if len(slots) == 1:
-            return slots[0]
-        for left, right in zip(slots, slots[1:]):
-            if self.shapes[left][1] != self.shapes[right][0]:
-                raise PlanCompileError(
-                    f"cannot multiply {self.shapes[left]} by {self.shapes[right]}"
-                )
-        sketch, split = _cheapest_splits([self.sketches[s] for s in slots])
+        def emit():
+            slots = [node.emit() for node in branches]
+            out = slots[0]
+            for slot in slots[1:]:
+                out = self.emit(HadamardStep(out, slot), shape)
+            return out
 
-        def assemble(i, j):
-            if i == j:
-                return slots[i]
-            k = split[i, j] if self.optimize else j - 1
-            left = assemble(i, k)
-            right = assemble(k + 1, j)
-            shape = (self.shapes[left][0], self.shapes[right][1])
-            cost = float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
-            return self.emit(MatMulStep(left, right), shape, sketch[i, j], cost)
+        return _Node(shape, sketch, rank, sum(node.cost for node in branches), emit)
 
-        return assemble(0, len(slots) - 1)
+    def splices(self, branches):
+        """Each way to cut every branch at a connector boundary into Lᵢ·Rᵢ, as operands [•ᵢ Lᵢ, ⊙ᵢ Rᵢ].
+
+        (L₁R₁) ∘ (L₂R₂) = (L₁ • L₂)(R₁ ⊙ R₂), the mixed-product identity of
+        the face-splitting and Khatri–Rao products.  A cut whose inner width
+        Πᵢ cᵢ exceeds the stored entries of its Lᵢ and Rᵢ is skipped, so the
+        sketches stay that small.
+        """
+        forms = []
+        for cuts in itertools.product(*(ends for _, _, ends in branches)):
+            lefts = [self.product(operands[:k]) for (_, operands, _), k in zip(branches, cuts)]
+            rights = [self.product(operands[k:]) for (_, operands, _), k in zip(branches, cuts)]
+            width = math.prod(node.shape[1] for node in lefts)
+            if width <= sum(node.sketch.nnz for node in lefts + rights):
+                forms.append([self.face_split(lefts, False), self.face_split(rights, True)])
+        return forms
+
+    def face_split(self, operands, columns):
+        if columns:
+            sketch = _transposed(_face_split_sketch([_transposed(node.sketch) for node in operands]))
+            shape = (math.prod(node.shape[0] for node in operands), operands[0].shape[1])
+        else:
+            sketch = _face_split_sketch([node.sketch for node in operands])
+            shape = (operands[0].shape[0], math.prod(node.shape[1] for node in operands))
+        cost = sketch.nnz  # one multiplication per stored entry
+
+        def emit():
+            slots = tuple(node.emit() for node in operands)
+            return self.emit(FaceSplitStep(slots, columns), shape, cost)
+
+        return _Node(shape, sketch, sketch.nnz, cost + sum(node.cost for node in operands), emit)
+
+    def product(self, nodes):
+        if len(nodes) == 1:
+            return nodes[0]
+        for left, right in zip(nodes, nodes[1:]):
+            if left.shape[1] != right.shape[0]:
+                raise PlanCompileError(f"cannot multiply {left.shape} by {right.shape}")
+        sketch, split, cost = _cheapest_splits([node.sketch for node in nodes])
+        last = len(nodes) - 1
+
+        def cut(i, j):
+            return split[i, j] if self.optimize else j - 1
+
+        def step_cost(i, j):
+            k = cut(i, j)
+            return float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
+
+        def emit():
+            slots = [node.emit() for node in nodes]
+
+            def assemble(i, j):
+                if i == j:
+                    return slots[i]
+                k = cut(i, j)
+                left, right = assemble(i, k), assemble(k + 1, j)
+                return self.emit(MatMulStep(left, right), (self.shapes[left][0], self.shapes[right][1]),
+                                 step_cost(i, j))
+
+            return assemble(0, last)
+
+        shape = (nodes[0].shape[0], nodes[-1].shape[1])
+        own = cost[0, last] if self.optimize else sum(step_cost(0, j) for j in range(1, last + 1))
+        rank = min(step_cost(0, last), shape[0] * shape[1])
+        return _Node(shape, sketch[0, last], rank, own + sum(node.cost for node in nodes), emit)
 
 
 def compile_plan(spec, hin, optimize=False):
-    """Compile a metagraph into loads, sparse products and Hadamard products.
+    """Compile a metagraph into loads, sparse products, Hadamard and face-splitting products.
 
-    With ``optimize=False`` every chain associates left to right, as the
-    paper writes it.  ``optimize=True`` reassociates each chain (a block's
-    branches and the outer chain) to the association with the fewest
-    estimated scalar multiplications Σ_k c_A[k]·r_B[k] over its products
-    (:func:`_cheapest_splits`).  The counts come from a sketch of every
-    slot: exact row and column counts for a load, an MNC estimate for a
-    product, and for a Hadamard step the sketch of the operand that
-    :func:`execute_plan` uses as its mask.  Every association gives the
-    same integer counts, so only the cost changes.  ``plan.costs`` holds
-    each step's estimate.
+    With ``optimize=False`` every chain associates left to right and every
+    parallel block is a Hadamard product of its branch products, as the
+    paper writes it.  ``optimize=True`` minimises the estimated scalar
+    multiplications summed over the plan's steps, the sum of
+    ``plan.costs``:
+
+    - each chain (a block's branches and the outer chain) takes the
+      association with the fewest multiplications Σ_k c_A[k]·r_B[k] over
+      its products (:func:`_cheapest_splits`);
+    - a block whose branches are each cut at a connector boundary into
+      Lᵢ·Rᵢ may be spliced into the enclosing chain as two operands,
+      since ∘ᵢ (LᵢRᵢ) = (•ᵢ Lᵢ)(⊙ᵢ Rᵢ): the face-splitting product of the
+      Lᵢ and the Khatri–Rao product of the Rᵢ (:class:`FaceSplitStep`).
+      The chain can then associate across the block, and no product over
+      the block's own endpoints need be formed.  Each block takes the
+      form, and the cuts, that make its chain cheapest; the Hadamard form
+      is kept when splicing costs more.
+
+    The counts come from a sketch of every slot: exact row and column
+    counts for a load, an MNC estimate for a product, for a Hadamard step
+    the sketch of the operand that :func:`execute_plan` uses as its mask,
+    and for a face-splitting product exact row counts when its operands'
+    are.  Every plan of a metagraph gives the same integer counts, so only
+    the cost changes.  ``plan.costs`` holds each step's estimate.
     """
     if spec.chain is None:
         raise PlanCompileError("spec carries no surface chain; compile from parsed specs")
     for type_name in spec.chain.types:
         hin.entity(type_name)  # raises KeyError on undeclared types
     builder = _PlanBuilder(hin, optimize)
-    chain = spec.chain
-    slots = [
-        builder.connector(conn, chain.types[i], chain.types[i + 1])
-        for i, conn in enumerate(chain.connectors)
-    ]
-    builder.product(slots)
+    node, _, _ = builder.chain(spec.chain.connectors, spec.chain.types)
+    node.emit()
     return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name, tuple(builder.costs))
 
 
@@ -663,6 +801,37 @@ def _on_pattern(mask, values):
     return mat
 
 
+def _face_split(operands, counts):
+    """The face-splitting product •ᵢ Aᵢ of CSR matrices with equal row counts.
+
+    Row r holds a product of one stored entry from each operand's row r,
+    for every such choice (k₁, k₂, ...), at column (k₁·c₂ + k₂)·c₃ + ...;
+    within a row they run in k₁-major order.  ``counts`` holds the
+    result's stored entries per row, Πᵢ nnz(Aᵢ[r, :]).
+    """
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    offset = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+    indices = np.zeros(len(offset), dtype=np.int64)
+    data = np.ones(len(offset))
+    stride = 1
+    for m in reversed(operands):  # peel each row's offset into one entry position per operand
+        offset, digit = np.divmod(offset, np.repeat(np.diff(m.indptr), counts))
+        at = np.repeat(m.indptr[:-1], counts) + digit
+        indices += m.indices[at].astype(np.int64) * stride
+        data *= m.data[at]
+        stride *= m.shape[1]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(counts), stride))
+
+
+def _inputs(step):
+    if isinstance(step, LoadStep):
+        return ()
+    if isinstance(step, FaceSplitStep):
+        return step.operands
+    return (step.left, step.right)
+
+
 def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     """Run a compiled plan over the store's adjacencies.
 
@@ -677,10 +846,15 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     so can mask it.  The counts equal those of forming every product in
     full; only the entry order of a Hadamard result may differ.
 
+    A :class:`FaceSplitStep` forms the face-splitting product of its
+    operands, or the Khatri–Rao product as that of their transposes,
+    transposed.
+
     Before a slot is allocated, a bound on its nnz is checked against
-    ``nnz_budget``: a load's nnz, or a product's bound (computed only when
-    the product's m·n exceeds the budget).  Over budget,
-    :class:`ResourceLimitError` is raised before the product is formed.  A
+    ``nnz_budget``: a load's nnz, a face-splitting product's exact nnz
+    Σ_r Πᵢ nnz(Aᵢ[r, :]), or a product's bound (computed only when the
+    product's m·n exceeds the budget).  Over budget,
+    :class:`ResourceLimitError` is raised before the slot is formed.  A
     masked operand and a Hadamard result hold at most the mask's nnz, which
     passed the same check.
 
@@ -689,7 +863,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     in place.  With ``keep_slots=True`` the slots are returned too; a masked
     operand's slot holds its product restricted to the mask's pattern.
     """
-    reads = Counter(i for s in plan.steps if not isinstance(s, LoadStep) for i in (s.left, s.right))
+    reads = Counter(i for step in plan.steps for i in _inputs(step))
     deferred = {
         i for step in plan.steps if isinstance(step, HadamardStep) for i in (step.left, step.right)
         if isinstance(plan.steps[i], MatMulStep) and reads[i] == 1
@@ -727,6 +901,13 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
             mat = None
         elif isinstance(step, MatMulStep):
             mat = multiply(index)
+        elif isinstance(step, FaceSplitStep):  # Khatri–Rao: the face split of the transposes, transposed
+            operands = [slots[i].T.tocsr() if step.columns else slots[i] for i in step.operands]
+            counts = np.prod([np.diff(m.indptr) for m in operands], axis=0, dtype=np.int64)
+            guard(int(counts.sum()), shape)
+            mat = _face_split(operands, counts)
+            mat = mat.T.tocsr() if step.columns else mat
+            mat.eliminate_zeros()
         else:
             first, second = sorted((step.left, step.right), key=bound)
             if slots[first] is None:

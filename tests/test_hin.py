@@ -57,6 +57,29 @@ class TestLoadEdges:
         with pytest.raises(hin.ValidationError, match="negative"):
             hin.load_edges(path, DECL, registry("U", "B"))
 
+    def test_duplicates_sum_in_file_order(self, tmp_path):
+        # float addition is not associative: 1e16 + 1 + 1 == 1e16 < 1 + 1 + 1e16.  Sorting a row's
+        # 60 entries by column, as sum_duplicates does, does not keep their file order.
+        weights = [1e16] + [1.0] * 59
+        # even lines carry their weight, odd ones default to 1
+        lines = "".join(f"a\tx{i % 3}\t{w!r}\n" if i % 2 == 0 else f"a\tx{i % 3}\n"
+                        for i, w in enumerate(weights))
+        adj = hin.load_edges(write(tmp_path / "e.tsv", lines), DECL, registry("U", "B"))
+        want = [0.0, 0.0, 0.0]
+        for i, w in enumerate(weights):
+            want[i % 3] += w
+        assert adj.toarray().ravel().tolist() == want
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        ents = registry("U", "B")
+        adj = hin.load_edges(write(tmp_path / "b.tsv", "a\tx\n\n \t \n"), DECL, ents)
+        assert adj.nnz == 1 and ents["U"].id_map == {"a": 0} and ents["B"].id_map == {"x": 0}
+        path = write(tmp_path / "e.tsv", "a\tx\n\n \t \nbad-line\n")
+        with pytest.raises(hin.EdgeFileError, match=r":4: expected 2 or 3 TAB-separated fields, got 1"):
+            hin.load_edges(path, DECL, registry("U", "B"))
+        with pytest.raises(hin.EdgeFileError, match=r":2: empty entity id"):
+            hin.load_edges(write(tmp_path / "f.tsv", "a\tx\n\tx\n"), DECL, registry("U", "B"))
+
     def test_ids_assigned_by_first_appearance(self, tmp_path):
         path = write(tmp_path / "e.tsv", "b\tx\na\ty\nb\ty\n")
         ents = registry("U", "B")

@@ -9,7 +9,7 @@ from hinfuse import hin
 from hinfuse import metagraph as mg
 from hinfuse import synth
 from hinfuse.hin import EntitySet, HinStore, RelationDecl
-from hinfuse.metagraph import HadamardStep, LoadStep, MatMulStep
+from hinfuse.metagraph import FaceSplitStep, HadamardStep, LoadStep, MatMulStep
 
 M3_TEXT = "M3: U -[rate]- B -[rate~]- U -[rate]- B"
 M9_TEXT = (
@@ -287,6 +287,15 @@ class TestExecute:
             mg.execute_plan(plan, store, nnz_budget=2)
 
 
+def face_split_reference(mats, columns):
+    """Dense •ᵢ Aᵢ (row r is the kron of the rows r) or, with ``columns``, ⊙ᵢ Aᵢ (the same by columns)."""
+    out = None
+    for mat in mats:
+        dense = mat.toarray().T if columns else mat.toarray()
+        out = dense if out is None else np.einsum("ri,rj->rij", out, dense).reshape(len(dense), -1)
+    return sp.csr_matrix(out.T if columns else out)
+
+
 def full_product_slots(plan, store):
     """Every slot of ``plan`` with each product formed in full, then Hadamard by ``multiply``."""
     slots = []
@@ -296,6 +305,8 @@ def full_product_slots(plan, store):
             mat = adj.T.tocsr() if step.transposed else adj.copy()
         elif isinstance(step, MatMulStep):
             mat = (slots[step.left] @ slots[step.right]).tocsr()
+        elif isinstance(step, FaceSplitStep):
+            mat = face_split_reference([slots[i] for i in step.operands], step.columns)
         else:
             mat = slots[step.left].multiply(slots[step.right]).tocsr()
         mat.eliminate_zeros()
@@ -517,6 +528,123 @@ class TestCostPlanner:
         sim, slots = mg.execute_plan(mg.compile_plan(m8, store, optimize=True), store, keep_slots=True)
         assert max(slot.nnz for slot in slots) <= sim.nnz
         assert (sim.matrix != ltr_sim.matrix).nnz == 0
+
+
+def face_split_store(n_reviews, n_aspects, n_businesses, density, seed=0):
+    """M9's schema, one writer per review among 10 users; mention and about drawn at ``density``."""
+    rng = np.random.default_rng(seed)
+    reviews = np.arange(n_reviews)
+    write = np.zeros((10, n_reviews))
+    write[reviews % 10, reviews] = 1
+    return store_with(
+        {"U": 10, "R": n_reviews, "A": n_aspects, "B": n_businesses},
+        {"write": ("U", "R", write),
+         "mention": ("R", "A", rng.random((n_reviews, n_aspects)) < density),
+         "about": ("R", "B", rng.random((n_reviews, n_businesses)) < density),
+         "rate": ("U", "B", rng.random((10, n_businesses)) < 0.5)},
+    )
+
+
+class TestFaceSplit:
+    """Blocks spliced into their chain as (•ᵢ Lᵢ)(⊙ᵢ Rᵢ) under ``compile_plan(optimize=True)``."""
+
+    @pytest.mark.parametrize("weights", ["integer", "fractional"])
+    @pytest.mark.parametrize("columns", [False, True], ids=["face-split", "khatri-rao"])
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 4, 2)], ids=["two", "three"])
+    def test_kernel_matches_einsum(self, weights, columns, widths):
+        rng = np.random.default_rng(len(widths))
+        relations, shapes = {}, []
+        for k, width in enumerate(widths):
+            if weights == "integer":
+                values = rng.integers(1, 5, (6, width))
+            else:
+                values = rng.uniform(0.1, 2.1, (6, width))
+            dense = (rng.random((6, width)) < 0.6) * values
+            dense[k] = 0  # each operand has its own empty row; row 5 is empty in all
+            dense[5] = 0
+            relations[f"r{k}"] = (f"Y{k}", "X", dense.T) if columns else ("X", f"Y{k}", dense)
+            shapes.append((width, 6) if columns else (6, width))
+        store = store_with({"X": 6, **{f"Y{k}": w for k, w in enumerate(widths)}}, relations)
+        width = int(np.prod(widths))
+        steps = (*(LoadStep(f"r{k}", False) for k in range(len(widths))),
+                 FaceSplitStep(tuple(range(len(widths))), columns))
+        plan = mg.ExecutionPlan(steps, (*shapes, (width, 6) if columns else (6, width)), "F")
+        got = mg.execute_plan(plan, store).matrix
+        want = face_split_reference([store.adjacency(f"r{k}") for k in range(len(widths))], columns)
+        assert got.shape == want.shape and 0 < want.nnz < want.shape[0] * want.shape[1]
+        assert_same_matrix(got, want, weights)
+
+    def test_m9_splices_its_block(self, tmp_path):
+        store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=3))
+        hin.attach_ratings(store, ratings, decl)
+        m9 = next(s for s in mg.bundled_metagraphs("yelp") if s.name == "M9")
+        plan = mg.compile_plan(m9, store, optimize=True)
+        assert sorted(s.columns for s in plan.steps if isinstance(s, FaceSplitStep)) == [False, True]
+        assert not any(isinstance(s, HadamardStep) for s in plan.steps)
+        sim, slots = mg.execute_plan(plan, store, keep_slots=True)
+        users, reviews = store.entity("U").count, store.entity("R").count
+        formed = {shape for step, shape in zip(plan.steps, plan.shapes) if not isinstance(step, LoadStep)}
+        assert not formed & {(reviews, reviews), (users, reviews)}
+        assert len(slots) == len(plan.steps)
+        paper = mg.execute_plan(mg.compile_plan(m9, store), store)
+        assert sim.nnz == paper.nnz and (sim.matrix != paper.matrix).nnz == 0
+
+    def test_budget_trips_before_the_face_split_is_allocated(self):
+        # each review mentions all 40 aspects and is about all 40 businesses: •ᵢ Lᵢ holds 300 * 40 * 40
+        store = face_split_store(300, 40, 40, density=1.0)
+        plan = mg.compile_plan(mg.parse_metagraph(M9_TEXT), store, optimize=True)
+        index = next(i for i, s in enumerate(plan.steps) if isinstance(s, FaceSplitStep) and not s.columns)
+        nnz = 300 * 40 * 40
+        assert plan.shapes[index] == (300, 1600) and plan.costs[index] == nnz
+        peak, error = traced_peak(lambda: mg.execute_plan(plan, store, nnz_budget=20000))
+        assert isinstance(error, mg.ResourceLimitError) and "(300, 1600)" in str(error)
+        assert peak < nnz * 8  # below the face-split's data array alone
+
+    def test_costlier_splice_keeps_the_hadamard(self):
+        # reviews mention about 9 of 10 aspects and are about 9 of 10 businesses: each factor holds
+        # about 10 * 81 entries, and the spliced plan costs more than the Hadamard one
+        store = face_split_store(10, 10, 10, density=0.9)
+        plan = mg.compile_plan(mg.parse_metagraph(M9_TEXT), store, optimize=True)
+        assert any(isinstance(s, HadamardStep) for s in plan.steps)
+        assert not any(isinstance(s, FaceSplitStep) for s in plan.steps)
+
+    def test_cut_wider_than_its_operands_keeps_the_hadamard(self):
+        # one aspect of 2 and one business of 4000 per review: splicing would cost far less than the
+        # 2 * 200² terms of mention·mention~, but its width 2 * 4000 exceeds the 1600 stored entries
+        n = 400
+        reviews = np.arange(n)
+
+        def one_per_column(rows, cols, shape):
+            return sp.csr_matrix((np.ones(n), (rows, cols)), shape=shape)
+
+        store = store_with(
+            {"U": 10, "R": n, "A": 2, "B": 4000},
+            {"write": ("U", "R", one_per_column(reviews % 10, reviews, (10, n))),
+             "mention": ("R", "A", one_per_column(reviews, reviews % 2, (n, 2))),
+             "about": ("R", "B", one_per_column(reviews, reviews, (n, 4000))),
+             "rate": ("U", "B", one_per_column(reviews % 10, reviews, (10, 4000)))},
+        )
+        plan = mg.compile_plan(mg.parse_metagraph(M9_TEXT), store, optimize=True)
+        assert any(isinstance(s, HadamardStep) for s in plan.steps)
+        assert not any(isinstance(s, FaceSplitStep) for s in plan.steps)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_default_plans_match_enumeration(self):
+        spliced = 0
+        for seed in range(12):
+            store = synth.random_binary_hin(seed, max_entities=15, density_range=(0.1, 0.3))
+            for text in synth.ORACLE_METAGRAPHS[5:9]:  # P6-P9, the metagraphs with blocks
+                spec = mg.parse_metagraph(text)
+                plan = mg.compile_plan(spec, store, optimize=True)
+                sim, slots = mg.execute_plan(plan, store, keep_slots=True)
+                got = np.asarray(sim.matrix.todense()).astype(np.int64)
+                assert np.array_equal(got, mg.brute_force_matrix(spec, store)), (seed, spec.name)
+                want = full_product_slots(plan, store)
+                for index, step in enumerate(plan.steps):
+                    if isinstance(step, FaceSplitStep):
+                        assert_same_matrix(slots[index], want[index], "integer")
+                spliced += any(isinstance(s, FaceSplitStep) for s in plan.steps)
+        assert spliced >= 10  # 14 of these 48 plans splice a block
 
 
 class TestBruteForce:
