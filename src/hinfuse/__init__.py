@@ -4,7 +4,7 @@ The library splits into the stages of the pipeline:
 
 * :mod:`hinfuse.hin` — typed graph ingestion, validation, rating splits.
 * :mod:`hinfuse.metagraph` — the metagraph DSL, plan compilation to sparse
-  matrix products and Hadamard products, and a brute-force counting oracle.
+  matrix, Hadamard and face-splitting products, and a brute-force counting oracle.
 * :mod:`hinfuse.factors` — low-rank latent features per similarity matrix
   (regularized factorization or nuclear-norm completion).
 * :mod:`hinfuse.fmg` — the group-sparse factorization machine: features,

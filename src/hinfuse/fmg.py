@@ -1,7 +1,8 @@
 """Factorization machine with group-structured sparsity over metagraph features.
 
 Feature vectors concatenate the user blocks of every metagraph followed by
-the item blocks, so the d = 2 * sum(F_l) coordinates split into 2L groups.
+the item blocks, so the d = 2 * sum(F_l) coordinates split into 2L contiguous
+groups, and every group operation is one reduction over them, not a loop.
 The regularizer penalizes each group's norm, either directly (convex group
 lasso) or through the log-sum penalty kappa(t) = log(1 + t).  The nonconvex
 penalty is optimized through its smooth-plus-convex split: the smooth
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,11 @@ class GroupLayout:
 
     def widths(self):
         return np.array([stop - start for _, start, stop in self.groups])
+
+    @cached_property
+    def _offsets(self):
+        """Every group's start, then d: the bounds of the group reductions, made once per layout."""
+        return np.array([start for _, start, _ in self.groups] + [self.d])
 
     def validate(self):
         pos = 0
@@ -246,42 +253,36 @@ def mse_loss(params, table):
 
 
 def group_norms(z, layout):
-    """Euclidean (vectors) or Frobenius (matrices) norm of every group block."""
-    return np.array([np.linalg.norm(z[sl]) for sl in layout.slices()])
+    """Euclidean (vectors) or Frobenius (matrices) norm of every group block, in one reduction."""
+    squares = np.square(z).reshape(len(z), -1).sum(axis=1)
+    return np.sqrt(np.add.reduceat(squares, layout._offsets[:-1]))
+
+
+def _scale_groups(z, layout, scale):
+    """``z`` (w (d,) or V (d, K)) with every group multiplied by its own entry of ``scale``."""
+    rows = np.repeat(scale, np.diff(layout._offsets))
+    return z * (rows if z.ndim == 1 else rows[:, None])
+
+
+def _penalty_terms(params, layout, cfg):
+    """Weights lambda * eta and norms of the w groups followed by the V groups."""
+    eta_w, eta_v = cfg.resolved_etas(layout)
+    weights = np.concatenate([cfg.lam_w * eta_w, cfg.lam_v * eta_v])
+    return weights, np.concatenate([group_norms(params.w, layout), group_norms(params.V, layout)])
 
 
 def reg_value(params, layout, cfg):
     """Value of the group penalty: plain norms in convex mode, log(1 + norm) under LSP."""
-    eta_w, eta_v = cfg.resolved_etas(layout)
-    tw = group_norms(params.w, layout)
-    tv = group_norms(params.V, layout)
-    if cfg.mode == "lsp":
-        tw, tv = np.log1p(tw), np.log1p(tv)
-    return cfg.lam_w * float(eta_w @ tw) + cfg.lam_v * float(eta_v @ tv)
+    weights, t = _penalty_terms(params, layout, cfg)
+    return float(weights @ (np.log1p(t) if cfg.mode == "lsp" else t))
 
 
 def smooth_surplus(params, layout, cfg):
     """g = penalty minus its convex envelope (the norm); identically 0 in convex mode."""
     if cfg.mode == "convex":
         return 0.0
-    eta_w, eta_v = cfg.resolved_etas(layout)
-    tw = group_norms(params.w, layout)
-    tv = group_norms(params.V, layout)
-    return cfg.lam_w * float(eta_w @ (np.log1p(tw) - tw)) + cfg.lam_v * float(
-        eta_v @ (np.log1p(tv) - tv)
-    )
-
-
-def _surplus_grad_block(z, layout, lam, eta):
-    grad = np.zeros_like(z)
-    if lam == 0.0:
-        return grad
-    for g, sl in enumerate(layout.slices()):
-        t = np.linalg.norm(z[sl])
-        if t > 0.0:
-            # d/dz [kappa(t) - t] = (kappa'(t) - 1) * z / t
-            grad[sl] = lam * eta[g] * (1.0 / (1.0 + t) - 1.0) / t * z[sl]
-    return grad
+    weights, t = _penalty_terms(params, layout, cfg)
+    return float(weights @ (np.log1p(t) - t))
 
 
 def mse_grad(params, table):
@@ -313,9 +314,11 @@ def augmented_grad(params, table, layout, cfg):
     """
     grad_b, grad_w, grad_v = mse_grad(params, table)
     if cfg.mode == "lsp":
-        eta_w, eta_v = cfg.resolved_etas(layout)
-        grad_w = grad_w + _surplus_grad_block(params.w, layout, cfg.lam_w, eta_w)
-        grad_v = grad_v + _surplus_grad_block(params.V, layout, cfg.lam_v, eta_v)
+        # d/dz [kappa(t) - t] = (1 / (1 + t) - 1) z / t = -z / (1 + t), t = ||z||: 0 at z = 0
+        weights, t = _penalty_terms(params, layout, cfg)
+        coef_w, coef_v = np.split(weights / (1.0 + t), 2)
+        grad_w = grad_w - _scale_groups(params.w, layout, coef_w)
+        grad_v = grad_v - _scale_groups(params.V, layout, coef_v)
     return grad_b, grad_w, grad_v
 
 
@@ -323,18 +326,16 @@ def prox_group(z, layout, thresholds):
     """Blockwise shrinkage: each group scales by max(1 - threshold / norm, 0).
 
     Solves min_x 0.5 * ||x - z||^2 + sum_g threshold_g * ||x_g|| exactly;
-    works on the weight vector and on the factor matrix alike.
+    works on the weight vector and on the factor matrix alike.  A group with
+    threshold 0 comes back unchanged, one with norm <= threshold as zeros.
     """
-    out = z.copy()
-    for g, sl in enumerate(layout.slices()):
-        tau = thresholds[g]
-        if tau < 0:
-            raise ValueError("thresholds must be >= 0")
-        if tau == 0.0:
-            continue
-        norm = np.linalg.norm(z[sl])
-        out[sl] = 0.0 if norm <= tau else (1.0 - tau / norm) * z[sl]
-    return out
+    tau = np.asarray(thresholds, dtype=float)
+    if tau.shape != (layout.n_groups,):
+        raise ValueError(f"got {tau.size} thresholds for {layout.n_groups} groups")
+    if not np.all(tau >= 0):
+        raise ValueError("thresholds must be >= 0")
+    shrink = np.divide(tau, np.maximum(group_norms(z, layout), tau), out=np.zeros_like(tau), where=tau > 0)
+    return _scale_groups(z, layout, 1.0 - shrink)
 
 
 def objective(params, table, layout, cfg):
@@ -344,11 +345,9 @@ def objective(params, table, layout, cfg):
 
 def augmented_objective(params, table, layout, cfg):
     """Loss + g plus the convex penalty; equals :func:`objective` exactly."""
-    eta_w, eta_v = cfg.resolved_etas(layout)
-    convex = cfg.lam_w * float(eta_w @ group_norms(params.w, layout)) + cfg.lam_v * float(
-        eta_v @ group_norms(params.V, layout)
-    )
-    return mse_loss(params, table) + smooth_surplus(params, layout, cfg) + convex
+    weights, t = _penalty_terms(params, layout, cfg)
+    surplus = float(weights @ (np.log1p(t) - t)) if cfg.mode == "lsp" else 0.0
+    return mse_loss(params, table) + surplus + float(weights @ t)
 
 
 def param_nnz_ratio(params, tol=1e-10):

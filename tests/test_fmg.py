@@ -202,6 +202,28 @@ def one_group_layout():
     return fmg.GroupLayout((("m1:user", 0, 2), ("m1:item", 2, 4)), 4)
 
 
+def uneven_layout():
+    """Ranks (1, 3, 2): groups of widths 1, 3, 2, 1, 3, 2 over d = 12."""
+    return fmg.GroupLayout.from_ranks(["a", "b", "c"], [1, 3, 2])
+
+
+def uneven_point(rng, shape):
+    """A random w (12,) or V (12, K) on :func:`uneven_layout` whose group "b:user" is all zero."""
+    z = rng.normal(size=shape)
+    z[1:4] = 0.0
+    return z
+
+
+def prox_reference(z, layout, thresholds):
+    """Blockwise shrinkage one group slice at a time."""
+    out = z.copy()
+    for tau, sl in zip(thresholds, layout.slices()):
+        norm = np.linalg.norm(z[sl])
+        if tau > 0:
+            out[sl] = 0.0 if norm <= tau else (1.0 - tau / norm) * z[sl]
+    return out
+
+
 class TestRegValue:
     def test_zero_params_zero_value(self):
         layout = one_group_layout()
@@ -300,6 +322,17 @@ class TestAugmentedGrad:
                 want = self.finite_difference(params, X, y, layout, cfg)
                 for g, w in zip(got, want):
                     self.assert_close(g, w)
+            for _ in range(5):  # unequal widths, one all-zero group
+                layout = uneven_layout()
+                params = fmg.FmParams(rng.normal(), uneven_point(rng, 12), uneven_point(rng, (12, 2)))
+                X, y = rng.normal(size=(3, 12)), rng.normal(size=3)
+                table = fmg.FeatureTable.dense(X, y)
+                with np.errstate(all="raise"):
+                    got = fmg.augmented_grad(params, table, layout, cfg)
+                for g, w in zip(got, self.finite_difference(params, X, y, layout, cfg)):
+                    self.assert_close(g, w)
+                _, mse_w, mse_v = fmg.mse_grad(params, table)
+                assert np.all(got[1][1:4] == mse_w[1:4]) and np.all(got[2][1:4] == mse_v[1:4])
 
 
 class TestProxGroup:
@@ -329,8 +362,11 @@ class TestProxGroup:
 
     def test_negative_threshold_rejected(self):
         layout = one_group_layout()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 0"):
             fmg.prox_group(np.ones(4), layout, np.array([-1.0, 0.0]))
+        for thresholds in ([1.0, 1.0, 1.0], [1.0]):  # one threshold per group, none broadcast
+            with pytest.raises(ValueError, match=f"{len(thresholds)} thresholds for 2 groups"):
+                fmg.prox_group(np.ones(4), layout, np.array(thresholds))
 
     def test_agrees_with_numerical_minimizer(self):
         layout = one_group_layout()
@@ -352,23 +388,36 @@ class TestProxGroup:
                 assert np.max(np.abs(got - result.x)) <= 1e-6
             assert objective(got) <= objective(result.x) + 1e-10
 
+    @pytest.mark.filterwarnings("error")
     def test_prox_optimality_against_perturbations(self):
-        layout = one_group_layout()
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            z = rng.normal(size=4)
-            thresholds = rng.uniform(0.0, 2.0, size=2)
-            out = fmg.prox_group(z, layout, thresholds)
+        # the 2-group layout, then ranks (1, 3, 2) with an all-zero group and a tau = 0 group, for w and V
+        cases = [(one_group_layout(), 4)] + [(uneven_layout(), shape) for shape in (12, (12, 3))]
+        for layout, shape in cases:
+            for i in range(10):
+                z = uneven_point(rng, shape) if layout.n_groups > 2 else rng.normal(size=shape)
+                thresholds = rng.uniform(0.0, 2.0, size=layout.n_groups)
+                if layout.n_groups > 2:  # tau = 0 on the all-zero group "b:user", then on "c:user"
+                    thresholds[1 + i % 2] = 0.0
+                out = fmg.prox_group(z, layout, thresholds)
+                norms = [np.linalg.norm(z[sl]) for sl in layout.slices()]
+                assert np.allclose(fmg.group_norms(z, layout), norms, rtol=1e-12, atol=0)
+                assert np.allclose(out, prox_reference(z, layout, thresholds), rtol=1e-12, atol=0)
+                for tau, norm, sl in zip(thresholds, norms, layout.slices()):
+                    if tau == 0.0:
+                        assert np.array_equal(out[sl], z[sl])
+                    elif norm <= tau:
+                        assert np.all(out[sl] == 0.0)
 
-            def objective(x):
-                value = 0.5 * np.sum((x - z) ** 2)
-                for tau, sl in zip(thresholds, layout.slices()):
-                    value += tau * np.linalg.norm(x[sl])
-                return value
+                def objective(x):
+                    value = 0.5 * np.sum((x - z) ** 2)
+                    for tau, sl in zip(thresholds, layout.slices()):
+                        value += tau * np.linalg.norm(x[sl])
+                    return value
 
-            base = objective(out)
-            for _ in range(100):
-                assert base <= objective(out + rng.normal(scale=1e-3, size=4)) + 1e-12
+                base = objective(out)
+                for _ in range(100):
+                    assert base <= objective(out + rng.normal(scale=1e-3, size=shape)) + 1e-12
 
 
 class TestObjective:
