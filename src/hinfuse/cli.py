@@ -70,7 +70,7 @@ def cmd_factorize(args):
     stages, run = _run(args, "factorize")
     for pair, event in zip(run.pairs, stages.cache_events["factorize"]):
         status = "cached" if event["hit"] else "computed"
-        iters = "" if event["hit"] else f" iters={len(pair.objective_history) - 1}"
+        iters = "" if event["hit"] else f" iters={event['iters']}"
         print(f"{pair.metagraph}: rank={pair.rank} method={pair.method}{iters} ({status})")
     return 0
 

@@ -2,13 +2,16 @@
 
 Reads one JSON experiment config, runs the stages in order with per-artifact
 disk caching, and writes a metrics report plus model and trace files.
-Similarity matrices are computed over the *training* split's rating
-adjacency only, so held-out pairs never shape the features; test labels are
-first touched in the evaluation stage (see :data:`label_access_hook`).
+The per-metagraph factorizations run in forked worker processes, one per
+available core (see :meth:`_Stages.factorize`).  Similarity matrices are
+computed over the *training* split's rating adjacency only, so held-out
+pairs never shape the features; test labels are first touched in the
+evaluation stage (see :data:`label_access_hook`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -283,6 +286,100 @@ def _key(*parts):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _fit(config, sim, seed):
+    """Factor one similarity matrix under ``config``: ``(pair, record)``, where the record gives
+    the fit's seconds (observed matrix and solver loop), its iterations and its final objective."""
+    start = time.perf_counter()
+    obs = factors.ObservedMatrix.from_similarity(sim)
+    if config.feature_method == "mf":
+        pair = factors.factorize_mf(obs, config.rank, config.mu, seed=seed, name=sim.metagraph)
+    else:
+        pair = factors.factorize_nnr(obs, config.mu, seed=seed, max_rank=config.max_rank,
+                                     name=sim.metagraph)
+    return pair, {"fit_s": time.perf_counter() - start, "iters": len(pair.objective_history) - 1,
+                  "objective": float(pair.objective_history[-1])}
+
+
+def _available_cores():
+    """The number of CPUs this process may run on (its affinity mask, so ``taskset`` limits it)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _openblas_thread_calls():
+    """``(set_num_threads, get_num_threads)`` of every OpenBLAS loaded in this process.
+
+    numpy and scipy each bundle their own OpenBLAS (``libscipy_openblas64_`` and
+    ``libscipy_openblas``), so the libraries are found by path in /proc/self/maps;
+    where that file does not exist the list is empty.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in os.path.basename(line.rstrip())})
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)  # the already loaded copy: dlopen hands back its handle
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            try:
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            calls.append((set_threads, get_threads))
+            break
+    return calls
+
+
+_worker_jobs = None  # set only in a forked worker, by _start_worker: the jobs it may run
+
+
+def _start_worker(jobs):
+    """Pool initializer: keep the inherited jobs and pin every OpenBLAS to one thread, so
+    workers on separate cores do not each spin up BLAS threads that compete for the same cores."""
+    global _worker_jobs
+    _worker_jobs = jobs
+    for set_threads, _ in _openblas_thread_calls():
+        set_threads(1)
+
+
+def _run_job(index):
+    return _worker_jobs[index]()
+
+
+def _in_workers(jobs, sizes):
+    """``[job() for job in jobs]``, computed in forked worker processes, one per available core.
+
+    The workers inherit ``jobs`` through fork, so only an index goes to each and only the
+    results come back pickled.  The largest job (by ``sizes``) is submitted first, and the
+    results are read in job order, so the first failing job in that order raises.  On any
+    exit the pending jobs are cancelled and the workers joined.  Where fork is unavailable
+    the jobs run here, one after another.
+    """
+    if not jobs:  # every fit was a cache hit: import nothing, start no pool
+        return []
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [job() for job in jobs]
+    pool = ProcessPoolExecutor(min(len(jobs), _available_cores()),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(jobs,))
+    try:
+        order = sorted(range(len(jobs)), key=lambda i: -sizes[i])
+        futures = {i: pool.submit(_run_job, i) for i in order}
+        return [futures[i].result() for i in range(len(jobs))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 class _Stages:
     """The pipeline's stages; :meth:`run` is the one sequence run_pipeline and the CLI share."""
 
@@ -364,31 +461,41 @@ class _Stages:
         return sims
 
     def factorize(self, sims, seed):
+        """One factor pair per similarity matrix, read from the cache or fitted.
+
+        The fits are independent, so every cache miss is fitted in a forked worker
+        process, one per available core (the affinity mask, so ``taskset`` limits the
+        pool), each with its BLAS on one thread; the parent then writes the factor files
+        and cache events in metagraph order.  Each extra worker adds one fit's working
+        set (the observed matrix, its CSR pair and the factors) to the peak memory; the
+        parent's pages, the similarity matrices included, are shared copy-on-write.
+        """
         cfg = self.config
         os.makedirs(self.cache_dir, exist_ok=True)
-        pairs = []
+        paths = []
         for sim in sims:
             key = _key(
                 "factors", self.fingerprint, sim.metagraph, cfg.feature_method, cfg.rank,
                 cfg.mu, cfg.max_rank, cfg.fractions, seed, cfg.binarize_ratings,
                 cfg.log_scale_similarity,
             )
-            upath = os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.user.npz")
-            ipath = os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.item.npz")
-            hit = os.path.exists(upath) and os.path.exists(ipath)
+            paths.append(tuple(os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.{side}.npz")
+                               for side in ("user", "item")))
+        hits = [all(map(os.path.exists, pair_paths)) for pair_paths in paths]
+        misses = [sim for sim, hit in zip(sims, hits) if not hit]
+        fitted = iter(_in_workers([functools.partial(_fit, cfg, sim, seed) for sim in misses],
+                                  [sim.nnz for sim in misses]))
+        pairs = []
+        for sim, hit, (upath, ipath) in zip(sims, hits, paths):
+            event = {"metagraph": sim.metagraph, "hit": hit}
             if hit:
                 pair = factors.load_factor_pair(upath, ipath)
             else:
-                obs = factors.ObservedMatrix.from_similarity(sim)
-                if cfg.feature_method == "mf":
-                    pair = factors.factorize_mf(obs, cfg.rank, cfg.mu, seed=seed, name=sim.metagraph)
-                else:
-                    pair = factors.factorize_nnr(
-                        obs, cfg.mu, seed=seed, max_rank=cfg.max_rank, name=sim.metagraph
-                    )
+                pair, record = next(fitted)
+                event.update(record)
                 factors.save_factor_side(upath, pair, "user")
                 factors.save_factor_side(ipath, pair, "item")
-            self.cache_events["factorize"].append({"metagraph": sim.metagraph, "hit": hit})
+            self.cache_events["factorize"].append(event)
             pairs.append(pair)
         return pairs
 

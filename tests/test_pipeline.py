@@ -1,7 +1,11 @@
+import functools
 import json
+import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -658,6 +662,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("[config] repeats must be >= 1, got 0")
         assert not os.path.exists(os.path.join(out, "metrics.json"))
 
+    def test_fits_leave_no_worker_behind(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path, features={"method": "nnr", "mu": 1e6})
+        assert cli.main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err.startswith("[factorize] mu=1000000.0 shrank every singular value")
+        assert multiprocessing.active_children() == []
+        config = self.write_config(root, tmp_path)
+        assert cli.main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "good")]) == 0
+        assert multiprocessing.active_children() == []
+
     def test_seed_override(self, dataset, tmp_path):
         root, _ = dataset
         config = self.write_config(root, tmp_path)
@@ -669,3 +683,99 @@ class TestCli:
         with open(os.path.join(out2, "metrics.json")) as fh:
             b = json.load(fh)
         assert a["rmse"]["test"] != b["rmse"]["test"]
+
+
+def _stamp(index):
+    return index, time.perf_counter()
+
+
+def _fail():
+    raise ValueError("planted failure")
+
+
+def _sleep_and_mark(path):
+    time.sleep(0.2)
+    path.touch()
+
+
+def _openblas_threads():
+    return [get_threads() for _, get_threads in pipeline._openblas_thread_calls()]
+
+
+class TestForkedFits:
+    @pytest.mark.parametrize("method", ["mf", "nnr"])
+    def test_pool_size_leaves_factor_files_unchanged(self, dataset, tmp_path, monkeypatch, method):
+        root, schema = dataset
+        cfg = small_config(str(root), schema, feature_method=method, mu=0.5 if method == "nnr" else 0.05)
+        files = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(pipeline, "_available_cores", lambda cores=cores: cores)
+            cache = tmp_path / f"cache{cores}"
+            stages = pipeline._Stages(cfg, str(tmp_path / f"out{cores}"), str(cache))
+            run = stages.run(cfg.seed, "factorize")
+            names = [sim.metagraph for sim in run.sims]
+            nnz = [sim.nnz for sim in run.sims]
+            assert sorted(range(len(nnz)), key=lambda i: -nnz[i]) != list(range(len(nnz)))  # largest not first
+            assert [pair.metagraph for pair in run.pairs] == names
+            events = stages.cache_events["factorize"]
+            assert [e["metagraph"] for e in events] == names and not any(e["hit"] for e in events)
+            for event, pair in zip(events, run.pairs):  # the fit's own record, measured in its worker
+                assert event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
+                assert event["objective"] == pair.objective_history[-1]
+            files[cores] = {p.name: p.read_bytes() for p in sorted(cache.glob("fac_*.npz"))}
+        assert len(files[1]) == 2 * len(names) and files[1] == files[2]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_largest_job_first_results_in_job_order(self, monkeypatch, cores):
+        monkeypatch.setattr(pipeline, "_available_cores", lambda: cores)
+        jobs = [functools.partial(_stamp, i) for i in range(4)]
+        results = pipeline._in_workers(jobs, [1, 7, 3, 5])
+        assert [index for index, _ in results] == [0, 1, 2, 3]
+        if cores == 1:  # one worker runs the jobs in the order they were submitted
+            stamps = [stamp for _, stamp in results]
+            assert stamps[1] < stamps[3] < stamps[2] < stamps[0]
+        assert multiprocessing.active_children() == []
+
+    def test_fits_run_on_one_blas_thread(self, monkeypatch):
+        import scipy.linalg  # noqa: F401  loads scipy's OpenBLAS beside numpy's
+
+        before = _openblas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        monkeypatch.setattr(pipeline, "_available_cores", lambda: 2)
+        assert pipeline._in_workers([_openblas_threads] * 2, [1, 1]) == [[1] * len(before)] * 2
+        assert _openblas_threads() == before  # the calling process keeps its thread count
+
+    @pytest.mark.parametrize("method", ["mf", "nnr"])
+    def test_default_blas_threads_write_the_same_factors(self, dataset, tmp_path, method):
+        root, _ = dataset
+        doc = {
+            "schema": os.path.join(str(root), "schema.json"),
+            "metagraphs": os.path.join(str(root), "metagraphs.txt"),
+            "split": {"fractions": [0.8, 0.1, 0.1], "seed": 5},
+            "features": {"method": method, "rank": 3, "mu": 0.5 if method == "nnr" else 0.05},
+            "log_scale_similarity": True,
+        }
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        files = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out{threads}"
+            subprocess.run([sys.executable, "-m", "hinfuse.cli", "factorize", "--config", str(config),
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True, timeout=120)
+            files.append({p.name: p.read_bytes() for p in sorted((out / "cache").glob("fac_*.npz"))})
+        assert files[0] and files[0] == files[1]
+
+    def test_failed_job_cancels_pending_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_available_cores", lambda: 1)
+        marks = [tmp_path / f"job{i}" for i in range(6)]
+        jobs = [_fail] + [functools.partial(_sleep_and_mark, path) for path in marks]
+        with pytest.raises(ValueError, match="planted failure"):
+            pipeline._in_workers(jobs, [2] + [1] * len(marks))
+        assert multiprocessing.active_children() == []
+        assert sum(path.exists() for path in marks) < len(marks)
