@@ -195,6 +195,8 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     m, n = obs.shape
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if mu < 0:
+        raise ValueError(f"mu must be >= 0, got {mu}")
     if rank > min(m, n) / 2:
         raise ValueError(f"rank {rank} exceeds min(m, n)/2 = {min(m, n) / 2}")
     if obs.n_observed == 0:

@@ -155,6 +155,11 @@ class ExperimentConfig:
         self.lambdas = tuple(lams)
         if self.feature_method not in ("mf", "nnr"):
             raise ValueError(f"unknown feature method {self.feature_method!r}")
+        for name, value in (("rank", self.rank), ("max_rank", self.max_rank)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.mu < 0 or (self.feature_method == "nnr" and self.mu == 0):
+            raise ValueError(f"mu must be >= 0 (> 0 for nnr), got {self.mu}")
         if self.mode not in ("convex", "lsp"):
             raise ValueError(f"unknown fm mode {self.mode!r}; pick convex or lsp")
         if self.eta_weighting not in ("ones", "sqrt"):

@@ -58,8 +58,12 @@ class SolverConfig:
             raise ValueError(f"sufficient decrease must be > 0, got {self.sufficient_decrease}")
         if not 0.0 <= self.history_decay < 1.0:
             raise ValueError(f"history decay must be in [0, 1), got {self.history_decay}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("max_iters", "checkpoint_every", "batch_size", "inner_steps"):  # the last two may be None
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.step_decay < 0:
+            raise ValueError(f"step_decay must be >= 0, got {self.step_decay}")
 
     def batch_plan(self, n):
         m_b = self.batch_size

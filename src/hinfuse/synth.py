@@ -1,16 +1,16 @@
 """Synthetic data generators for benchmarks, demos and the test suites.
 
-Three families:
-
 * :func:`random_binary_hin` draws random binary adjacencies over a fixed
   review-style schema; paired with :data:`ORACLE_METAGRAPHS` it feeds the
   plan-vs-enumeration equivalence suite.
 * :func:`planted_fm_problem` builds a feature table whose labels depend on
   a chosen subset of metagraph groups, for solver and selection tests.
-* :func:`write_rating_dataset` materializes a small planted HIN on disk
-  (schema, edge files, ratings, metagraph DSL) where the rating signal is
-  split across social, category and co-rating structure, so fusing all
-  metagraphs genuinely beats any single one.
+* :func:`write_rating_dataset` and :func:`write_review_dataset` write a
+  planted HIN to disk (schema, edge files, ratings, metagraph DSL), both
+  from one planted ratings draw.  The rating set splits the signal across
+  social, category and co-rating structure, so fusing all metagraphs beats
+  any single one; the review set matches the bundled Yelp metagraph schema
+  and is the data of every benchmark workload.
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ def planted_fm_problem(
     return problem, true, relevant
 
 
+def scaled_fm_problem(seed, n_samples, n_metagraphs=2, rank=10, K=10, lam=0.05):
+    """Fixed-width problem at a chosen sample count, for timing runs."""
+    return planted_fm_problem(seed, n_samples, n_metagraphs, rank, K, lam=lam)[0]
+
+
+# The metagraphs of write_rating_dataset's schema (the benchmark uses the bundled
+# Yelp set instead); the DSL's first line is kept as it is, since it is written to disk.
 PLANTED_METAGRAPHS = """\
 # planted benchmark metagraphs
 M1: U -[rate]- B
@@ -125,29 +132,17 @@ M4: U -[rate]- B -[rate~]- U -[rate]- B
 """
 
 
-def planted_rating_data(
-    seed,
-    n_users=200,
-    n_items=120,
-    n_cats=8,
-    ratings_per_user=18,
-    n_friends=8,
-    noise=0.35,
-    selection_strength=1.5,
-    value_strength=0.8,
-):
-    """Planted two-factor rating model with complementary side structure.
+def _planted_ratings(rng, n_users, n_items, ratings_per_user, noise, selection_strength=1.5,
+                     value_strength=0.8):
+    """Planted two-factor ratings drawn from ``rng``: returns ``a, c, users, items, values``.
 
-    Scores follow 3 + a_u . c_i for 2-d latents.  Users preferentially rate
-    items they like (softmax selection), so the co-rating structure carries
-    taste; the social graph links users with similar a and categories bin
-    items by c, so each metagraph reveals part of the signal and fusing
-    them recovers more of it than any single view.
+    Scores follow 3 + value_strength * a_u . c_i for 2-d latents ``a`` (users)
+    and ``c`` (items), clipped to [1, 5].  Users preferentially rate items
+    they like (softmax selection), so the co-rating structure carries taste.
+    The ratings are listed user by user.
     """
-    rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0, (n_users, 2))
     c = rng.normal(0.0, 1.0, (n_items, 2))
-
     users, items, values = [], [], []
     for u in range(n_users):
         affinity = a[u] @ c.T
@@ -159,90 +154,81 @@ def planted_rating_data(
         users.extend([u] * len(rated))
         items.extend(rated.tolist())
         values.extend(np.clip(score, 1.0, 5.0).tolist())
+    return a, c, np.asarray(users), np.asarray(items), np.asarray(values)
 
-    # social edges: nearest neighbours in user-latent space, kept symmetric
-    friend_pairs = set()
+
+def _friend_pairs(a, n_friends):
+    """Rows of the symmetric kNN social graph (each user's ``n_friends`` nearest in ``a``), (u, v) sorted."""
     dist = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
-    for u in range(n_users):
+    pairs = set()
+    for u in range(len(a)):
         for v in np.argsort(dist[u])[:n_friends]:
-            friend_pairs.add((u, int(v)))
-            friend_pairs.add((int(v), u))
+            pairs.update(((u, int(v)), (int(v), u)))
+    return [(f"u{u}", f"u{v}") for u, v in sorted(pairs)]
 
-    # categories: angular bins of the item latent
+
+def _angle_bins(c, n):
+    """Bin of each row of the 2-d latent ``c`` among ``n`` equal angular sectors."""
     angles = np.arctan2(c[:, 1], c[:, 0])
-    cats = np.floor((angles + np.pi) / (2 * np.pi) * n_cats).astype(int) % n_cats
-
-    return {
-        "users": np.asarray(users),
-        "items": np.asarray(items),
-        "values": np.asarray(values),
-        "friends": sorted(friend_pairs),
-        "categories": cats,
-        "n_users": n_users,
-        "n_items": n_items,
-        "n_cats": n_cats,
-    }
+    return np.floor((angles + np.pi) / (2 * np.pi) * n).astype(int) % n
 
 
-def write_rating_dataset(out_dir, seed=0, **kwargs):
-    """Materialize a planted rating HIN as schema + edge files + metagraph DSL."""
-    data = planted_rating_data(seed, **kwargs)
+def _rating_rows(users, items, values):
+    """``ratings.tsv`` rows; ``repr`` writes each rating's float exactly."""
+    return [(f"u{u}", f"b{i}", repr(float(v))) for u, i, v in zip(users, items, values)]
+
+
+def _write_dataset(out_dir, tables, entities, relations, dsl):
+    """Write one TSV per table, ``schema.json`` and ``metagraphs.txt``; returns the schema path.
+
+    ``tables`` maps a file stem to its rows (tuples of fields); ``relations``
+    lists (name, head, tail) per relation, read from ``<name>.tsv``, and
+    ratings come from ``ratings.tsv`` (user type U, item type B).
+    """
     os.makedirs(out_dir, exist_ok=True)
-
-    with open(os.path.join(out_dir, "ratings.tsv"), "w", encoding="utf-8") as fh:
-        for u, i, v in zip(data["users"], data["items"], data["values"]):
-            fh.write(f"u{u}\tb{i}\t{float(v)!r}\n")
-    with open(os.path.join(out_dir, "friend.tsv"), "w", encoding="utf-8") as fh:
-        for u, v in data["friends"]:
-            fh.write(f"u{u}\tu{v}\n")
-    with open(os.path.join(out_dir, "hascat.tsv"), "w", encoding="utf-8") as fh:
-        for i, cat in enumerate(data["categories"]):
-            fh.write(f"b{i}\tc{cat}\n")
-
+    for name, rows in tables.items():
+        with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8") as fh:
+            fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
     schema = {
-        "entities": ["U", "B", "C"],
-        "relations": [
-            {"name": "friend", "head": "U", "tail": "U", "file": "friend.tsv"},
-            {"name": "hascat", "head": "B", "tail": "C", "file": "hascat.tsv"},
-        ],
-        "ratings": {
-            "file": "ratings.tsv",
-            "user_type": "U",
-            "item_type": "B",
-            "relation": "rate",
-            "range": [1.0, 5.0],
-        },
+        "entities": entities,
+        "relations": [{"name": name, "head": head, "tail": tail, "file": f"{name}.tsv"}
+                      for name, head, tail in relations],
+        "ratings": {"file": "ratings.tsv", "user_type": "U", "item_type": "B", "relation": "rate",
+                    "range": [1.0, 5.0]},
     }
-    with open(os.path.join(out_dir, "schema.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(out_dir, "schema.json")
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2)
     with open(os.path.join(out_dir, "metagraphs.txt"), "w", encoding="utf-8") as fh:
-        fh.write(PLANTED_METAGRAPHS)
-    return os.path.join(out_dir, "schema.json")
+        fh.write(dsl)
+    return path
 
 
-def scaled_fm_problem(seed, n_samples, n_metagraphs=2, rank=10, K=10, lam=0.05):
-    """Fixed-width problem at a chosen sample count, for timing runs."""
-    problem, _, _ = planted_fm_problem(
-        seed, n_samples=n_samples, n_metagraphs=n_metagraphs, rank=rank, K=K, lam=lam
+def write_rating_dataset(out_dir, seed=0, n_users=200, n_items=120, n_cats=8, ratings_per_user=18,
+                         n_friends=8, noise=0.35, selection_strength=1.5, value_strength=0.8):
+    """Planted rating HIN with complementary side structure, as schema + edge files + metagraph DSL.
+
+    Besides the co-rating structure of :func:`_planted_ratings`, the social
+    graph links users with similar latents and categories bin items by
+    theirs, so each metagraph reveals part of the signal and fusing them
+    recovers more of it than any single view.
+    """
+    rng = np.random.default_rng(seed)
+    a, c, users, items, values = _planted_ratings(
+        rng, n_users, n_items, ratings_per_user, noise, selection_strength, value_strength
     )
-    return problem
+    tables = {
+        "ratings": _rating_rows(users, items, values),
+        "friend": _friend_pairs(a, n_friends),
+        "hascat": [(f"b{i}", f"c{cat}") for i, cat in enumerate(_angle_bins(c, n_cats))],
+    }
+    relations = [("friend", "U", "U"), ("hascat", "B", "C")]
+    return _write_dataset(out_dir, tables, ["U", "B", "C"], relations, PLANTED_METAGRAPHS)
 
 
-def write_review_dataset(
-    out_dir,
-    seed=0,
-    n_users=60,
-    n_items=40,
-    n_aspects=5,
-    n_cats=4,
-    n_cities=3,
-    n_states=2,
-    n_stars=3,
-    ratings_per_user=10,
-    n_friends=5,
-    noise=0.3,
-):
+def write_review_dataset(out_dir, seed=0, n_users=60, n_items=40, n_aspects=5, n_cats=4, n_cities=3,
+                         n_states=2, n_stars=3, ratings_per_user=10, n_friends=5, noise=0.3):
     """Review-style dataset matching the bundled Yelp metagraph schema.
 
     Every rating gets a review entity (written by the user, about the
@@ -250,92 +236,44 @@ def write_review_dataset(
     topic), plus social, category, city, state and star-bucket relations.
     Aspects arrive as precomputed Review-Aspect edges; no text involved.
     """
-    rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, 1.0, (n_users, 2))
-    c = rng.normal(0.0, 1.0, (n_items, 2))
-
-    users, items, values = [], [], []
-    for u in range(n_users):
-        affinity = a[u] @ c.T
-        logits = 1.5 * affinity
-        propensity = np.exp(logits - logits.max())
-        propensity /= propensity.sum()
-        rated = rng.choice(n_items, size=ratings_per_user, replace=False, p=propensity)
-        score = 3.0 + 0.8 * affinity[rated] + rng.normal(0.0, noise, len(rated))
-        users.extend([u] * len(rated))
-        items.extend(rated.tolist())
-        values.extend(np.clip(score, 1.0, 5.0).tolist())
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def tsv(name, rows):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write("\t".join(str(x) for x in row) + "\n")
-
-    tsv("ratings.tsv", ((f"u{u}", f"b{i}", repr(float(v))) for u, i, v in zip(users, items, values)))
-
-    # one review per rating; it mentions its business's dominant topic most of the time
-    angles = np.arctan2(c[:, 1], c[:, 0])
-    topic = np.floor((angles + np.pi) / (2 * np.pi) * n_aspects).astype(int) % n_aspects
-    write_rows, about_rows, mention_rows = [], [], []
-    for k, (u, i) in enumerate(zip(users, items)):
-        write_rows.append((f"u{u}", f"r{k}"))
-        about_rows.append((f"r{k}", f"b{i}"))
-        aspect = topic[i] if rng.random() < 0.8 else int(rng.integers(n_aspects))
-        mention_rows.append((f"r{k}", f"a{aspect}"))
-        if rng.random() < 0.3:
-            mention_rows.append((f"r{k}", f"a{int(rng.integers(n_aspects))}"))
-    tsv("write.tsv", write_rows)
-    tsv("about.tsv", about_rows)
-    tsv("mention.tsv", mention_rows)
-
-    dist = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    friends = set()
-    for u in range(n_users):
-        for v in np.argsort(dist[u])[:n_friends]:
-            friends.add((u, int(v)))
-            friends.add((int(v), u))
-    tsv("friend.tsv", ((f"u{u}", f"u{v}") for u, v in sorted(friends)))
-
-    cats = np.floor((angles + np.pi) / (2 * np.pi) * n_cats).astype(int) % n_cats
-    tsv("hascat.tsv", ((f"b{i}", f"ca{cat}") for i, cat in enumerate(cats)))
-    tsv("incity.tsv", ((f"b{i}", f"ci{rng.integers(n_cities)}") for i in range(n_items)))
-    tsv("instate.tsv", ((f"b{i}", f"st{rng.integers(n_states)}") for i in range(n_items)))
-    mean_score = np.full(n_items, 3.0)
-    for i in range(n_items):
-        mine = [v for it, v in zip(items, values) if it == i]
-        if mine:
-            mean_score[i] = np.mean(mine)
-    buckets = np.clip(((mean_score - 1.0) / 4.0 * n_stars).astype(int), 0, n_stars - 1)
-    tsv("hasstar.tsv", ((f"b{i}", f"sr{b}") for i, b in enumerate(buckets)))
-
-    schema = {
-        "entities": ["U", "R", "A", "B", "Ca", "Ci", "St", "Sr"],
-        "relations": [
-            {"name": "write", "head": "U", "tail": "R", "file": "write.tsv"},
-            {"name": "friend", "head": "U", "tail": "U", "file": "friend.tsv"},
-            {"name": "about", "head": "R", "tail": "B", "file": "about.tsv"},
-            {"name": "mention", "head": "R", "tail": "A", "file": "mention.tsv"},
-            {"name": "hascat", "head": "B", "tail": "Ca", "file": "hascat.tsv"},
-            {"name": "incity", "head": "B", "tail": "Ci", "file": "incity.tsv"},
-            {"name": "instate", "head": "B", "tail": "St", "file": "instate.tsv"},
-            {"name": "hasstar", "head": "B", "tail": "Sr", "file": "hasstar.tsv"},
-        ],
-        "ratings": {
-            "file": "ratings.tsv",
-            "user_type": "U",
-            "item_type": "B",
-            "relation": "rate",
-            "range": [1.0, 5.0],
-        },
-    }
-    with open(os.path.join(out_dir, "schema.json"), "w", encoding="utf-8") as fh:
-        json.dump(schema, fh, indent=2)
     from importlib import resources
 
+    rng = np.random.default_rng(seed)
+    a, c, users, items, values = _planted_ratings(rng, n_users, n_items, ratings_per_user, noise)
+
+    # one review per rating; it mentions its business's dominant topic most of the time.
+    # The draws after the ratings keep this order (mentions, cities, states): the bytes depend on it.
+    topic = _angle_bins(c, n_aspects)
+    mention = []
+    for k, i in enumerate(items):
+        aspect = topic[i] if rng.random() < 0.8 else int(rng.integers(n_aspects))
+        mention.append((f"r{k}", f"a{aspect}"))
+        if rng.random() < 0.3:
+            mention.append((f"r{k}", f"a{int(rng.integers(n_aspects))}"))
+    incity = [(f"b{i}", f"ci{rng.integers(n_cities)}") for i in range(n_items)]
+    instate = [(f"b{i}", f"st{rng.integers(n_states)}") for i in range(n_items)]
+
+    # star bucket of each business's mean rating (3 when unrated); a stable sort keeps
+    # each business's ratings in their listed order, so np.mean sums them as before
+    order = np.argsort(items, kind="stable")
+    bounds = np.searchsorted(items[order], np.arange(n_items + 1))
+    by_item = values[order]
+    mean_score = np.array([np.mean(by_item[lo:hi]) if hi > lo else 3.0
+                           for lo, hi in zip(bounds, bounds[1:])])
+    buckets = np.clip(((mean_score - 1.0) / 4.0 * n_stars).astype(int), 0, n_stars - 1)
+
+    tables = {
+        "ratings": _rating_rows(users, items, values),
+        "write": [(f"u{u}", f"r{k}") for k, u in enumerate(users)],
+        "about": [(f"r{k}", f"b{i}") for k, i in enumerate(items)],
+        "mention": mention,
+        "friend": _friend_pairs(a, n_friends),
+        "hascat": [(f"b{i}", f"ca{cat}") for i, cat in enumerate(_angle_bins(c, n_cats))],
+        "incity": incity,
+        "instate": instate,
+        "hasstar": [(f"b{i}", f"sr{b}") for i, b in enumerate(buckets)],
+    }
+    relations = [("write", "U", "R"), ("friend", "U", "U"), ("about", "R", "B"), ("mention", "R", "A"),
+                 ("hascat", "B", "Ca"), ("incity", "B", "Ci"), ("instate", "B", "St"), ("hasstar", "B", "Sr")]
     dsl = (resources.files("hinfuse.data") / "yelp_metagraphs.txt").read_text(encoding="utf-8")
-    with open(os.path.join(out_dir, "metagraphs.txt"), "w", encoding="utf-8") as fh:
-        fh.write(dsl)
-    return os.path.join(out_dir, "schema.json")
+    return _write_dataset(out_dir, tables, ["U", "R", "A", "B", "Ca", "Ci", "St", "Sr"], relations, dsl)

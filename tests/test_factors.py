@@ -30,6 +30,10 @@ class TestFactorizeMf:
         with pytest.raises(ValueError, match="rank"):
             factors.factorize_mf(observed_full(np.eye(4)), 0)
 
+    def test_negative_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu must be >= 0, got -1"):
+            factors.factorize_mf(observed_full(np.eye(4)), 1, mu=-1.0)
+
     def test_rank_above_half_min_dim_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             factors.factorize_mf(observed_full(np.eye(4)), 3)

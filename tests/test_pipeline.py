@@ -640,6 +640,14 @@ class TestCli:
         ({"solver": {"algorithm": "svgr", "step": 0.02}}, "unknown algorithm"),
         ({"solver": {"step": "0.1"}}, "solver.step must be a number, got '0.1'"),
         ({"features": {"rank": 2.5}}, "features.rank must be an integer, got 2.5"),
+        ({"solver": {"step": 0.02, "checkpoint_every": 0}}, "checkpoint_every must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "batch_size": 0}}, "batch_size must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "inner_steps": 0}}, "inner_steps must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "step_decay": -1}}, "step_decay must be >= 0, got -1.0"),
+        ({"features": {"method": "mf", "rank": 3, "mu": -1}}, "mu must be >= 0 (> 0 for nnr), got -1.0"),
+        ({"features": {"method": "nnr", "mu": 0}}, "mu must be >= 0 (> 0 for nnr), got 0.0"),
+        ({"features": {"method": "nnr", "mu": 0.05, "max_rank": 0}}, "max_rank must be >= 1, got 0"),
+        ({"features": {"rank": 0}}, "rank must be >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])
