@@ -420,28 +420,17 @@ def factorize_nnr(
     return (pair, state) if return_state else pair
 
 
-def save_factor_side(path, pair, side):
-    """Persist one factor side ('user' or 'item') with its header fields."""
-    matrix = pair.U if side == "user" else pair.B
-    observed = pair.user_observed if side == "user" else pair.item_observed
-    np.savez(
-        path,
-        matrix=matrix,
-        observed=observed if observed is not None else np.ones(matrix.shape[0], dtype=bool),
-        rank=pair.rank,
-        metagraph=pair.metagraph,
-        method=pair.method,
-        side=side,
-    )
+def save_factor_pair(path, pair):
+    """Persist both factor sides, their observed masks (all True where unknown) and the header fields."""
+    masks = [np.ones(len(m), dtype=bool) if o is None else o
+             for m, o in ((pair.U, pair.user_observed), (pair.B, pair.item_observed))]
+    np.savez(path, U=pair.U, B=pair.B, user_observed=masks[0], item_observed=masks[1], rank=pair.rank,
+             metagraph=pair.metagraph, method=pair.method)
 
 
-def load_factor_pair(user_path, item_path):
-    u = np.load(user_path, allow_pickle=False)
-    b = np.load(item_path, allow_pickle=False)
-    if str(u["metagraph"]) != str(b["metagraph"]) or int(u["rank"]) != int(b["rank"]):
-        raise ValueError("factor sides disagree on metagraph or rank")
-    return FactorPair(
-        u["matrix"], b["matrix"], int(u["rank"]),
-        metagraph=str(u["metagraph"]), method=str(u["method"]),
-        user_observed=u["observed"], item_observed=b["observed"],
-    )
+def load_factor_pair(path):
+    """The :class:`FactorPair` written by :func:`save_factor_pair`."""
+    with np.load(path, allow_pickle=False) as f:
+        return FactorPair(f["U"], f["B"], int(f["rank"]), metagraph=str(f["metagraph"]),
+                          method=str(f["method"]), user_observed=f["user_observed"],
+                          item_observed=f["item_observed"])

@@ -360,9 +360,9 @@ def param_nnz_ratio(params, tol=1e-10):
 class SavedModel:
     """A trained FM with the entity features it was trained on: ``features`` is the (user, item)
     pair of blocks, standardized if the run was, whose rows have the external ids ``user_ids``
-    and ``item_ids``; ``prediction`` holds ``clip_predictions`` and ``rating_range``, and
-    ``split`` the ``seed`` and ``fractions`` of the rating split it was trained on and the
-    ``ratings_sha256`` of the ratings file it split."""
+    and ``item_ids``; ``prediction`` holds the ``rating_range`` its predictions are clipped to
+    (the schema's rating scale at training), and ``split`` the ``seed`` and ``fractions`` of the
+    rating split it was trained on and the ``ratings_sha256`` of the ratings file it split."""
 
     params: FmParams
     layout: GroupLayout
@@ -404,6 +404,8 @@ def load_model(path):
         raise ValueError(f"{path} does not hold the entity features it was trained on; train the model again")
     if "prediction" not in header:
         raise ValueError(f"{path} does not record its prediction settings; train the model again")
+    if "clip_predictions" in header["prediction"]:
+        raise ValueError(f"{path} records clip_predictions, no longer a setting; train the model again")
     if "split" not in header:
         raise ValueError(f"{path} does not record the rating split it was trained on; train the model again")
     if "ratings_sha256" not in header["split"]:

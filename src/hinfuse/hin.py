@@ -177,9 +177,9 @@ def load_edges(path, decl, entities):
     return _canonical_csr(np.bincount(inverse, weights), rows, cols, shape)
 
 
-def load_ratings(path, user_set, item_set, rating_range=(1.0, 5.0)):
-    """Read a ratings file; ratings outside ``rating_range`` are rejected."""
-    lo, hi = rating_range
+def load_ratings(path, user_set, item_set, scale):
+    """Read a ratings file; ratings outside ``scale``, a (lo, hi) pair, are rejected."""
+    lo, hi = scale
     users, items, values = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -271,6 +271,19 @@ def split_ratings(ratings, fractions, seed):
     )
 
 
+def rating_range(schema):
+    """The rating scale ``(lo, hi)`` of the schema's ``ratings.range``; ``(1.0, 5.0)`` where it is absent.
+
+    Ingest rejects ratings outside it, and the pipeline clips predictions to it.
+    """
+    value = (schema.get("ratings") or {}).get("range", (1.0, 5.0))
+    numbers = isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in value)
+    if not (numbers and value[0] < value[1]):
+        raise ValidationError(f"ratings.range must be two finite numbers lo < hi, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def load_schema(path):
     with open(path, encoding="utf-8") as fh:
         schema = json.load(fh)
@@ -301,14 +314,8 @@ def ingest(schema, base_dir=None):
     rating_decl = None
     rspec = schema.get("ratings")
     if rspec is not None:
-        user_set = store.entity(rspec["user_type"])
-        item_set = store.entity(rspec["item_type"])
-        ratings = load_ratings(
-            os.path.join(base_dir, rspec["file"]),
-            user_set,
-            item_set,
-            rating_range=tuple(rspec.get("range", (1.0, 5.0))),
-        )
+        ratings = load_ratings(os.path.join(base_dir, rspec["file"]), store.entity(rspec["user_type"]),
+                               store.entity(rspec["item_type"]), rating_range(schema))
         rating_decl = RelationDecl(rspec.get("relation", "rate"), rspec["user_type"], rspec["item_type"])
 
     for rel in schema["relations"]:

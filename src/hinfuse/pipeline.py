@@ -78,7 +78,7 @@ def report_selected(params, layout, threshold=1e-10):
 # sections); a key sets the ExperimentConfig field of its name, or of its _RENAMED name.
 _CONFIG_KEYS = {
     "": ("schema", "metagraphs", "select", "seed", "binarize_ratings", "log_scale_similarity",
-         "optimize_plans", "clip_predictions", "rating_range", "repeats"),
+         "optimize_plans", "repeats"),
     "split": ("fractions", "seed"),
     "features": ("method", "rank", "mu", "max_rank", "standardize"),
     "fm": ("K", "mode", "lambda", "eta_weighting"),
@@ -142,8 +142,6 @@ class ExperimentConfig:
     lambdas: tuple = DEFAULT_LAMBDA_GRID
     eta_weighting: str = "ones"  # ones | sqrt
     solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
-    clip_predictions: bool = True
-    rating_range: tuple = (1.0, 5.0)
     repeats: int = 1
 
     def __post_init__(self):
@@ -484,22 +482,20 @@ class _Stages:
                 cfg.mu, cfg.max_rank, cfg.fractions, seed, cfg.binarize_ratings,
                 cfg.log_scale_similarity,
             )
-            paths.append(tuple(os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.{side}.npz")
-                               for side in ("user", "item")))
-        hits = [all(map(os.path.exists, pair_paths)) for pair_paths in paths]
+            paths.append(os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.npz"))
+        hits = [os.path.exists(path) for path in paths]
         misses = [sim for sim, hit in zip(sims, hits) if not hit]
         fitted = iter(_in_workers([functools.partial(_fit, cfg, sim, seed) for sim in misses],
                                   [sim.nnz for sim in misses]))
         pairs = []
-        for sim, hit, (upath, ipath) in zip(sims, hits, paths):
+        for sim, hit, path in zip(sims, hits, paths):
             event = {"metagraph": sim.metagraph, "hit": hit}
             if hit:
-                pair = factors.load_factor_pair(upath, ipath)
+                pair = factors.load_factor_pair(path)
             else:
                 pair, record = next(fitted)
                 event.update(record)
-                factors.save_factor_side(upath, pair, "user")
-                factors.save_factor_side(ipath, pair, "item")
+                factors.save_factor_pair(path, pair)
             self.cache_events["factorize"].append(event)
             pairs.append(pair)
         return pairs
@@ -527,7 +523,6 @@ class _Stages:
     def train(self, features, train_rs, valid_rs, layout):
         """Sweep the lambda grid, select by validation RMSE, return the winner."""
         cfg = self.config
-        clip = cfg.rating_range if cfg.clip_predictions else None
         train_table = self.table(features, train_rs, "train")
         valid_table = self.table(features, valid_rs, "train") if len(valid_rs) else None
         series = []
@@ -535,7 +530,7 @@ class _Stages:
         for lam in cfg.lambdas:
             problem = solvers.TrainProblem(
                 train_table, layout, self.reg_config(layout, lam), cfg.K, valid=valid_table,
-                clip_range=clip,
+                clip_range=self.rating_range,
             )
             params, trace = solvers.train(problem, cfg.solver)
             valid_rmse = float("nan") if valid_table is None else self.score(params, valid_table)
@@ -546,12 +541,14 @@ class _Stages:
         _, lam, params, trace = best
         return params, trace, lam, series
 
+    @functools.cached_property
+    def rating_range(self):
+        """The schema's rating scale: ingest checks the ratings against it; predictions are clipped to it."""
+        return hin.rating_range(hin.load_schema(self.config.schema))
+
     def score(self, params, table):
-        """RMSE of the predictions, clipped to the rating range if configured."""
-        pred = fmg.predict_batch(params, table)
-        if self.config.clip_predictions:
-            pred = np.clip(pred, *self.config.rating_range)
-        return rmse(pred, table.y)
+        """RMSE of the predictions, clipped to the rating range."""
+        return rmse(np.clip(fmg.predict_batch(params, table), *self.rating_range), table.y)
 
     def split_record(self, seed):
         """The split a model trained under ``seed`` was fit on: its seed, the config's fractions and
@@ -566,12 +563,8 @@ class _Stages:
                 "ratings_sha256": digest.hexdigest()}
 
     def prediction_settings(self):
-        """The config fields that turn a model's raw output into scored predictions."""
-        cfg = self.config
-        return {
-            "clip_predictions": bool(cfg.clip_predictions),
-            "rating_range": [float(v) for v in cfg.rating_range],
-        }
+        """What turns a model's raw output into scored predictions: the rating range it is clipped to."""
+        return {"rating_range": list(self.rating_range)}
 
     def evaluate(self, params, features, splits):
         """RMSE per split, scored on the assembled entity features."""
@@ -616,11 +609,12 @@ class _Stages:
 
         Only ingest and split run first; each split's users and items map to
         the model's rows through its ids, so no similarity, factorization or
-        cache read takes part.  The model's split (seed and fractions) and
-        prediction settings must match the config's, or its "test" ratings
-        would include ones it was trained on; every rated user and item must
-        be in the model.  A ratings file other than the one it was trained
-        on is refused too: the same seed draws another split from it.
+        cache read takes part.  The model's split (seed and fractions) must
+        match the config's, or its "test" ratings would include ones it was
+        trained on; its rating range must match the schema's; every rated
+        user and item must be in the model.  A ratings file other than the
+        one it was trained on is refused too: the same seed draws another
+        split from it.
         """
         split = self.timed("evaluate", lambda: self.split_record(seed))
         if model.split["ratings_sha256"] != split["ratings_sha256"]:
@@ -629,10 +623,10 @@ class _Stages:
         if model.split != split:
             raise StageError("evaluate", ValueError(
                 f"model was trained on the split {model.split}, the config asks for {split}"))
-        settings = self.prediction_settings()
+        settings = self.timed("evaluate", self.prediction_settings)
         if model.prediction != settings:
             raise StageError("evaluate", ValueError(
-                f"model was trained with {model.prediction}, the config asks for {settings}"))
+                f"model was trained with {model.prediction}, the schema declares {settings}"))
         self.ingested = self.ingested or self.timed("ingest", self.ingest)
         store, ratings, decl, _, _ = self.ingested
         splits = self.timed("split", lambda: self.split(ratings, seed))

@@ -3,15 +3,19 @@
 All three solvers minimize the same augmented objective (smooth loss plus
 surplus, convex group penalty handled by the proximal step):
 
-* :func:`train_nmapg` — nonmonotone accelerated proximal gradient with the
-  running-average acceptance test and a plain proximal fallback step.
+* :func:`train_nmapg` — nonmonotone accelerated proximal gradient (Li & Lin)
+  with the running-average acceptance test: the main prox step is always
+  taken at the extrapolated point, with a plain prox step at the current
+  point as the fallback.
 * :func:`train_svrg` — proximal stochastic variance-reduced gradient:
   epoch snapshots of the full gradient correct mini-batch directions.
 * :func:`train_sgd` — proximal SGD with a decaying step, kept as the
   baseline for convergence comparisons.
 
-The bias is a smooth unregularized coordinate: it rides along in every
-gradient step and is skipped by the prox.
+Every solver trains all of b, w and V; a problem that needs no
+second-order term says so through its regularizer or its features, not a
+switch.  The bias is a smooth unregularized coordinate: it rides along in
+every gradient step and is skipped by the prox.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ class SolverConfig:
     inner_steps: int = None  # SVRG/SGD inner loop count B
     step_decay: float = 0.01  # SGD schedule: step / (1 + decay * t)
     seed: int = 0
-    extrapolated_prox_point: bool = True  # nmAPG main prox at the extrapolated point
-    fit_w: bool = True  # frozen at zero when False
-    fit_V: bool = True
     checkpoint_every: int = 1
 
     def __post_init__(self):
@@ -151,8 +152,8 @@ def init_params(problem, cfg):
     """w starts at zero, b at the label mean, V at small Gaussian values."""
     rng = np.random.default_rng(cfg.seed)
     d = problem.layout.d
-    V = rng.normal(0.0, 0.01, (d, problem.K)) if cfg.fit_V else np.zeros((d, problem.K))
-    return fmg.FmParams(float(np.mean(problem.table.y)), np.zeros(d), V)
+    return fmg.FmParams(float(np.mean(problem.table.y)), np.zeros(d),
+                        rng.normal(0.0, 0.01, (d, problem.K)))
 
 
 class _Objective:
@@ -173,12 +174,7 @@ class _Objective:
     def grad(self, params, batch=None):
         """Gradient over every row, or over a mini-batch table from ``problem.table.rows``."""
         table = self.problem.table if batch is None else batch
-        gb, gw, gv = fmg.augmented_grad(params, table, self.problem.layout, self.problem.reg)
-        if not self.cfg.fit_w:
-            gw = np.zeros_like(gw)
-        if not self.cfg.fit_V:
-            gv = np.zeros_like(gv)
-        return gb, gw, gv
+        return fmg.augmented_grad(params, table, self.problem.layout, self.problem.reg)
 
     def prox_step(self, params, grads, step):
         gb, gw, gv = grads
@@ -277,8 +273,7 @@ def train_nmapg(problem, cfg=None):
             + a_prev / a * (accel_prev.V - current.V)
             + (a_prev - 1.0) / a * (current.V - previous.V),
         )
-        base = extrap if cfg.extrapolated_prox_point else current
-        candidate = obj.prox_step(base, obj.grad(base), step)
+        candidate = obj.prox_step(extrap, obj.grad(extrap), step)
         grad_evals += 1.0
         h_candidate = obj.value(candidate)
         dist = _distance_sq(candidate, extrap)

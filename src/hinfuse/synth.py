@@ -158,13 +158,17 @@ def _planted_ratings(rng, n_users, n_items, ratings_per_user, noise, selection_s
 
 
 def _friend_pairs(a, n_friends):
-    """Rows of the symmetric kNN social graph (each user's ``n_friends`` nearest in ``a``), (u, v) sorted."""
-    dist = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
+    """Rows of the symmetric kNN social graph (each user's ``n_friends`` nearest in ``a``), (u, v) sorted.
+
+    The distances are computed 256 rows at a time, so memory grows with the user count, not its square.
+    """
     pairs = set()
-    for u in range(len(a)):
-        for v in np.argsort(dist[u])[:n_friends]:
-            pairs.update(((u, int(v)), (int(v), u)))
+    for start in range(0, len(a), 256):
+        dist = np.linalg.norm(a[start:start + 256, None, :] - a[None, :, :], axis=2)
+        dist[np.arange(len(dist)), np.arange(start, start + len(dist))] = np.inf
+        for u, row in enumerate(dist, start):
+            for v in np.argsort(row)[:n_friends]:
+                pairs.update(((u, int(v)), (int(v), u)))
     return [(f"u{u}", f"u{v}") for u, v in sorted(pairs)]
 
 

@@ -482,10 +482,14 @@ class TestPersistence:
             user_observed=np.array([True, False, True, True, False]),
             item_observed=np.ones(4, dtype=bool),
         )
-        upath, ipath = tmp_path / "u.npz", tmp_path / "i.npz"
-        factors.save_factor_side(upath, pair, "user")
-        factors.save_factor_side(ipath, pair, "item")
-        again = factors.load_factor_pair(upath, ipath)
+        path = tmp_path / "pair.npz"
+        factors.save_factor_pair(path, pair)
+        again = factors.load_factor_pair(path)
         assert np.array_equal(again.U, pair.U) and np.array_equal(again.B, pair.B)
         assert again.metagraph == "M1" and again.method == "mf" and again.rank == 2
         assert np.array_equal(again.user_observed, pair.user_observed)
+        assert np.array_equal(again.item_observed, pair.item_observed)
+        pair.user_observed = pair.item_observed = None  # unknown masks are stored as all observed
+        factors.save_factor_pair(path, pair)
+        again = factors.load_factor_pair(path)
+        assert again.user_observed.tolist() == [True] * 5 and again.item_observed.tolist() == [True] * 4

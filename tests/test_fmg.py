@@ -521,7 +521,7 @@ class TestStandardizer:
         assert np.allclose(Z * scaler[1] + scaler[0], X_test, atol=1e-12)
 
 
-PREDICTION = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
+PREDICTION = {"rating_range": [1.0, 5.0]}
 SPLIT = {"seed": 3, "fractions": [0.8, 0.1, 0.1], "ratings_sha256": "0" * 64}
 
 
@@ -580,6 +580,17 @@ class TestModelPersistence:
         path = tmp_path / "model.npz"
         self.save_without(path, "prediction")
         with pytest.raises(ValueError, match="prediction settings.*train the model again"):
+            fmg.load_model(path)
+
+    def test_file_with_clip_switch_rejected(self, tmp_path):
+        # clip_predictions is no longer a setting: predictions are always clipped to the
+        # schema's range, so a model saved with the switch is refused, not reinterpreted
+        path = tmp_path / "model.npz"
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        model = saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex"))
+        model.prediction = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
+        fmg.save_model(path, model)
+        with pytest.raises(ValueError, match="clip_predictions.*train the model again"):
             fmg.load_model(path)
 
     def test_file_without_split_record_rejected(self, tmp_path):

@@ -115,6 +115,13 @@ def reverse_lines(path):
     path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
 
 
+def set_rating_range(data, scale):
+    """Declare ``scale`` as the ``ratings.range`` of the schema in the dataset directory ``data``."""
+    schema = json.loads((data / "schema.json").read_text())
+    schema["ratings"]["range"] = scale
+    (data / "schema.json").write_text(json.dumps(schema))
+
+
 class TestRunPipeline:
     def test_no_metagraphs_error(self, dataset, tmp_path):
         root, schema = dataset
@@ -567,15 +574,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("[evaluate]") and "1 rated users and 2 rated items not in the model" in err
 
-    def test_evaluate_rejects_other_rating_range(self, dataset, tmp_path, capsys):
+    def test_evaluate_rejects_other_rating_range(self, dataset, tmp_path, capsys, monkeypatch):
+        # the schema's range changed after training: refused before ingest, since its
+        # predictions would be clipped to another scale than the one it was trained on
         root, _ = dataset
+        data = tmp_path / "data"
+        shutil.copytree(str(root), str(data))
         out = str(tmp_path / "out")
-        config = self.write_config(root, tmp_path)
+        config = self.write_config(data, tmp_path)
         assert cli.main(["train", "--config", config, "--out-dir", out]) == 0
         capsys.readouterr()
-        config = self.write_config(root, tmp_path, rating_range=[0.0, 5.0])
+        set_rating_range(data, [0.0, 5.0])
+        calls = []
+        monkeypatch.setattr(hin, "ingest", lambda *a, **k: calls.append("ingest"))
         assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
-        assert "[evaluate]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("[evaluate] model was trained with {'rating_range': [1.0, 5.0]}, "
+                              "the schema declares {'rating_range': [0.0, 5.0]}") and calls == []
+
+    def test_doubled_ratings_are_clipped_to_the_schema_range(self, dataset, tmp_path):
+        # ratings on a 2-10 scale, declared only in the schema: predictions must be clipped to
+        # [2, 10], not to a separate default, or every one above 5 is cut down to 5
+        root, _ = dataset
+        data = tmp_path / "data"
+        shutil.copytree(str(root), str(data))
+        rows = [line.split("\t") for line in (data / "ratings.tsv").read_text().splitlines()]
+        (data / "ratings.tsv").write_text("".join(f"{u}\t{i}\t{2 * float(r)!r}\n" for u, i, r in rows))
+        set_rating_range(data, [2.0, 10.0])
+        # the defaults, with log-scaled similarities (raw counts diverge at the default step)
+        doc = {"schema": "schema.json", "metagraphs": "metagraphs.txt", "log_scale_similarity": True}
+        cfg = pipeline.ExperimentConfig.from_dict(doc, base_dir=str(data))
+        report = pipeline.run_pipeline(cfg, str(tmp_path / "out"))
+        _, ratings, _ = hin.ingest(cfg.schema)
+        train, _, test = hin.split_ratings(ratings, cfg.fractions, cfg.seed)
+        assert report.rmse_test < np.sqrt(np.mean((test.values - np.mean(train.values)) ** 2))
+
+    @pytest.mark.parametrize("scale", [[5.0], [5.0, 5.0], "1-5"])
+    def test_malformed_rating_range_rejected_at_ingest(self, dataset, tmp_path, capsys, scale):
+        root, _ = dataset
+        data = tmp_path / "data"
+        shutil.copytree(str(root), str(data))
+        set_rating_range(data, scale)
+        out = tmp_path / "out"
+        assert cli.main(["similarity", "--config", self.write_config(data, tmp_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[ingest] ratings.range must be two finite numbers lo < hi, got {scale!r}")
+        assert not (out / "cache").exists()  # before any similarity is computed
 
     @staticmethod
     def write_wide_store(tmp_path, n):
@@ -648,6 +692,14 @@ class TestCli:
         ({"features": {"method": "nnr", "mu": 0}}, "mu must be >= 0 (> 0 for nnr), got 0.0"),
         ({"features": {"method": "nnr", "mu": 0.05, "max_rank": 0}}, "max_rank must be >= 1, got 0"),
         ({"features": {"rank": 0}}, "rank must be >= 1, got 0"),
+        # removed keys: the rating scale is the schema's, and the solvers train w and V at the
+        # nmAPG extrapolated point with no switch
+        ({"rating_range": [1.0, 5.0]}, "unknown config key 'rating_range'"),
+        ({"clip_predictions": False}, "unknown config key 'clip_predictions'"),
+        ({"solver": {"step": 0.02, "fit_w": False}}, "unknown config key 'solver.fit_w'"),
+        ({"solver": {"step": 0.02, "fit_V": False}}, "unknown config key 'solver.fit_V'"),
+        ({"solver": {"step": 0.02, "extrapolated_prox_point": False}},
+         "unknown config key 'solver.extrapolated_prox_point'"),
     ]
 
     @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])
@@ -731,7 +783,7 @@ class TestForkedFits:
                 assert event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
                 assert event["objective"] == pair.objective_history[-1]
             files[cores] = {p.name: p.read_bytes() for p in sorted(cache.glob("fac_*.npz"))}
-        assert len(files[1]) == 2 * len(names) and files[1] == files[2]
+        assert len(files[1]) == len(names) and files[1] == files[2]  # one file per factor pair
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_largest_job_first_results_in_job_order(self, monkeypatch, cores):
