@@ -264,7 +264,6 @@ class NnrState:
     P: np.ndarray
     sigma: np.ndarray
     Q: np.ndarray
-    mu: float
     objective_history: list = field(default_factory=list)
     _entries: tuple = field(default=None, init=False, repr=False, compare=False)  # (obs, values)
 
@@ -367,8 +366,8 @@ def factorize_nnr(
     rng = np.random.default_rng(seed)
 
     empty = (np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
-    state = NnrState(*empty, mu=mu)
-    prev = NnrState(*empty, mu=mu)
+    state = NnrState(*empty)
+    prev = NnrState(*empty)
 
     def objective(st):
         err = st.entries(obs) - obs.val
@@ -391,12 +390,12 @@ def factorize_nnr(
     for it in range(max_iters):
         beta = (a_prev - 1.0) / a
         P, s, Q = prox_from([(1.0 + beta, state), (-beta, prev)])
-        candidate = NnrState(P, s, Q, mu, state.objective_history)
+        candidate = NnrState(P, s, Q, state.objective_history)
         value = objective(candidate)
         if value > state.objective_history[-1] + 1e-12:
             # restart: plain proximal step from the current iterate is a descent step
             P, s, Q = prox_from([(1.0, state)])
-            candidate = NnrState(P, s, Q, mu, state.objective_history)
+            candidate = NnrState(P, s, Q, state.objective_history)
             value = objective(candidate)
             a_prev, a = 0.0, 1.0
         if it == 0 and candidate.rank == 0:

@@ -3,11 +3,13 @@
 Feature vectors concatenate the user blocks of every metagraph followed by
 the item blocks, so the d = 2 * sum(F_l) coordinates split into 2L contiguous
 groups, and every group operation is one reduction over them, not a loop.
-The regularizer penalizes each group's norm, either directly (convex group
-lasso) or through the log-sum penalty kappa(t) = log(1 + t).  The nonconvex
-penalty is optimized through its smooth-plus-convex split: the smooth
-surplus g = lambda * (kappa(norm) - norm) joins the loss, and the convex part
-stays in the proximal step (both penalties have slope 1 at zero).
+The regularizer penalizes each group's norm, with one weight lambda_w for
+every group of w and one weight lambda_V for every group of V, either
+directly (convex group lasso) or through the log-sum penalty
+kappa(t) = log(1 + t).  The nonconvex penalty is optimized through its
+smooth-plus-convex split: the smooth surplus g = lambda * (kappa(norm) - norm)
+joins the loss, and the convex part stays in the proximal step (both
+penalties have slope 1 at zero).
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class GroupLayout:
 
     def slices(self):
         return [slice(start, stop) for _, start, stop in self.groups]
-
-    def widths(self):
-        return np.array([stop - start for _, start, stop in self.groups])
 
     @cached_property
     def _offsets(self):
@@ -129,33 +128,18 @@ class FmParams:
 
 @dataclass
 class RegConfig:
-    """Group regularization: mode, weights and per-group multipliers."""
+    """Group regularization: the penalty ``mode`` and its weights, ``lam_w`` on every group of
+    w and ``lam_v`` on every group of V."""
 
     mode: str = "convex"  # convex | lsp
     lam_w: float = 0.0
     lam_v: float = 0.0
-    eta_w: np.ndarray = None
-    eta_v: np.ndarray = None
 
     def __post_init__(self):
         if self.mode not in ("convex", "lsp"):
             raise ValueError(f"mode must be 'convex' or 'lsp', got {self.mode!r}")
         if self.lam_w < 0 or self.lam_v < 0:
             raise ValueError("regularization weights must be >= 0")
-
-    def resolved_etas(self, layout):
-        eta_w = np.ones(layout.n_groups) if self.eta_w is None else np.asarray(self.eta_w, dtype=float)
-        eta_v = np.ones(layout.n_groups) if self.eta_v is None else np.asarray(self.eta_v, dtype=float)
-        if len(eta_w) != layout.n_groups or len(eta_v) != layout.n_groups:
-            raise ValueError("per-group weights must have one entry per group")
-        if np.any(eta_w <= 0) or np.any(eta_v <= 0):
-            raise ValueError("per-group weights must be > 0")
-        return eta_w, eta_v
-
-
-def sqrt_width_etas(layout):
-    """Optional group weighting by sqrt(group width)."""
-    return np.sqrt(layout.widths().astype(float))
 
 
 def factor_blocks(pairs):
@@ -265,9 +249,9 @@ def _scale_groups(z, layout, scale):
 
 
 def _penalty_terms(params, layout, cfg):
-    """Weights lambda * eta and norms of the w groups followed by the V groups."""
-    eta_w, eta_v = cfg.resolved_etas(layout)
-    weights = np.concatenate([cfg.lam_w * eta_w, cfg.lam_v * eta_v])
+    """Weights (lam_w per w group, then lam_v per V group) and norms of the w groups followed by
+    the V groups."""
+    weights = np.repeat([float(cfg.lam_w), float(cfg.lam_v)], layout.n_groups)
     return weights, np.concatenate([group_norms(params.w, layout), group_norms(params.V, layout)])
 
 
@@ -385,8 +369,6 @@ def save_model(path, model):
             "mode": reg.mode,
             "lam_w": reg.lam_w,
             "lam_v": reg.lam_v,
-            "eta_w": None if reg.eta_w is None else np.asarray(reg.eta_w).tolist(),
-            "eta_v": None if reg.eta_v is None else np.asarray(reg.eta_v).tolist(),
         },
         "prediction": model.prediction,
         "split": model.split,
@@ -411,11 +393,12 @@ def load_model(path):
     if "ratings_sha256" not in header["split"]:
         raise ValueError(f"{path} does not record the ratings file it was trained on; train the model again")
     reg = header["reg"]
-    eta_w, eta_v = (None if reg[key] is None else np.asarray(reg[key]) for key in ("eta_w", "eta_v"))
+    if reg.get("eta_w") is not None or reg.get("eta_v") is not None:
+        raise ValueError(f"{path} records per-group weights, no longer a setting; train the model again")
     return SavedModel(
         params=FmParams(float(data["b"]), data["w"], data["V"]),
         layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
-        reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"], eta_w=eta_w, eta_v=eta_v),
+        reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
         prediction=header["prediction"],
         features=(data["user_features"], data["item_features"]),
         user_ids=data["user_ids"],

@@ -244,17 +244,24 @@ def validate(hin):
     return report
 
 
+def check_fractions(fractions):
+    """Fail unless ``fractions`` is three nonnegative numbers (train, valid, test) that sum to 1."""
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must be three numbers (train, valid, test), got {fractions}")
+    if min(fractions) < 0:
+        raise ValueError(f"fractions must be nonnegative, got {fractions}")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:  # a NaN fails too
+        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+
+
 def split_ratings(ratings, fractions, seed):
     """Partition triples into (train, valid, test) by a seeded uniform shuffle.
 
     Sizes are floor(f * N) for valid and test, with the remainder assigned
     to train.  The same seed always produces the same partition.
     """
-    f_train, f_valid, f_test = fractions
-    if min(fractions) < 0:
-        raise ValueError(f"fractions must be nonnegative, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    check_fractions(fractions)
+    _, f_valid, f_test = fractions
     n = len(ratings)
     n_valid = int(f_valid * n)
     n_test = int(f_test * n)
@@ -293,18 +300,17 @@ def load_schema(path):
     return schema
 
 
-def ingest(schema, base_dir=None):
-    """Load a schema document into a (HinStore, RatingSet) pair.
+def ingest(path):
+    """Load the schema document at ``path`` into ``(HinStore, RatingSet, RelationDecl)``.
 
-    The ratings file is read first (users/items get the lowest indices),
-    then relation edge files in declared order.  The rating adjacency is
-    *not* attached here; callers decide which split feeds it (see
-    :func:`attach_ratings`), which keeps held-out pairs out of the graph.
+    Data file names resolve against the schema's directory.  The ratings
+    file is read first (users/items get the lowest indices), then relation
+    edge files in declared order.  The rating adjacency is *not* attached
+    here; callers decide which split feeds it (see :func:`attach_ratings`),
+    which keeps held-out pairs out of the graph.
     """
-    if isinstance(schema, (str, os.PathLike)):
-        base_dir = base_dir or os.path.dirname(os.path.abspath(schema))
-        schema = load_schema(schema)
-    base_dir = base_dir or "."
+    base_dir = os.path.dirname(os.path.abspath(path))
+    schema = load_schema(path)
 
     store = HinStore()
     for type_name in schema["entities"]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -77,25 +78,33 @@ def report_selected(params, layout, threshold=1e-10):
 # The keys of each config-file section ("" is the top level, which also holds the other
 # sections); a key sets the ExperimentConfig field of its name, or of its _RENAMED name.
 _CONFIG_KEYS = {
-    "": ("schema", "metagraphs", "select", "seed", "binarize_ratings", "log_scale_similarity",
+    "": ("schema", "metagraphs", "select", "binarize_ratings", "log_scale_similarity",
          "optimize_plans", "repeats"),
     "split": ("fractions", "seed"),
     "features": ("method", "rank", "mu", "max_rank", "standardize"),
-    "fm": ("K", "mode", "lambda", "eta_weighting"),
+    "fm": ("K", "mode", "lambda"),
     "solver": tuple(f.name for f in fields(solvers.SolverConfig)),
 }
 _RENAMED = {"method": "feature_method", "standardize": "standardize_features", "lambda": "lambdas"}
 
 
 def _number(key, value, kind):
-    """``value`` as a config number of ``kind`` ("int" or "float"); anything else fails, naming ``key``."""
+    """``value`` as a finite config number of ``kind`` ("int" or "float"); anything else fails,
+    naming ``key``.  JSON's ``NaN`` and ``Infinity`` fail here: a NaN compares false, so no range
+    check after this one would catch it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     if kind == "int":
-        if not float(value).is_integer():
+        if not number.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    return number
 
 
 def _typed(key, value, spec):
@@ -140,7 +149,6 @@ class ExperimentConfig:
     K: int = 10
     mode: str = "convex"
     lambdas: tuple = DEFAULT_LAMBDA_GRID
-    eta_weighting: str = "ones"  # ones | sqrt
     solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
     repeats: int = 1
 
@@ -148,9 +156,12 @@ class ExperimentConfig:
         if self.K < 1:
             raise ValueError("K must be >= 1")
         lams = self.lambdas if hasattr(self.lambdas, "__len__") else (self.lambdas,)
+        if not lams:
+            raise ValueError("lambda grid is empty; give at least one value")
         if any(l < 0 for l in lams):
             raise ValueError("lambda must be >= 0")
         self.lambdas = tuple(lams)
+        hin.check_fractions(self.fractions)
         if self.feature_method not in ("mf", "nnr"):
             raise ValueError(f"unknown feature method {self.feature_method!r}")
         for name, value in (("rank", self.rank), ("max_rank", self.max_rank)):
@@ -160,8 +171,6 @@ class ExperimentConfig:
             raise ValueError(f"mu must be >= 0 (> 0 for nnr), got {self.mu}")
         if self.mode not in ("convex", "lsp"):
             raise ValueError(f"unknown fm mode {self.mode!r}; pick convex or lsp")
-        if self.eta_weighting not in ("ones", "sqrt"):
-            raise ValueError(f"unknown eta weighting {self.eta_weighting!r}; pick ones or sqrt")
 
     @classmethod
     def from_dict(cls, doc, base_dir="."):
@@ -177,7 +186,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {', '.join(unknown)}")
         specs = {f.name: f for f in fields(cls)}
         values = {}
-        for name in ("", "split", "features", "fm"):  # split after the top level: its seed wins
+        for name in ("", "split", "features", "fm"):
             for key in set(sections[name]) & set(_CONFIG_KEYS[name]):
                 field_name = _RENAMED.get(key, key)
                 values[field_name] = _typed(f"{name}.{key}" if name else key, sections[name][key],
@@ -190,8 +199,6 @@ class ExperimentConfig:
                 raise ValueError(f"config lacks {key!r}")
             values[key] = os.path.join(base_dir, doc[key])
         cfg = cls(**values, solver=solvers.SolverConfig(**solver))
-        if "seed" in doc and "seed" not in sections["split"]:
-            cfg.solver.seed = int(doc["seed"])
         for path in (cfg.schema, cfg.metagraphs):
             if not os.path.exists(path):
                 raise ValueError(f"config references a missing file: {path}")
@@ -515,10 +522,8 @@ class _Stages:
         blocks = tuple(zip(features, (rating_set.users, rating_set.items)))
         return fmg.FeatureTable(_labels(rating_set, stage), blocks)
 
-    def reg_config(self, layout, lam):
-        cfg = self.config
-        etas = fmg.sqrt_width_etas(layout) if cfg.eta_weighting == "sqrt" else None
-        return fmg.RegConfig(mode=cfg.mode, lam_w=lam, lam_v=lam, eta_w=etas, eta_v=etas)
+    def reg_config(self, lam):
+        return fmg.RegConfig(mode=self.config.mode, lam_w=lam, lam_v=lam)
 
     def train(self, features, train_rs, valid_rs, layout):
         """Sweep the lambda grid, select by validation RMSE, return the winner."""
@@ -529,7 +534,7 @@ class _Stages:
         best = None
         for lam in cfg.lambdas:
             problem = solvers.TrainProblem(
-                train_table, layout, self.reg_config(layout, lam), cfg.K, valid=valid_table,
+                train_table, layout, self.reg_config(lam), cfg.K, valid=valid_table,
                 clip_range=self.rating_range,
             )
             params, trace = solvers.train(problem, cfg.solver)
@@ -651,7 +656,7 @@ class _Stages:
         and its solver trace to out_dir."""
         store, _, decl, _, _ = self.ingested
         model = fmg.SavedModel(
-            run.params, run.layout, self.reg_config(run.layout, run.lam), self.prediction_settings(),
+            run.params, run.layout, self.reg_config(run.lam), self.prediction_settings(),
             run.features, *(list(store.entity(t).id_map) for t in (decl.head_type, decl.tail_type)),
             split=self.split_record(run.seed),
         )

@@ -6,7 +6,9 @@ surplus, convex group penalty handled by the proximal step):
 * :func:`train_nmapg` — nonmonotone accelerated proximal gradient (Li & Lin)
   with the running-average acceptance test: the main prox step is always
   taken at the extrapolated point, with a plain prox step at the current
-  point as the fallback.
+  point as the fallback.  Its acceptance margin delta and running-average
+  weight eta are the constants :data:`SUFFICIENT_DECREASE` and
+  :data:`HISTORY_DECAY`.
 * :func:`train_svrg` — proximal stochastic variance-reduced gradient:
   epoch snapshots of the full gradient correct mini-batch directions.
 * :func:`train_sgd` — proximal SGD with a decaying step, kept as the
@@ -28,6 +30,10 @@ import numpy as np
 from . import fmg
 
 
+SUFFICIENT_DECREASE = 1e-3  # nmAPG acceptance margin delta
+HISTORY_DECAY = 0.8  # nmAPG running-average weight eta
+
+
 class DivergenceError(RuntimeError):
     """Objective became non-finite; carries the last finite iterate and trace."""
 
@@ -42,8 +48,6 @@ class SolverConfig:
     algorithm: str = "nmapg"  # nmapg | svrg | sgd
     step: float = 0.01
     max_iters: int = 500  # outer iterations (nmAPG) or epochs (SVRG/SGD)
-    sufficient_decrease: float = 1e-3  # nmAPG acceptance margin delta
-    history_decay: float = 0.8  # nmAPG running-average weight
     batch_size: int = None  # SVRG/SGD mini-batch size m_b
     inner_steps: int = None  # SVRG/SGD inner loop count B
     step_decay: float = 0.01  # SGD schedule: step / (1 + decay * t)
@@ -55,10 +59,6 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick one of {sorted(TRAINERS)}")
         if self.step <= 0:
             raise ValueError(f"step size must be > 0, got {self.step}")
-        if self.sufficient_decrease <= 0:
-            raise ValueError(f"sufficient decrease must be > 0, got {self.sufficient_decrease}")
-        if not 0.0 <= self.history_decay < 1.0:
-            raise ValueError(f"history decay must be in [0, 1), got {self.history_decay}")
         for name in ("max_iters", "checkpoint_every", "batch_size", "inner_steps"):  # the last two may be None
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -162,10 +162,9 @@ class _Objective:
     def __init__(self, problem, cfg):
         self.problem = problem
         self.cfg = cfg
-        eta_w, eta_v = problem.reg.resolved_etas(problem.layout)
-        reg = problem.reg
-        self.thr_w = reg.lam_w * eta_w
-        self.thr_v = reg.lam_v * eta_v
+        n_groups, reg = problem.layout.n_groups, problem.reg
+        self.thr_w = np.full(n_groups, float(reg.lam_w))
+        self.thr_v = np.full(n_groups, float(reg.lam_v))
 
     def value(self, params):
         """Augmented objective; identical to the reported objective h."""
@@ -243,8 +242,6 @@ def train_nmapg(problem, cfg=None):
     cfg = cfg or SolverConfig(algorithm="nmapg")
     obj = _Objective(problem, cfg)
     step = cfg.step
-    eta = cfg.history_decay
-    delta = cfg.sufficient_decrease
 
     current = init_params(problem, cfg)
     previous = current.copy()
@@ -278,7 +275,7 @@ def train_nmapg(problem, cfg=None):
         h_candidate = obj.value(candidate)
         dist = _distance_sq(candidate, extrap)
         accepted_branch = "extrapolated"
-        if np.isfinite(h_candidate) and h_candidate <= c - delta * dist:
+        if np.isfinite(h_candidate) and h_candidate <= c - SUFFICIENT_DECREASE * dist:
             nxt, h_next = candidate, h_candidate
         else:
             fallback = obj.prox_step(current, obj.grad(current), step)
@@ -306,8 +303,8 @@ def train_nmapg(problem, cfg=None):
         accel_prev = candidate
         a_prev, a = a, 0.5 * (np.sqrt(4.0 * a * a + 1.0) + 1.0)
         c_before = c
-        q_next = eta * q + 1.0
-        c = (eta * q * c + h_next) / q_next
+        q_next = HISTORY_DECAY * q + 1.0
+        c = (HISTORY_DECAY * q * c + h_next) / q_next
         q = q_next
 
         if t % cfg.checkpoint_every == 0 or t == cfg.max_iters:

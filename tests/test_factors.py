@@ -206,7 +206,7 @@ def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300, dense_cutoff=20
         for c, P, s, Q in terms:
             if len(s):
                 coeffs += c * obs.entries(P * s, Q)
-        states = [(c, factors.NnrState(P, s, Q, mu)) for c, P, s, Q in terms]
+        states = [(c, factors.NnrState(P, s, Q)) for c, P, s, Q in terms]
         op = factors._LowRankPlusSparse(states, *obs.scatter(obs.val - coeffs))
         return factors._svt_of_operator(op, m, n, mu, max(len(terms[0][2]) + 5, 10), rng, dense_cutoff)
 

@@ -486,17 +486,6 @@ class TestLayout:
         with pytest.raises(ValueError, match="contiguous"):
             layout.validate()
 
-    def test_sqrt_width_etas(self):
-        layout = fmg.GroupLayout((("a", 0, 4), ("b", 4, 13)), 13)
-        assert np.allclose(fmg.sqrt_width_etas(layout), [2.0, 3.0])
-
-    def test_eta_length_checked(self):
-        layout = one_group_layout()
-        cfg = fmg.RegConfig(mode="convex", lam_w=1.0, lam_v=1.0, eta_w=np.ones(3))
-        params = fmg.FmParams(0.0, np.zeros(4), np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="per group"):
-            fmg.reg_value(params, layout, cfg)
-
 
 class TestStandardizer:
     def test_train_columns_become_zero_mean_unit_std(self):
@@ -536,7 +525,7 @@ class TestModelPersistence:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         layout = fmg.GroupLayout.from_ranks(["m1", "m2"], [3, 2])
-        cfg = fmg.RegConfig(mode="lsp", lam_w=0.123456789, lam_v=0.05, eta_w=np.ones(4) * 1.5)
+        cfg = fmg.RegConfig(mode="lsp", lam_w=0.123456789, lam_v=0.05)
         model = saved_model(rng, layout, cfg)
         path = tmp_path / "model.npz"
         fmg.save_model(path, model)
@@ -545,9 +534,7 @@ class TestModelPersistence:
         assert params2.b == params.b
         assert np.array_equal(params2.w, params.w) and np.array_equal(params2.V, params.V)
         assert loaded.layout == layout
-        cfg2 = loaded.reg
-        assert cfg2.mode == cfg.mode and cfg2.lam_w == cfg.lam_w
-        assert np.array_equal(cfg2.eta_w, cfg.eta_w) and cfg2.eta_v is None
+        assert loaded.reg == cfg
         assert loaded.prediction == PREDICTION and loaded.split == SPLIT
         for stored, given in zip(loaded.features, model.features):
             assert stored.dtype == given.dtype and np.array_equal(stored, given)
@@ -591,6 +578,24 @@ class TestModelPersistence:
         model.prediction = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
         fmg.save_model(path, model)
         with pytest.raises(ValueError, match="clip_predictions.*train the model again"):
+            fmg.load_model(path)
+
+    def test_header_group_weights(self, tmp_path):
+        # per-group weights are no longer a setting: an earlier file that records them as null
+        # (every group weighted 1) still loads; one that records weights is refused, not scored
+        # as if every group had weight 1
+        path = tmp_path / "model.npz"
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(str(arrays["header"]))
+        header["reg"].update(eta_w=None, eta_v=None)
+        np.savez(path, **{**arrays, "header": json.dumps(header)})
+        assert fmg.load_model(path).reg == fmg.RegConfig(mode="convex")
+        header["reg"]["eta_w"] = [1.0, 2.0]
+        np.savez(path, **{**arrays, "header": json.dumps(header)})
+        with pytest.raises(ValueError, match="per-group weights.*train the model again"):
             fmg.load_model(path)
 
     def test_file_without_split_record_rejected(self, tmp_path):

@@ -346,6 +346,17 @@ class TestExperimentConfig:
             cfg = pipeline.ExperimentConfig.from_dict(doc, base_dir=data)
             assert cfg.fractions == tuple(workload["config"]["split"]["fractions"]), name
 
+    def test_readme_names_every_config_key(self):
+        # every key the loader accepts is named in README's config section, in the form a
+        # config error names it (top-level keys bare, section keys as "section.key")
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            readme = fh.read()
+        section = readme[readme.index("### Experiment config"):readme.index("## Data formats")]
+        keys = [f"{name}.{key}" if name else key
+                for name, names in pipeline._CONFIG_KEYS.items() for key in names]
+        assert [key for key in keys if f"`{key}`" not in section] == []
+
     def test_default_lambda_grid(self, dataset):
         root, schema = dataset
         cfg = small_config(str(root), schema, lambdas=pipeline.DEFAULT_LAMBDA_GRID)
@@ -679,7 +690,6 @@ class TestCli:
         assert not os.path.exists(out)
 
     BAD_VALUES = [
-        ({"fm": {"K": 3, "lambda": [0.05], "eta_weighting": "sqrt "}}, "unknown eta weighting"),
         ({"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}}, "unknown fm mode"),
         ({"solver": {"algorithm": "svgr", "step": 0.02}}, "unknown algorithm"),
         ({"solver": {"step": "0.1"}}, "solver.step must be a number, got '0.1'"),
@@ -700,6 +710,22 @@ class TestCli:
         ({"solver": {"step": 0.02, "fit_V": False}}, "unknown config key 'solver.fit_V'"),
         ({"solver": {"step": 0.02, "extrapolated_prox_point": False}},
          "unknown config key 'solver.extrapolated_prox_point'"),
+        # removed keys: every group is weighted by lambda alone, nmAPG's delta and eta are
+        # constants, and split.seed (with solver.seed) replaces the top-level seed
+        ({"seed": 3}, "unknown config key 'seed'"),
+        ({"fm": {"K": 3, "lambda": [0.05], "eta_weighting": "sqrt"}}, "unknown config key 'fm.eta_weighting'"),
+        ({"solver": {"step": 0.02, "sufficient_decrease": 1e-3}},
+         "unknown config key 'solver.sufficient_decrease'"),
+        ({"solver": {"step": 0.02, "history_decay": 0.8}}, "unknown config key 'solver.history_decay'"),
+        # JSON's NaN passes every range check, so numbers must be finite
+        ({"features": {"method": "mf", "rank": 3, "mu": float("nan")}}, "features.mu must be a finite number"),
+        ({"solver": {"step": float("nan")}}, "solver.step must be a finite number"),
+        ({"fm": {"K": 3, "lambda": [float("nan")]}}, "fm.lambda must be a finite number"),
+        ({"features": {"method": "mf", "rank": 3, "mu": 10**400}}, "features.mu must be a finite number"),
+        ({"fm": {"K": 3, "lambda": []}}, "lambda grid is empty"),
+        ({"split": {"fractions": [0.8, 0.2]}}, "fractions must be three numbers"),
+        ({"split": {"fractions": [0.9, -0.1, 0.2]}}, "fractions must be nonnegative"),
+        ({"split": {"fractions": [0.8, 0.2, 0.1]}}, "fractions must sum to 1"),
     ]
 
     @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])

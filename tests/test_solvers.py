@@ -33,7 +33,7 @@ class TestNmapg:
         problem, _, _ = synth.planted_fm_problem(1, n_samples=500, n_metagraphs=2, rank=4, K=3, lam=0.05)
         cfg = solvers.SolverConfig(step=0.01, max_iters=120)
         _, trace = solvers.train_nmapg(problem, cfg)
-        delta = cfg.sufficient_decrease
+        delta = solvers.SUFFICIENT_DECREASE
         checked = 0
         for rec in trace.records:
             if rec.extra["branch"] == "extrapolated":
@@ -210,10 +210,6 @@ class TestCertificates:
     def test_config_invariants_validated(self):
         with pytest.raises(ValueError, match="step size"):
             solvers.SolverConfig(step=0.0)
-        with pytest.raises(ValueError, match="sufficient decrease"):
-            solvers.SolverConfig(sufficient_decrease=-1.0)
-        with pytest.raises(ValueError, match="history decay"):
-            solvers.SolverConfig(history_decay=1.0)
 
     def test_cross_solver_agreement_small(self):
         problem, _, _ = synth.planted_fm_problem(12, n_samples=1000, n_metagraphs=2, rank=3, K=5,
