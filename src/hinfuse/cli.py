@@ -26,12 +26,13 @@ from . import fmg, hin, metagraph, pipeline
 
 
 def _load_config(args):
+    from dataclasses import replace  # re-runs each config's checks on the overridden values
+
     cfg = pipeline.ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.solver.seed = args.seed
+        cfg = replace(cfg, seed=args.seed, solver=replace(cfg.solver, seed=args.seed))
     if getattr(args, "repeats", None) is not None:
-        cfg.repeats = args.repeats
+        cfg = replace(cfg, repeats=args.repeats)
     return cfg
 
 

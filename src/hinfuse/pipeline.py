@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -75,133 +74,77 @@ def report_selected(params, layout, threshold=1e-10):
     ]
 
 
-# The keys of each config-file section ("" is the top level, which also holds the other
-# sections); a key sets the ExperimentConfig field of its name, or of its _RENAMED name.
-_CONFIG_KEYS = {
-    "": ("schema", "metagraphs", "select", "binarize_ratings", "log_scale_similarity",
-         "optimize_plans", "repeats"),
-    "split": ("fractions", "seed"),
-    "features": ("method", "rank", "mu", "max_rank", "standardize"),
-    "fm": ("K", "mode", "lambda"),
-    "solver": tuple(f.name for f in fields(solvers.SolverConfig)),
-}
-_RENAMED = {"method": "feature_method", "standardize": "standardize_features", "lambda": "lambdas"}
-
-
-def _number(key, value, kind):
-    """``value`` as a finite config number of ``kind`` ("int" or "float"); anything else fails,
-    naming ``key``.  JSON's ``NaN`` and ``Infinity`` fail here: a NaN compares false, so no range
-    check after this one would catch it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if kind == "int":
-        if not number.is_integer():
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    return number
-
-
-def _typed(key, value, spec):
-    """Config ``value`` of ``key`` checked against the annotation of the dataclass field ``spec``.
-
-    An int field takes an integral number, a float field any number and a
-    tuple field a list of numbers (``fm.lambda`` also a single number); null
-    is kept where the field's default is None.  Other fields pass unchecked.
-    """
-    if value is None and spec.default is None:
-        return None
-    if spec.type in ("int", "float"):
-        return _number(key, value, spec.type)
-    if spec.type != "tuple":
-        return value
-    if key == "fm.lambda" and not isinstance(value, (list, tuple)):
-        return _number(key, value, "float")
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
-    for item in value:
-        _number(key, item, "float")
-    return tuple(value)
+def _section(name, value):
+    """The config section ``name`` (a dict), or a ValueError if it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name} must be a JSON object")
+    return value
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; ``_CONFIG_KEYS`` gives the file layout."""
+    """Everything one run needs; each :func:`solvers.setting` field declares a config key, and the
+    ``solver`` section sets the :class:`solvers.SolverConfig` fields."""
 
-    schema: str
-    metagraphs: str
-    select: list = None  # subset of metagraph names; None = all
-    fractions: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
-    binarize_ratings: bool = True
-    log_scale_similarity: bool = False
-    optimize_plans: bool = True  # False: the paper-literal left-to-right plans
-    feature_method: str = "mf"  # mf | nnr
-    rank: int = 10
-    mu: float = 0.01
-    max_rank: int = 10  # emitted NNR feature cap
-    standardize_features: bool = False  # per-column z-scoring fit on train
-    K: int = 10
-    mode: str = "convex"
-    lambdas: tuple = DEFAULT_LAMBDA_GRID
+    schema: str = solvers.setting("schema", "path")
+    metagraphs: str = solvers.setting("metagraphs", "path")
+    select: list = solvers.setting("select", "names", None)  # subset of metagraph names; None = all
+    fractions: tuple = solvers.setting("split.fractions", "numbers", (0.8, 0.1, 0.1))
+    seed: int = solvers.setting("split.seed", "int", 0, bound=(">=", 0))
+    binarize_ratings: bool = solvers.setting("binarize_ratings", "bool", True)
+    log_scale_similarity: bool = solvers.setting("log_scale_similarity", "bool", False)
+    # False: the paper-literal left-to-right plans
+    optimize_plans: bool = solvers.setting("optimize_plans", "bool", True)
+    feature_method: str = solvers.setting("features.method", "str", "mf", choices=("mf", "nnr"))
+    rank: int = solvers.setting("features.rank", "int", 10, bound=(">=", 1))
+    mu: float = solvers.setting("features.mu", "float", 0.01, bound=(">=", 0))
+    max_rank: int = solvers.setting("features.max_rank", "int", 10, bound=(">=", 1))  # NNR feature cap
+    # per-column z-scoring fit on train
+    standardize_features: bool = solvers.setting("features.standardize", "bool", False)
+    K: int = solvers.setting("fm.K", "int", 10, bound=(">=", 1))
+    mode: str = solvers.setting("fm.mode", "str", "convex", choices=("convex", "lsp"))
+    lambdas: tuple = solvers.setting("fm.lambda", "numbers", DEFAULT_LAMBDA_GRID, bound=(">=", 0))
     solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
-    repeats: int = 1
+    repeats: int = solvers.setting("repeats", "int", 1, bound=(">=", 1))
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        lams = self.lambdas if hasattr(self.lambdas, "__len__") else (self.lambdas,)
-        if not lams:
+        solvers.check_settings(self)
+        if not self.lambdas:
             raise ValueError("lambda grid is empty; give at least one value")
-        if any(l < 0 for l in lams):
-            raise ValueError("lambda must be >= 0")
-        self.lambdas = tuple(lams)
         hin.check_fractions(self.fractions)
-        if self.feature_method not in ("mf", "nnr"):
-            raise ValueError(f"unknown feature method {self.feature_method!r}")
-        for name, value in (("rank", self.rank), ("max_rank", self.max_rank)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.mu < 0 or (self.feature_method == "nnr" and self.mu == 0):
-            raise ValueError(f"mu must be >= 0 (> 0 for nnr), got {self.mu}")
-        if self.mode not in ("convex", "lsp"):
-            raise ValueError(f"unknown fm mode {self.mode!r}; pick convex or lsp")
+        if self.feature_method == "nnr" and self.mu == 0:
+            raise ValueError(f"features.mu must be > 0 for nnr, got {self.mu}")
 
     @classmethod
     def from_dict(cls, doc, base_dir="."):
-        """Config from a parsed JSON document; absent keys keep the field defaults, unknown ones fail."""
-        sections = {}
-        for name, keys in _CONFIG_KEYS.items():  # the top level first: doc is a dict after it
-            section = sections[name] = doc.get(name, {}) if name else doc
-            if not isinstance(section, dict):
-                raise ValueError(f"config section {name or 'top level'} must be a JSON object")
-            known = [*keys, *list(_CONFIG_KEYS)[1:]] if name == "" else keys  # top level: + sections
-            unknown = [repr(f"{name}.{key}" if name else key) for key in sorted(set(section) - set(known))]
-            if unknown:
-                raise ValueError(f"unknown config key {', '.join(unknown)}")
-        specs = {f.name: f for f in fields(cls)}
-        values = {}
-        for name in ("", "split", "features", "fm"):
-            for key in set(sections[name]) & set(_CONFIG_KEYS[name]):
-                field_name = _RENAMED.get(key, key)
-                values[field_name] = _typed(f"{name}.{key}" if name else key, sections[name][key],
-                                            specs[field_name])
-        solver_specs = {f.name: f for f in fields(solvers.SolverConfig)}
-        solver = {key: _typed(f"solver.{key}", value, solver_specs[key])
-                  for key, value in sections["solver"].items()}
-        for key in ("schema", "metagraphs"):
-            if key not in doc:
-                raise ValueError(f"config lacks {key!r}")
-            values[key] = os.path.join(base_dir, doc[key])
-        cfg = cls(**values, solver=solvers.SolverConfig(**solver))
-        for path in (cfg.schema, cfg.metagraphs):
-            if not os.path.exists(path):
-                raise ValueError(f"config references a missing file: {path}")
+        """Config from a parsed JSON document; absent keys keep the field defaults, unknown ones fail.
+        Each key sets the field that declares it; paths are relative to ``base_dir`` and must exist."""
+        owners = {tuple(spec.metadata["key"].split(".")): (owner, spec)
+                  for owner in (cls, solvers.SolverConfig) for spec in fields(owner) if spec.metadata}
+        sections = {path[0] for path in owners if len(path) == 2}
+        given = {}
+        for name, value in _section("top level", doc).items():
+            if name in sections:
+                given.update(((name, key), item) for key, item in _section(name, value).items())
+            else:
+                given[(name,)] = value
+        unknown = sorted(".".join(path) for path in set(given) - set(owners))
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+        values = {cls: {}, solvers.SolverConfig: {}}
+        for path, value in given.items():
+            owner, spec = owners[path]
+            values[owner][spec.name] = value
+        for owner, spec in owners.values():
+            if spec.default is MISSING and spec.name not in values[owner]:
+                raise ValueError(f"config lacks {spec.metadata['key']!r}")
+        cfg = cls(**values[cls], solver=solvers.SolverConfig(**values[solvers.SolverConfig]))
+        for spec in fields(cfg):
+            if spec.metadata.get("kind") == "path":
+                path = os.path.join(base_dir, getattr(cfg, spec.name))
+                if not os.path.exists(path):
+                    raise ValueError(f"config references a missing file: {path}")
+                setattr(cfg, spec.name, path)
         return cfg
 
     @classmethod
@@ -666,8 +609,6 @@ class _Stages:
 
 def run_pipeline(config, out_dir, cache_dir=None):
     """Execute every stage and write metrics.json, model.npz and trace.jsonl."""
-    if config.repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {config.repeats}")
     stages = _Stages(config, out_dir, cache_dir)
     report = MetricsReport()
 

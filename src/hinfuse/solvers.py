@@ -22,8 +22,9 @@ every gradient step and is skipped by the prox.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -43,28 +44,82 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def setting(key, kind, default=MISSING, choices=None, bound=None):
+    """A config field: its file ``key`` ("section.name", or a bare top-level name), its ``kind``
+    (see :func:`check_settings`) and its check, a tuple of ``choices`` or a lower ``bound`` such as
+    ``(">=", 1)`` or ``(">", 0)``.  The config loader reads the file layout from these fields."""
+    return field(default=default, metadata={"key": key, "kind": kind, "choices": choices, "bound": bound})
+
+
+def _number(key, value, kind):
+    """``value`` as a finite config number of ``kind`` ("int" or "float"); anything else fails,
+    naming ``key``.  JSON's ``NaN`` and ``Infinity`` fail here: a NaN compares false, so no range
+    check after this one would catch it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if kind == "int":
+        if not number.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return number
+
+
+def check_settings(config):
+    """Check each :func:`setting` field of the dataclass ``config`` against its kind and check,
+    naming its config key on failure, and store the value in its kind's form.
+
+    An int takes an integral number and a float any finite number; numbers
+    takes a list of numbers, or one number, as a tuple; a bool takes only
+    true or false, names a list of strings, and str and path a string.
+    None passes where it is the field's default.
+    """
+    for spec in fields(config):
+        meta, value = spec.metadata, getattr(config, spec.name)
+        if not meta or value is None and spec.default is None:
+            continue
+        key, kind, choices, bound = meta["key"], meta["kind"], meta["choices"], meta["bound"]
+        if kind in ("int", "float"):
+            value = _number(key, value, kind)
+        elif kind == "numbers":
+            value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+            for item in value:
+                _number(key, item, "float")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        elif kind == "names" and not (isinstance(value, list) and all(isinstance(n, str) for n in value)):
+            raise ValueError(f"{key} must be a list of strings, got {value!r}")
+        elif kind in ("str", "path") and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        for item in value if kind == "numbers" else (value,):
+            if choices and item not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}, got {item!r}")
+            if bound and not (item >= bound[1] if bound[0] == ">=" else item > bound[1]):
+                raise ValueError(f"{key} must be {bound[0]} {bound[1]}, got {item}")
+        setattr(config, spec.name, value)
+
+
 @dataclass
 class SolverConfig:
-    algorithm: str = "nmapg"  # nmapg | svrg | sgd
-    step: float = 0.01
-    max_iters: int = 500  # outer iterations (nmAPG) or epochs (SVRG/SGD)
-    batch_size: int = None  # SVRG/SGD mini-batch size m_b
-    inner_steps: int = None  # SVRG/SGD inner loop count B
-    step_decay: float = 0.01  # SGD schedule: step / (1 + decay * t)
-    seed: int = 0
-    checkpoint_every: int = 1
+    algorithm: str = setting("solver.algorithm", "str", "nmapg", choices=("nmapg", "svrg", "sgd"))
+    step: float = setting("solver.step", "float", 0.01, bound=(">", 0))
+    # outer iterations (nmAPG) or epochs (SVRG/SGD)
+    max_iters: int = setting("solver.max_iters", "int", 500, bound=(">=", 1))
+    # SVRG/SGD mini-batch size m_b and inner loop count B
+    batch_size: int = setting("solver.batch_size", "int", None, bound=(">=", 1))
+    inner_steps: int = setting("solver.inner_steps", "int", None, bound=(">=", 1))
+    # SGD schedule: step / (1 + decay * t)
+    step_decay: float = setting("solver.step_decay", "float", 0.01, bound=(">=", 0))
+    seed: int = setting("solver.seed", "int", 0, bound=(">=", 0))
+    checkpoint_every: int = setting("solver.checkpoint_every", "int", 1, bound=(">=", 1))
 
     def __post_init__(self):
-        if self.algorithm not in TRAINERS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; pick one of {sorted(TRAINERS)}")
-        if self.step <= 0:
-            raise ValueError(f"step size must be > 0, got {self.step}")
-        for name in ("max_iters", "checkpoint_every", "batch_size", "inner_steps"):  # the last two may be None
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.step_decay < 0:
-            raise ValueError(f"step_decay must be >= 0, got {self.step_decay}")
+        check_settings(self)
 
     def batch_plan(self, n):
         m_b = self.batch_size

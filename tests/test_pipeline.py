@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -347,15 +348,27 @@ class TestExperimentConfig:
             assert cfg.fractions == tuple(workload["config"]["split"]["fractions"]), name
 
     def test_readme_names_every_config_key(self):
-        # every key the loader accepts is named in README's config section, in the form a
-        # config error names it (top-level keys bare, section keys as "section.key")
+        # README's config section has one table row per key the loader accepts, named as a config
+        # error names it (top-level keys bare, section keys as "section.key"), with the key's kind,
+        # its default, every choice value and its lower bound
         path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(path, encoding="utf-8") as fh:
             readme = fh.read()
         section = readme[readme.index("### Experiment config"):readme.index("## Data formats")]
-        keys = [f"{name}.{key}" if name else key
-                for name, names in pipeline._CONFIG_KEYS.items() for key in names]
-        assert [key for key in keys if f"`{key}`" not in section] == []
+        rows = {cells[0]: cells[1:] for line in section.splitlines() if line.startswith("| `")
+                for cells in [[cell.strip() for cell in line.strip().strip("|").split("|")]]}
+        specs = [spec for config in (pipeline.ExperimentConfig, solvers.SolverConfig)
+                 for spec in dataclasses.fields(config) if spec.metadata]
+        assert specs and sorted(rows) == sorted(f"`{spec.metadata['key']}`" for spec in specs)
+        for spec in specs:
+            meta = spec.metadata
+            kind, default, check = rows[f"`{meta['key']}`"]
+            assert kind == meta["kind"], meta["key"]
+            missing = spec.default is dataclasses.MISSING
+            assert default == ("required" if missing else f"`{json.dumps(spec.default)}`"), meta["key"]
+            bound = [f"`{meta['bound'][0]} {meta['bound'][1]}`"] if meta["bound"] else []
+            assert [text for text in [*(f"`{c}`" for c in meta["choices"] or ()), *bound]
+                    if text not in check] == [], meta["key"]
 
     def test_default_lambda_grid(self, dataset):
         root, schema = dataset
@@ -369,7 +382,7 @@ class TestExperimentConfig:
 
     def test_bad_feature_method_rejected(self, dataset):
         root, schema = dataset
-        with pytest.raises(ValueError, match="feature method"):
+        with pytest.raises(ValueError, match="features.method must be one of mf, nnr, got 'pca'"):
             small_config(str(root), str(schema), feature_method="pca")
 
     def test_missing_files_rejected_at_validation(self, tmp_path):
@@ -690,18 +703,19 @@ class TestCli:
         assert not os.path.exists(out)
 
     BAD_VALUES = [
-        ({"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}}, "unknown fm mode"),
-        ({"solver": {"algorithm": "svgr", "step": 0.02}}, "unknown algorithm"),
+        ({"fm": {"K": 3, "lambda": [0.05], "mode": "lps"}}, "fm.mode must be one of convex, lsp, got 'lps'"),
+        ({"solver": {"algorithm": "svgr", "step": 0.02}},
+         "solver.algorithm must be one of nmapg, svrg, sgd, got 'svgr'"),
         ({"solver": {"step": "0.1"}}, "solver.step must be a number, got '0.1'"),
         ({"features": {"rank": 2.5}}, "features.rank must be an integer, got 2.5"),
-        ({"solver": {"step": 0.02, "checkpoint_every": 0}}, "checkpoint_every must be >= 1, got 0"),
-        ({"solver": {"step": 0.02, "batch_size": 0}}, "batch_size must be >= 1, got 0"),
-        ({"solver": {"step": 0.02, "inner_steps": 0}}, "inner_steps must be >= 1, got 0"),
-        ({"solver": {"step": 0.02, "step_decay": -1}}, "step_decay must be >= 0, got -1.0"),
-        ({"features": {"method": "mf", "rank": 3, "mu": -1}}, "mu must be >= 0 (> 0 for nnr), got -1.0"),
-        ({"features": {"method": "nnr", "mu": 0}}, "mu must be >= 0 (> 0 for nnr), got 0.0"),
-        ({"features": {"method": "nnr", "mu": 0.05, "max_rank": 0}}, "max_rank must be >= 1, got 0"),
-        ({"features": {"rank": 0}}, "rank must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "checkpoint_every": 0}}, "solver.checkpoint_every must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "batch_size": 0}}, "solver.batch_size must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "inner_steps": 0}}, "solver.inner_steps must be >= 1, got 0"),
+        ({"solver": {"step": 0.02, "step_decay": -1}}, "solver.step_decay must be >= 0, got -1.0"),
+        ({"features": {"method": "mf", "rank": 3, "mu": -1}}, "features.mu must be >= 0, got -1.0"),
+        ({"features": {"method": "nnr", "mu": 0}}, "features.mu must be > 0 for nnr, got 0.0"),
+        ({"features": {"method": "nnr", "mu": 0.05, "max_rank": 0}}, "features.max_rank must be >= 1, got 0"),
+        ({"features": {"rank": 0}}, "features.rank must be >= 1, got 0"),
         # removed keys: the rating scale is the schema's, and the solvers train w and V at the
         # nmAPG extrapolated point with no switch
         ({"rating_range": [1.0, 5.0]}, "unknown config key 'rating_range'"),
@@ -726,6 +740,17 @@ class TestCli:
         ({"split": {"fractions": [0.8, 0.2]}}, "fractions must be three numbers"),
         ({"split": {"fractions": [0.9, -0.1, 0.2]}}, "fractions must be nonnegative"),
         ({"split": {"fractions": [0.8, 0.2, 0.1]}}, "fractions must sum to 1"),
+        # every value is checked against its key's kind: a bool takes only true or false, a
+        # path or a choice a string, and select a list of names
+        ({"binarize_ratings": "no"}, "binarize_ratings must be true or false, got 'no'"),
+        ({"features": {"standardize": "no"}}, "features.standardize must be true or false, got 'no'"),
+        ({"schema": 5}, "schema must be a string, got 5"),
+        ({"solver": {"algorithm": ["nmapg"]}}, "solver.algorithm must be a string, got ['nmapg']"),
+        ({"select": "M1"}, "select must be a list of strings, got 'M1'"),
+        ({"select": [1]}, "select must be a list of strings, got [1]"),
+        ({"split": {"fractions": [0.8, 0.1, 0.1], "seed": -1}}, "split.seed must be >= 0, got -1"),
+        ({"solver": {"seed": -1}}, "solver.seed must be >= 0, got -1"),
+        ({"repeats": 0}, "repeats must be >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])
@@ -747,6 +772,15 @@ class TestCli:
         assert cli.main(argv + (["--repeats", "0"] if where == "flag" else [])) == 1
         assert capsys.readouterr().err.startswith("[config] repeats must be >= 1, got 0")
         assert not os.path.exists(os.path.join(out, "metrics.json"))
+
+    def test_negative_seed_flag_rejected(self, dataset, tmp_path, capsys):
+        # --seed sets split.seed and solver.seed, and is checked as they are, before any stage
+        root, _ = dataset
+        out = str(tmp_path / "out")
+        argv = ["similarity", "--config", self.write_config(root, tmp_path), "--out-dir", out, "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("[config] solver.seed must be >= 0, got -1")
+        assert not os.path.exists(out)
 
     def test_fits_leave_no_worker_behind(self, dataset, tmp_path, capsys):
         root, _ = dataset

@@ -204,11 +204,11 @@ class TestCertificates:
 
     def test_unknown_algorithm_rejected(self):
         problem = bias_only_problem(n=20)
-        with pytest.raises(ValueError, match="unknown algorithm"):
+        with pytest.raises(ValueError, match="solver.algorithm must be one of nmapg, svrg, sgd, got 'adam'"):
             solvers.train(problem, solvers.SolverConfig(algorithm="adam"))
 
     def test_config_invariants_validated(self):
-        with pytest.raises(ValueError, match="step size"):
+        with pytest.raises(ValueError, match="solver.step must be > 0, got 0.0"):
             solvers.SolverConfig(step=0.0)
 
     def test_cross_solver_agreement_small(self):
