@@ -10,6 +10,11 @@ kappa(t) = log(1 + t).  The nonconvex penalty is optimized through its
 smooth-plus-convex split: the smooth surplus g = lambda * (kappa(norm) - norm)
 joins the loss, and the convex part stays in the proximal step (both
 penalties have slope 1 at zero).
+
+Samples are never gathered into an (N, d) matrix.  A pass multiplies each
+block's entity rows once and gathers the products by index; the gradient
+sums the residual-weighted products per entity through a sparse
+(entities x N) index that each table builds once, on its first gradient.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ class FeatureTable:
     """Labels and ``(features (E_b, d_b), index (N,))`` blocks covering the layout's columns in
     order: sample row r is the concatenation of ``features[index[r]]`` over the blocks, an (N, d)
     matrix never built (the relational FM of Rendle, VLDB 2013).  Each block's squared features
-    and column slice are derived once, when the table is made."""
+    and column slice are derived once, when the table is made; the per-entity sums the gradient
+    takes go through an index built on first use (:meth:`entity_sums`)."""
 
     y: np.ndarray
     blocks: tuple
@@ -87,8 +93,11 @@ class FeatureTable:
 
     @classmethod
     def dense(cls, X, y):
-        """A dense (N, d) sample matrix as the single block ``(X, arange(N))``."""
-        return cls(np.asarray(y, dtype=float), ((np.asarray(X, dtype=float), np.arange(len(X))),))
+        """A dense (N, d) sample matrix as the single block ``(X, arange(N))``: each row is its own
+        entity, so its per-entity sums need no index."""
+        table = cls(np.asarray(y, dtype=float), ((np.asarray(X, dtype=float), np.arange(len(X))),))
+        table._summers = (None,)
+        return table
 
     def __len__(self):
         return len(self.y)
@@ -100,6 +109,34 @@ class FeatureTable:
     def rows(self, idx):
         """The rows ``idx`` (a mini-batch; repeats allowed) gathered into one dense block."""
         return FeatureTable.dense(np.hstack([f[index[idx]] for f, index in self.blocks]), self.y[idx])
+
+    @cached_property
+    def _summers(self):
+        """Per block, the (E_b, N) CSR matrix with a slot at (index[r], r), rows ascending within
+        each entity: its column indices are the sample rows of its slots, in order.  A
+        :meth:`dense` table holds None instead."""
+        import scipy.sparse as sp
+
+        from .factors import _csr_layout
+
+        summers = []
+        for features, index in self.blocks:
+            n_entities, n = len(features), len(index)
+            index_dtype = sp.get_index_dtype(maxval=max(n_entities, n))
+            _, rows, indptr = _csr_layout(index, np.arange(n), n_entities, index_dtype)
+            summers.append(sp.csr_matrix((np.zeros(n), rows, indptr), shape=(n_entities, n)))
+        return summers
+
+    def entity_sums(self, weights, rows):
+        """Per block, the (E_b, width) sums of ``weights[r] * rows[r]`` over each entity's sample
+        rows r, added from 0.0 in ascending r, as ``np.bincount`` adds: entities with no row get
+        zeros.  The index is built on the first call; each call writes ``weights`` into its data."""
+        for S in self._summers:
+            if S is None:
+                yield rows * weights[:, None] + 0.0  # 0.0 + x, as a sum of one term
+            else:
+                np.take(weights, S.indices, out=S.data)
+                yield S @ rows
 
 
 @dataclass
@@ -271,17 +308,14 @@ def smooth_surplus(params, layout, cfg):
 
 def mse_grad(params, table):
     """Gradient of the mean squared error over the table's rows: the residuals, and their
-    products with ``x V``, are summed per entity, then multiplied by each block's features."""
+    products with ``x V``, are summed per entity through the table's index
+    (:meth:`FeatureTable.entity_sums`), then multiplied by each block's features."""
     rows, pred = _forward(params, table)
     residual = pred - table.y
-    rows[:, :-1] *= residual[:, None]  # in place, so few (N, K + 1) arrays are alive at once
-    rows[:, -1] = residual
-    width = params.K + 1
-    grad = np.empty((params.d, width))  # [grad_V, grad_w]
-    for (F, index), Fsq, cols in zip(table.blocks, table.squares, table.columns):
-        slots = (index[:, None] * width + np.arange(width)).ravel()  # entry (row, k) -> (entity, k)
-        sums = np.bincount(slots, rows.ravel(), len(F) * width).reshape(len(F), width)
-        del slots  # one (N, K + 1) index array alive at a time
+    rows[:, -1] = 1.0  # so the last column of each entity's sum is its residuals' sum
+    grad = np.empty((params.d, params.K + 1))  # [grad_V, grad_w]
+    sums_per_block = table.entity_sums(residual, rows)
+    for (F, _), Fsq, cols, sums in zip(table.blocks, table.squares, table.columns, sums_per_block):
         grad[cols] = _sum_over_rows(sums, F).T
         grad[cols, :-1] -= params.V[cols] * _sum_over_rows(sums[:, -1], Fsq)[:, None]
     scale = 2.0 / len(table)

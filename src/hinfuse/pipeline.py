@@ -215,7 +215,10 @@ def _input_fingerprint(config):
 
 @dataclass
 class StageRun:
-    """What one pass through the stages built; fields of stages not run stay None."""
+    """What one pass through the stages built; fields of stages not run stay None.
+
+    ``sims`` is kept only by a pass that stops at similarity or factorize: nothing after
+    factorize reads the similarity matrices, so a longer pass drops them before assembling."""
 
     seed: int = None  # the split seed of this pass
     store: hin.HinStore = None
@@ -543,6 +546,7 @@ class _Stages:
         run.pairs = self.timed("factorize", lambda: self.factorize(run.sims, seed))
         if through == "factorize":
             return run
+        run.sims = None  # free the similarity matrices before training
         run.features, run.layout = self.timed("assemble", lambda: self.assemble(run.pairs, train_rs))
         run.params, run.trace, run.lam, run.series = self.timed(
             "train", lambda: self.train(run.features, train_rs, valid_rs, run.layout)

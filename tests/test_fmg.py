@@ -118,7 +118,43 @@ def shared_block_table(rng, n_users=5, n_items=4, n=12, half=3):
     return fmg.FeatureTable(rng.normal(size=n), ((users, index[0]), (items, index[1])))
 
 
+def bincount_mse_grad(params, table):
+    """The MSE gradient with each entity's sums taken by ``np.bincount`` over (row, k) slots."""
+    rows, pred = fmg._forward(params, table)
+    residual = pred - table.y
+    rows[:, :-1] *= residual[:, None]
+    rows[:, -1] = residual
+    width = params.K + 1
+    grad = np.empty((params.d, width))
+    for (F, index), Fsq, cols in zip(table.blocks, table.squares, table.columns):
+        slots = (index[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(slots, rows.ravel(), len(F) * width).reshape(len(F), width)
+        grad[cols] = fmg._sum_over_rows(sums, F).T
+        grad[cols, :-1] -= params.V[cols] * fmg._sum_over_rows(sums[:, -1], Fsq)[:, None]
+    scale = 2.0 / len(table)
+    return scale * float(np.sum(residual)), scale * grad[:, -1], scale * grad[:, :-1]
+
+
 class TestBlocks:
+    def test_gradient_equals_bincount_sums_exactly(self):
+        rng = np.random.default_rng(15)
+        for trial in range(20):
+            n = int(rng.integers(1, 60))
+            users = rng.normal(size=(9, 4))
+            user_index = rng.integers(0, 8, n)  # unsorted, repeated, and user 8 never drawn
+            user_index[user_index == 3] = 4  # nor user 3, inside the range
+            items = rng.normal(size=(6, 3))
+            identity = fmg.FeatureTable.dense(rng.normal(size=(n, 2)), np.zeros(n)).blocks[0]
+            table = fmg.FeatureTable(rng.normal(size=n), (
+                (users, user_index), (items, rng.integers(0, 6, n)), identity))
+            parts = (table, table.rows(rng.integers(0, n, 16)), fmg.FeatureTable.dense(gathered(table), table.y))
+            for part in parts:
+                for _ in range(2):  # a second call overwrites the index's data
+                    K = int(rng.integers(1, 5))
+                    params = fmg.FmParams(rng.normal(), rng.normal(size=table.d), rng.normal(size=(table.d, K)))
+                    for got, want in zip(fmg.mse_grad(params, part), bincount_mse_grad(params, part)):
+                        assert np.array_equal(got, want), trial
+
     def test_predictions_match_double_sum_on_gathered_rows(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ def set_rating_range(data, scale):
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_training_holds_no_similarity_matrix(self, dataset, tmp_path, monkeypatch, cache):
+        root, schema = dataset
+        cfg = small_config(str(root), schema)
+        cache_dir = str(tmp_path / "cache")
+        if cache == "warm":
+            filled = pipeline._Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
+            assert [sim.metagraph for sim in filled.sims] == [spec.name for spec in filled.specs]
+        refs, alive = [], []
+        similarities, train = pipeline._Stages.similarities, pipeline._Stages.train
+
+        def tracked(stages, *args):
+            sims = similarities(stages, *args)
+            refs.extend(weakref.ref(sim.matrix) for sim in sims)
+            return sims
+
+        def counted(stages, *args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return train(stages, *args)
+
+        monkeypatch.setattr(pipeline._Stages, "similarities", tracked)
+        monkeypatch.setattr(pipeline._Stages, "train", counted)
+        stages = pipeline._Stages(cfg, str(tmp_path / "out"), cache_dir)
+        run = stages.run(cfg.seed)
+        assert len(refs) == len(run.specs) > 1 and alive == [0]
+        assert run.sims is None and run.rmses["test"] > 0
+        assert [e["hit"] for e in stages.cache_events["similarity"]] == [cache == "warm"] * len(refs)
+
     def test_no_metagraphs_error(self, dataset, tmp_path):
         root, schema = dataset
         cfg = small_config(str(root), schema, select=[])

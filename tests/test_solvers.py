@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -206,6 +207,10 @@ class TestCertificates:
         problem = bias_only_problem(n=20)
         with pytest.raises(ValueError, match="solver.algorithm must be one of nmapg, svrg, sgd, got 'adam'"):
             solvers.train(problem, solvers.SolverConfig(algorithm="adam"))
+
+    def test_algorithm_choices_are_the_trainers(self):
+        (algorithm,) = [f for f in dataclasses.fields(solvers.SolverConfig) if f.name == "algorithm"]
+        assert algorithm.metadata["choices"] == tuple(solvers.TRAINERS)
 
     def test_config_invariants_validated(self):
         with pytest.raises(ValueError, match="solver.step must be > 0, got 0.0"):
