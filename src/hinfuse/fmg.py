@@ -413,7 +413,8 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """The :class:`SavedModel` written by :func:`save_model`; older files are refused."""
+    """The :class:`SavedModel` written by :func:`save_model`; older files, and files whose group
+    layout does not cover its parameters and features, are refused."""
     data = np.load(path, allow_pickle=False)
     header = json.loads(str(data["header"]))
     if "user_features" not in data.files:
@@ -429,7 +430,7 @@ def load_model(path):
     reg = header["reg"]
     if reg.get("eta_w") is not None or reg.get("eta_v") is not None:
         raise ValueError(f"{path} records per-group weights, no longer a setting; train the model again")
-    return SavedModel(
+    model = SavedModel(
         params=FmParams(float(data["b"]), data["w"], data["V"]),
         layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
         reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
@@ -439,3 +440,12 @@ def load_model(path):
         item_ids=data["item_ids"],
         split=header["split"],
     )
+    d = model.layout.d
+    widths = [model.params.d, len(model.params.V), *(2 * block.shape[1] for block in model.features)]
+    if any(width != d for width in widths):
+        raise ValueError(f"{path} records d = {d}, but its w, V and twice its feature widths are {widths}")
+    try:
+        model.layout.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model

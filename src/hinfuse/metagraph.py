@@ -1,7 +1,8 @@
 """Metagraph DSL, plan compilation and sparse execution.
 
 A metagraph is a single-source single-sink DAG over entity types.  The
-textual form is a chain of entity types joined by connectors::
+textual form, and the :class:`MetagraphSpec` it parses to, is a chain of
+entity types joined by connectors::
 
     M3: U -[rate]- B -[rate~]- U -[rate]- B
     M9: U -[write]- R -( -[mention]- A -[mention~]- | -[about]- B -[about~]- )- R -[write~]- U -[rate]- B
@@ -13,7 +14,8 @@ surrounding nodes through *every* branch simultaneously: its matrix
 semantics is the Hadamard product of the branch products, while plain
 chains multiply adjacency matrices left to right.  Entry (u, b) of the
 executed plan counts the instances of the metagraph connecting source
-entity u to sink entity b.
+entity u to sink entity b.  The grammar yields only series-parallel DAGs, so
+a spec is its chain; the brute-force oracle builds the graph it enumerates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +41,7 @@ class MetagraphSyntaxError(ValueError):
 
 
 class MetagraphValidationError(ValueError):
-    """A structurally invalid metagraph (cycle, multiple sources/sinks, ...)."""
+    """A structurally invalid metagraph (no edge, types that do not alternate with connectors, ...)."""
 
 
 class PlanCompileError(ValueError):
@@ -72,29 +74,27 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class Chain:
+class MetagraphSpec:
+    """A metagraph as its chain: entity types joined by connectors, each an edge or a block."""
+
+    name: str
     types: tuple  # entity type names, length == len(connectors) + 1
     connectors: tuple  # EdgeRef | Block
 
-
-@dataclass(frozen=True)
-class MetagraphSpec:
-    """Validated single-source single-sink DAG plus its surface chain."""
-
-    name: str
-    nodes: tuple  # (node id, entity type)
-    edges: tuple  # (from node, to node, relation name, reverse flag)
-    source: str
-    sink: str
-    chain: Chain = field(compare=False, repr=False, default=None)
+    def __post_init__(self):
+        if not self.connectors or len(self.types) != len(self.connectors) + 1:
+            raise MetagraphValidationError(
+                f"metagraph {self.name!r} must contain at least one edge, with one more type than "
+                f"connectors; got {len(self.types)} types and {len(self.connectors)} connectors"
+            )
 
     @property
     def source_type(self):
-        return dict(self.nodes)[self.source]
+        return self.types[0]
 
     @property
     def sink_type(self):
-        return dict(self.nodes)[self.sink]
+        return self.types[-1]
 
 
 _TOKEN_RE = re.compile(
@@ -144,13 +144,11 @@ class _Parser:
     def parse_metagraph(self):
         name = self.next("ident")[1]
         self.next("colon")
-        chain = self.parse_chain()
+        types, connectors = self.parse_chain()
         if self.peek()[0] != "eof":
             tok = self.peek()
             raise MetagraphSyntaxError(f"unexpected trailing {tok[0]}", tok[2])
-        if not chain.connectors:
-            raise MetagraphSyntaxError("metagraph must contain at least one edge")
-        return name, chain
+        return MetagraphSpec(name, types, connectors)
 
     def parse_chain(self):
         types = [self.next("ident")[1]]
@@ -158,7 +156,7 @@ class _Parser:
         while self.peek()[0] in ("edge", "bopen"):
             connectors.append(self.parse_connector())
             types.append(self.next("ident")[1])
-        return Chain(tuple(types), tuple(connectors))
+        return tuple(types), tuple(connectors)
 
     def parse_connector(self):
         kind, value, pos = self.next()
@@ -194,44 +192,9 @@ class _Parser:
         return Branch(tuple(connectors), tuple(inner_types))
 
 
-def _build_dag(name, chain):
-    nodes = []
-    edges = []
-    counter = [0]
-
-    def new_node(type_name):
-        node_id = f"n{counter[0]}"
-        counter[0] += 1
-        nodes.append((node_id, type_name))
-        return node_id
-
-    def add_connector(conn, a, b):
-        if isinstance(conn, EdgeRef):
-            edges.append((a, b, conn.relation, conn.reverse))
-        else:
-            for branch in conn.branches:
-                prev = a
-                for inner_conn, type_name in zip(branch.connectors[:-1], branch.inner_types):
-                    node = new_node(type_name)
-                    add_connector(inner_conn, prev, node)
-                    prev = node
-                add_connector(branch.connectors[-1], prev, b)
-
-    prev = new_node(chain.types[0])
-    source = prev
-    for conn, type_name in zip(chain.connectors, chain.types[1:]):
-        node = new_node(type_name)
-        add_connector(conn, prev, node)
-        prev = node
-    spec = MetagraphSpec(name, tuple(nodes), tuple(edges), source, prev, chain)
-    validate_spec(spec)
-    return spec
-
-
 def parse_metagraph(text):
-    """Parse one metagraph definition into a validated :class:`MetagraphSpec`."""
-    name, chain = _Parser(_tokenize(text)).parse_metagraph()
-    return _build_dag(name, chain)
+    """Parse one metagraph definition into a :class:`MetagraphSpec`."""
+    return _Parser(_tokenize(text)).parse_metagraph()
 
 
 def parse_metagraphs(text):
@@ -292,30 +255,11 @@ def format_metagraph(spec):
             parts.append(fmt_connector(conn))
         return " ".join(parts)
 
-    if spec.chain is None:
-        raise ValueError("spec has no surface chain to format (hand-built?)")
-    parts = [spec.chain.types[0]]
-    for conn, type_name in zip(spec.chain.connectors, spec.chain.types[1:]):
+    parts = [spec.types[0]]
+    for conn, type_name in zip(spec.connectors, spec.types[1:]):
         parts.append(fmt_connector(conn))
         parts.append(type_name)
     return f"{spec.name}: " + " ".join(parts)
-
-
-def validate_spec(spec):
-    """Check the DAG invariants: acyclic, exactly one source and one sink."""
-    ids = [n for n, _ in spec.nodes]
-    if len(set(ids)) != len(ids):
-        raise MetagraphValidationError("duplicate node ids")
-    heads = {a for a, _, _, _ in spec.edges}
-    tails = {b for _, b, _, _ in spec.edges}
-    sources = [n for n in ids if n not in tails]
-    sinks = [n for n in ids if n not in heads]
-    if sources != [spec.source] or len(sources) != 1:
-        raise MetagraphValidationError(f"expected single source {spec.source!r}, found {sources}")
-    if sinks != [spec.sink] or len(sinks) != 1:
-        raise MetagraphValidationError(f"expected single sink {spec.sink!r}, found {sinks}")
-    if len(_topological_order(spec)) != len(ids):  # Kahn's algorithm leaves a cycle's nodes out
-        raise MetagraphValidationError("cycle detected")
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +660,10 @@ def compile_plan(spec, hin, optimize=False):
     are.  Every plan of a metagraph gives the same integer counts, so only
     the cost changes.  ``plan.costs`` holds each step's estimate.
     """
-    if spec.chain is None:
-        raise PlanCompileError("spec carries no surface chain; compile from parsed specs")
-    for type_name in spec.chain.types:
+    for type_name in spec.types:
         hin.entity(type_name)  # raises KeyError on undeclared types
     builder = _PlanBuilder(hin, optimize)
-    node, _, _ = builder.chain(spec.chain.connectors, spec.chain.types)
+    node, _, _ = builder.chain(spec.connectors, spec.types)
     node.emit()
     return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name, tuple(builder.costs))
 
@@ -931,79 +873,85 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
 # Brute-force instance counting (testing oracle)
 
 
-def _topological_order(spec):
-    """Node ids with every edge running forward (Kahn's algorithm); nodes on or after a cycle are left out."""
-    ids = [n for n, _ in spec.nodes]
-    indeg = {n: 0 for n in ids}
-    succ = {n: [] for n in ids}
-    for a, b, _, _ in spec.edges:
-        indeg[b] += 1
-        succ[a].append(b)
-    order = []
-    ready = [n for n in ids if indeg[n] == 0]
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    return order
+def _instance_graph(spec):
+    """The metagraph's DAG: node types in topological order and edges ``(from, to, EdgeRef)``.
+
+    Nodes are numbered by their position.  A block's inner nodes come before
+    its closing node, so every edge runs forward, node 0 is the source and
+    the last node the sink.
+    """
+    nodes, edges = [], []
+
+    def close(ends, type_name):
+        """Add a node of ``type_name`` and the edges ``ends`` (from, EdgeRef) into it; return it."""
+        nodes.append(type_name)
+        edges.extend((a, len(nodes) - 1, edge) for a, edge in ends)
+        return len(nodes) - 1
+
+    def open_ends(conn, a):
+        """Add ``conn``'s inner nodes from node ``a``; return its edges into its closing node."""
+        if isinstance(conn, EdgeRef):
+            return [(a, conn)]
+        ends = []
+        for branch in conn.branches:
+            prev = a
+            for inner, type_name in zip(branch.connectors, branch.inner_types):
+                prev = close(open_ends(inner, prev), type_name)
+            ends += open_ends(branch.connectors[-1], prev)
+        return ends
+
+    prev = close([], spec.types[0])
+    for conn, type_name in zip(spec.connectors, spec.types[1:]):
+        prev = close(open_ends(conn, prev), type_name)
+    return nodes, edges
 
 
-def _oriented_successors(hin, spec):
-    """For each spec edge, a dict mapping source entity -> set of target entities."""
-    node_type = dict(spec.nodes)
+def _oriented_successors(hin, nodes, edges):
+    """For each edge, ``(from, to, succ)`` with ``succ`` mapping a from-entity to its set of to-entities."""
     maps = []
-    for a, b, rel, reverse in spec.edges:
-        decl, adj = hin.relations[rel]
-        transposed = resolve_orientation(decl, adj, node_type[a], node_type[b], reverse)
+    for a, b, edge in edges:
+        decl, adj = hin.relations[edge.relation]
+        transposed = resolve_orientation(decl, adj, nodes[a], nodes[b], edge.reverse)
         succ = {}
         coo = adj.tocoo()
         rows, cols = (coo.col, coo.row) if transposed else (coo.row, coo.col)
         for i, j, w in zip(rows.tolist(), cols.tolist(), coo.data.tolist()):
             if w != 0:
                 succ.setdefault(i, set()).add(j)
-        maps.append(((a, b), succ))
+        maps.append((a, b, succ))
     return maps
 
 
 def _enumerate_instances(spec, hin, source_entity, sink_entity, guard, on_complete):
-    order = _topological_order(spec)
-    node_type = dict(spec.nodes)
-    edge_maps = _oriented_successors(hin, spec)
-    in_edges = {n: [] for n in order}
-    for (a, b), succ in edge_maps:
+    """Call ``on_complete(assign)`` per instance; ``assign[k]`` is the entity at node k of :func:`_instance_graph`."""
+    nodes, edges = _instance_graph(spec)
+    in_edges = [[] for _ in nodes]
+    for a, b, succ in _oriented_successors(hin, nodes, edges):
         in_edges[b].append((a, succ))
-
-    assign = {}
+    assign = [None] * len(nodes)
     budget = [guard]
 
     def extend(k):
-        if k == len(order):
+        if k == len(nodes):
             on_complete(assign)
             return
-        node = order[k]
-        if node == spec.source:
-            # the source is the only node with no in-edges (validated)
-            all_sources = range(hin.entity(node_type[node]).count)
-            candidates = set(all_sources) if source_entity is None else {source_entity}
+        if k == 0:  # the source, the only node with no in-edges
+            candidates = set(range(hin.entity(nodes[0]).count)) if source_entity is None else {source_entity}
         else:
             candidates = None
-            for pred, succ in in_edges[node]:
+            for pred, succ in in_edges[k]:
                 reachable = succ.get(assign[pred], set())
                 candidates = set(reachable) if candidates is None else candidates & reachable
                 if not candidates:
                     return
-        if node == spec.sink and sink_entity is not None:
+        if k == len(nodes) - 1 and sink_entity is not None:
             candidates = candidates & {sink_entity}
         for entity in sorted(candidates):
             budget[0] -= 1
             if budget[0] < 0:
                 raise ResourceLimitError(f"brute-force enumeration exceeded {guard} partial assignments")
-            assign[node] = entity
+            assign[k] = entity
             extend(k + 1)
-        assign.pop(node, None)
 
     extend(0)
 
@@ -1026,7 +974,7 @@ def brute_force_matrix(spec, hin, guard=10**7):
     counts = np.zeros((m, n), dtype=np.int64)
 
     def record(assign):
-        counts[assign[spec.source], assign[spec.sink]] += 1
+        counts[assign[0], assign[-1]] += 1
 
     _enumerate_instances(spec, hin, None, None, guard, record)
     return counts

@@ -26,10 +26,10 @@ def test_01_metagraph_oracle_equivalence():
     start = time.perf_counter()
     specs = [mg.parse_metagraph(text) for text in synth.ORACLE_METAGRAPHS]
     n_blocks = sum(
-        any(isinstance(c, mg.Block) for c in spec.chain.connectors)
+        any(isinstance(c, mg.Block) for c in spec.connectors)
         or any(
             isinstance(inner, mg.Block)
-            for c in spec.chain.connectors
+            for c in spec.connectors
             if isinstance(c, mg.Block)
             for br in c.branches
             for inner in br.connectors

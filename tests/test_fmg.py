@@ -650,3 +650,36 @@ class TestModelPersistence:
         fmg.save_model(path, model)
         with pytest.raises(ValueError, match="ratings file.*train the model again"):
             fmg.load_model(path)
+
+    TAMPERINGS = {  # the header entry or array to change, and the change
+        "last group dropped": ("groups", lambda groups: groups[:-1]),
+        "groups overlap": ("groups", lambda groups: [groups[0], [groups[1][0], 2, groups[1][2]], *groups[2:]]),
+        "w short": ("w", lambda w: w[:-1]),
+        "V short": ("V", lambda V: V[:-1]),
+        "user features narrow": ("user_features", lambda block: block[:, :-1]),
+        "item features narrow": ("item_features", lambda block: block[:, :-1]),
+    }
+
+    @pytest.mark.parametrize("tampering", list(TAMPERINGS))
+    def test_layout_that_does_not_cover_the_model_rejected(self, tmp_path, capsys, tampering):
+        # a layout that leaves out or overlaps columns would attribute weights to the wrong
+        # groups in report, or fail deep inside it; such a file is refused at load
+        from hinfuse import cli
+
+        path = tmp_path / "model.npz"
+        layout = fmg.GroupLayout.from_ranks(["m1", "m2"], [3, 2])
+        fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(str(arrays["header"]))
+        field, change = self.TAMPERINGS[tampering]
+        if field in header:
+            header[field] = change(header[field])
+        else:
+            arrays[field] = change(arrays[field])
+        np.savez(path, **{**arrays, "header": json.dumps(header)})
+        with pytest.raises(ValueError) as err:
+            fmg.load_model(path)
+        assert str(err.value).startswith(str(path))
+        assert cli.main(["report", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"[config] {path}")

@@ -39,21 +39,22 @@ class TestParse:
     def test_m3_is_a_four_node_path(self):
         spec = mg.parse_metagraph(M3_TEXT)
         assert spec.name == "M3"
-        assert [t for _, t in spec.nodes] == ["U", "B", "U", "B"]
+        nodes, edges = mg._instance_graph(spec)
+        assert nodes == ["U", "B", "U", "B"]
         assert spec.source_type == "U" and spec.sink_type == "B"
-        assert len(spec.edges) == 3
-        assert [rev for *_, rev in spec.edges] == [False, True, False]
+        assert len(edges) == 3
+        assert [edge.reverse for *_, edge in edges] == [False, True, False]
 
     def test_m9_has_one_block_of_two_branches(self):
         spec = mg.parse_metagraph(M9_TEXT)
-        types = [t for _, t in spec.nodes]
-        assert sorted(types) == sorted(["U", "R", "A", "B", "R", "U", "B"])
-        blocks = [c for c in spec.chain.connectors if isinstance(c, mg.Block)]
+        nodes, edges = mg._instance_graph(spec)
+        assert sorted(nodes) == sorted(["U", "R", "A", "B", "R", "U", "B"])
+        blocks = [c for c in spec.connectors if isinstance(c, mg.Block)]
         assert len(blocks) == 1 and len(blocks[0].branches) == 2
         # the block sits between the two R nodes
-        i = spec.chain.connectors.index(blocks[0])
-        assert spec.chain.types[i] == "R" and spec.chain.types[i + 1] == "R"
-        assert len(spec.edges) == 7
+        i = spec.connectors.index(blocks[0])
+        assert spec.types[i] == "R" and spec.types[i + 1] == "R"
+        assert len(edges) == 7
 
     def test_branch_must_end_with_edge(self):
         with pytest.raises(mg.MetagraphSyntaxError, match="joining the block's closing node"):
@@ -68,7 +69,7 @@ class TestParse:
             mg.parse_metagraph("X: U -( -[rate]- B -[rate~]- )- U -[rate]- B")
 
     def test_lone_node_rejected(self):
-        with pytest.raises(mg.MetagraphSyntaxError, match="at least one edge"):
+        with pytest.raises(mg.MetagraphValidationError, match="at least one edge"):
             mg.parse_metagraph("X: U")
 
     def test_syntax_error_carries_position(self):
@@ -77,10 +78,9 @@ class TestParse:
         assert err.value.position is not None
 
     def test_roundtrip_through_format(self):
-        for text in synth.ORACLE_METAGRAPHS:
-            spec = mg.parse_metagraph(text)
+        for spec in GRAMMAR_SPECS:
             again = mg.parse_metagraph(mg.format_metagraph(spec))
-            assert again == spec
+            assert again == spec, spec
 
     def test_stanza_file_parsing(self):
         specs = mg.parse_metagraphs(f"# comment\n{M3_TEXT}\n\n{M9_TEXT}\n")
@@ -91,44 +91,110 @@ class TestParse:
             mg.parse_metagraphs(f"{M3_TEXT}\n\n{M3_TEXT}\n")
 
 
-class TestValidateSpec:
-    def test_cycle_detected(self):
-        spec = mg.MetagraphSpec(
-            "bad",
-            (("n0", "U"), ("n1", "B")),
-            (("n0", "n1", "rate", False), ("n1", "n0", "rate", True), ("n0", "n1", "rate", False)),
-            "n0",
-            "n1",
-        )
-        # both nodes have in- and out-edges: no source/sink at all
-        with pytest.raises(mg.MetagraphValidationError):
-            mg.validate_spec(spec)
+class TestSpecShape:
+    """A hand-built spec must be a chain: one more type than connectors, at least one connector."""
 
-    def test_multiple_sinks_detected(self):
-        spec = mg.MetagraphSpec(
-            "bad",
-            (("n0", "U"), ("n1", "B"), ("n2", "B")),
-            (("n0", "n1", "rate", False), ("n0", "n2", "rate", False)),
-            "n0",
-            "n1",
-        )
-        with pytest.raises(mg.MetagraphValidationError, match="sink"):
-            mg.validate_spec(spec)
+    @pytest.mark.parametrize("types,connectors", [
+        (("U", "B", "U"), (mg.EdgeRef("rate"),)),
+        (("U", "B"), (mg.EdgeRef("rate"), mg.EdgeRef("rate", True))),
+        (("U",), ()),
+        ((), ()),
+    ])
+    def test_types_must_alternate_with_connectors(self, types, connectors):
+        with pytest.raises(mg.MetagraphValidationError, match="at least one edge"):
+            mg.MetagraphSpec("X", types, connectors)
 
-    def test_pure_cycle_component(self):
-        spec = mg.MetagraphSpec(
-            "bad",
-            (("n0", "U"), ("n1", "B"), ("n2", "U"), ("n3", "B")),
-            (
-                ("n0", "n1", "rate", False),
-                ("n2", "n3", "rate", False),
-                ("n3", "n2", "rate", True),
-            ),
-            "n0",
-            "n1",
-        )
-        with pytest.raises(mg.MetagraphValidationError):
-            mg.validate_spec(spec)
+    def test_hand_built_chain_equals_its_parse(self):
+        spec = mg.MetagraphSpec("X", ("U", "B", "U"), (mg.EdgeRef("rate"), mg.EdgeRef("rate", True)))
+        assert spec == mg.parse_metagraph("X: U -[rate]- B -[rate~]- U")
+        assert mg.format_metagraph(spec) == "X: U -[rate]- B -[rate~]- U"
+
+
+def edges_leaving(type_name):
+    """Each edge that leaves ``type_name`` in the oracle schema, with the type it reaches."""
+    out = []
+    for name, head, tail in synth.ORACLE_SCHEMA["relations"]:
+        if head == type_name:
+            out.append((mg.EdgeRef(name), tail))
+        if tail == type_name:
+            out.append((mg.EdgeRef(name, True), head))
+    return out
+
+
+def random_walk(rng, start, length, depth):
+    """Types and connectors of a walk of ``length`` connectors from ``start``; blocks nest ``depth`` deep."""
+    types, connectors = [start], []
+    for _ in range(length):
+        if depth and rng.random() < 0.4:
+            while True:  # branches drawn until all end on one type
+                walks = [random_walk(rng, types[-1], int(rng.integers(1, 3)), depth - 1)
+                         for _ in range(int(rng.integers(2, 4)))]
+                if len({walk[-1] for walk, _ in walks}) == 1:
+                    break
+            conn = mg.Block(tuple(mg.Branch(tuple(c), tuple(t[1:-1])) for t, c in walks))
+            end = walks[0][0][-1]
+        else:
+            options = edges_leaving(types[-1])
+            conn, end = options[int(rng.integers(len(options)))]
+        connectors.append(conn)
+        types.append(end)
+    return types, connectors
+
+
+def random_specs(seed, count):
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        start = synth.ORACLE_SCHEMA["types"][int(rng.integers(len(synth.ORACLE_SCHEMA["types"])))]
+        types, connectors = random_walk(rng, start, int(rng.integers(1, 4)), depth=2)
+        specs.append(mg.MetagraphSpec(f"G{i}", tuple(types), tuple(connectors)))
+    return specs
+
+
+def count_edges(connectors):
+    return sum(1 if isinstance(c, mg.EdgeRef) else sum(count_edges(b.connectors) for b in c.branches)
+               for c in connectors)
+
+
+def nesting(connectors):
+    return max((1 + max(nesting(b.connectors) for b in c.branches) for c in connectors
+                if isinstance(c, mg.Block)), default=0)
+
+
+RANDOM_SPECS = random_specs(0, 60)
+ORACLE_SPECS = [mg.parse_metagraph(text) for text in synth.ORACLE_METAGRAPHS]
+GRAMMAR_SPECS = RANDOM_SPECS + ORACLE_SPECS + mg.bundled_metagraphs("yelp") + mg.bundled_metagraphs("amazon")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestGrammarInvariants:
+    """What the chain grammar guarantees, checked on random chains over the oracle schema,
+    the oracle metagraphs and the bundled sets instead of at run time."""
+
+    def test_generator_reaches_nested_blocks(self):
+        assert {nesting(spec.connectors) for spec in RANDOM_SPECS} == {0, 1, 2}
+        widths = {len(c.branches) for spec in RANDOM_SPECS for c in spec.connectors if isinstance(c, mg.Block)}
+        assert widths == {2, 3}
+
+    def test_instance_graph_is_single_source_single_sink_and_forward(self):
+        for spec in GRAMMAR_SPECS:
+            nodes, edges = mg._instance_graph(spec)
+            assert all(a < b for a, b, _ in edges), spec
+            has_in, has_out = {b for _, b, _ in edges}, {a for a, _, _ in edges}
+            assert [k for k in range(len(nodes)) if k not in has_in] == [0], spec
+            assert [k for k in range(len(nodes)) if k not in has_out] == [len(nodes) - 1], spec
+            assert len(edges) == count_edges(spec.connectors), spec
+            assert (nodes[0], nodes[-1]) == (spec.source_type, spec.sink_type)
+
+    def test_random_plans_match_enumeration(self):
+        # the oracle metagraphs and the bundled sets are checked so in TestOracleEquivalence and TestBundledSets
+        for seed in range(3):
+            store = synth.random_binary_hin(seed, max_entities=10, density_range=(0.15, 0.35))
+            for spec in RANDOM_SPECS:
+                want = mg.brute_force_matrix(spec, store)
+                for optimize in (False, True):
+                    got = mg.execute_plan(mg.compile_plan(spec, store, optimize=optimize), store)
+                    assert np.array_equal(got.matrix.toarray(), want), (seed, spec, optimize)
 
 
 class TestCompile:
@@ -724,12 +790,12 @@ class TestBundledSets:
         assert [s.name for s in specs] == [f"M{i}" for i in range(1, 10)]
         assert all(s.source_type == "U" and s.sink_type == "B" for s in specs)
         # M9 carries the parallel block
-        assert any(isinstance(c, mg.Block) for c in specs[8].chain.connectors)
+        assert any(isinstance(c, mg.Block) for c in specs[8].connectors)
 
     def test_amazon_set_parses(self):
         specs = mg.bundled_metagraphs("amazon")
         assert [s.name for s in specs] == [f"M{i}" for i in range(1, 7)]
-        assert any(isinstance(c, mg.Block) for c in specs[5].chain.connectors)
+        assert any(isinstance(c, mg.Block) for c in specs[5].connectors)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("dataset,schema", [("yelp", YELP_SCHEMA), ("amazon", AMAZON_SCHEMA)])
