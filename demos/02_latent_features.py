@@ -30,7 +30,8 @@ nnr = factors.factorize_nnr(obs, mu=0.1, seed=0, max_iters=500)
 held_out = np.linalg.norm((nnr.U @ nnr.B.T - X)[~mask]) / np.linalg.norm(X[~mask])
 print(f"NNR  rank {nnr.rank}: held-out relative error {held_out:.4f}")
 print("the recovered rank exceeds the planted one; cap it when emitting features:")
-print(f"  truncate(10) -> rank {nnr.truncate(10).rank}")
+capped = factors.factorize_nnr(obs, mu=0.1, seed=0, max_iters=500, max_rank=10)
+print(f"  max_rank=10 -> rank {capped.rank}")
 
 # --- the shrinkage primitive -------------------------------------------------
 

@@ -20,6 +20,11 @@ the loops.  The accumulation order matches scipy's canonical CSR, so
 without duplicate positions the factors are bit-identical to building the
 matrix from COO on every call.
 
+A user or item with no observed entry gets an exact zero factor row: both
+objectives reduce to the regularizer there, which 0 minimises, and both
+engines set those rows on exit (descent only approaches the zero, and
+NNR's QR leaves round-off there).
+
 No evaluation repeats work whose result the loop already holds.  MF's
 backtracking makes one residual pass (gather, residuals, objective) per
 trial point and forms the two gradients only at an accepted point, from
@@ -104,8 +109,10 @@ class ObservedMatrix:
 
     @classmethod
     def from_similarity(cls, sim):
-        coo = sim.matrix.tocoo()
-        return cls(coo.shape, coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.astype(np.float64))
+        """The similarity's stored entries, in stored order; ``col`` and ``val`` are its CSR arrays."""
+        R = sim.matrix
+        row = np.repeat(np.arange(R.shape[0], dtype=R.indices.dtype), np.diff(R.indptr))
+        return cls(R.shape, row, R.indices, np.asarray(R.data, dtype=np.float64))
 
     @classmethod
     def from_dense(cls, X, mask=None):
@@ -118,11 +125,13 @@ class ObservedMatrix:
     def n_observed(self):
         return len(self.val)
 
-    def user_observed(self):
-        return np.bincount(self.row, minlength=self.shape[0]) > 0
 
-    def item_observed(self):
-        return np.bincount(self.col, minlength=self.shape[1]) > 0
+def _zero_unobserved(obs, U, B):
+    """C-ordered copies of U and B whose rows for users and items ``obs`` never observes are 0."""
+    U, B = np.array(U, order="C"), np.array(B, order="C")
+    U[np.bincount(obs.row, minlength=obs.shape[0]) == 0] = 0.0
+    B[np.bincount(obs.col, minlength=obs.shape[1]) == 0] = 0.0
+    return U, B
 
 
 @dataclass
@@ -131,12 +140,13 @@ class FactorPair:
 
     U: np.ndarray
     B: np.ndarray
-    rank: int
     metagraph: str = ""
     method: str = "mf"
-    user_observed: np.ndarray = None
-    item_observed: np.ndarray = None
     objective_history: list = field(default_factory=list, repr=False)
+
+    @property
+    def rank(self):
+        return self.U.shape[1]
 
     @property
     def n_users(self):
@@ -145,21 +155,6 @@ class FactorPair:
     @property
     def n_items(self):
         return self.B.shape[0]
-
-    def truncate(self, max_rank):
-        """Keep the first ``max_rank`` factor columns (NNR emits them by decreasing weight)."""
-        if max_rank is None or self.rank <= max_rank:
-            return self
-        return FactorPair(
-            self.U[:, :max_rank].copy(),
-            self.B[:, :max_rank].copy(),
-            max_rank,
-            self.metagraph,
-            self.method,
-            self.user_observed,
-            self.item_observed,
-            self.objective_history,
-        )
 
 
 def _mf_residual(U, B, obs, mu, gathered=None):
@@ -238,11 +233,7 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
         if relative < tol:
             break
 
-    return FactorPair(
-        U, B, rank, metagraph=name, method="mf",
-        user_observed=obs.user_observed(), item_observed=obs.item_observed(),
-        objective_history=history,
-    )
+    return FactorPair(*_zero_unobserved(obs, U, B), metagraph=name, method="mf", objective_history=history)
 
 
 def svt(X, tau):
@@ -307,12 +298,6 @@ class _LowRankPlusSparse:
             out += c * (Q @ (s[:, None] * (P.T @ G)))
         return np.asarray(out)
 
-    def dense(self):
-        out = np.asarray(self.S.todense())
-        for c, P, s, Q in self.terms:
-            out += c * ((P * s) @ Q.T)
-        return out
-
 
 def _partial_svd(op, m, n, k, rng, oversample=10, n_power=3):
     """Top-k singular triplets by randomized subspace iteration."""
@@ -329,34 +314,28 @@ def _partial_svd(op, m, n, k, rng, oversample=10, n_power=3):
     return (Q @ Ub)[:, :k], s[:k], Vt[:k].T
 
 
-def _svt_of_operator(op, m, n, tau, rank_guess, rng, dense_cutoff):
+def _svt_of_operator(op, m, n, tau, rank_guess, rng):
     """SVT applied to an implicit matrix; retries with a larger subspace if needed."""
-    if min(m, n) <= dense_cutoff:
-        P, s, Qt = np.linalg.svd(op.dense(), full_matrices=False)
-        Q = Qt.T
-    else:
-        k = max(rank_guess, 5)
-        while True:
-            P, s, Q = _partial_svd(op, m, n, k, rng)
-            if len(s) and s[-1] > tau and k < min(m, n):
-                k = min(2 * k, min(m, n))  # threshold not reached inside the subspace
-                continue
-            break
+    k = max(rank_guess, 5)
+    P, s, Q = _partial_svd(op, m, n, k, rng)
+    while len(s) and s[-1] > tau and k < min(m, n):
+        k = min(2 * k, min(m, n))  # threshold not reached inside the subspace
+        P, s, Q = _partial_svd(op, m, n, k, rng)
     keep = s > tau
     return P[:, keep], (s - tau)[keep], Q[:, keep]
 
 
 def factorize_nnr(
-    obs, mu, seed=0, tol=1e-5, max_iters=300, max_rank=None, dense_cutoff=200, name="",
-    return_state=False,
+    obs, mu, seed=0, tol=1e-5, max_iters=300, max_rank=None, name="", return_state=False,
 ):
     """Nuclear-norm-regularized completion by accelerated proximal gradient.
 
     The objective 0.5 * ||P_Omega(X - R)||_F^2 + mu * ||X||_* is nonincreasing
     across accepted iterates (momentum restarts on increase).  Returns a
-    :class:`FactorPair` with U Bᵀ exactly equal to the final iterate
-    (``return_state=True`` also hands back the factored iterate); pass
-    ``max_rank`` to truncate the emitted features afterwards.
+    :class:`FactorPair` with U Bᵀ equal to the final iterate outside the
+    unobserved rows (``return_state=True`` also hands back the factored
+    iterate); ``max_rank`` keeps that many leading components, the iterate's
+    largest singular values.
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -383,7 +362,7 @@ def factorize_nnr(
         # Z = Y - P_Omega(Y - R)  =  Y + sparse correction at the observed entries
         op = _LowRankPlusSparse(terms, *obs.scatter(obs.val - coeffs))
         guess = max(terms[0][1].rank + 5, 10)
-        return _svt_of_operator(op, m, n, mu, guess, rng, dense_cutoff)
+        return _svt_of_operator(op, m, n, mu, guess, rng)
 
     state.objective_history.append(objective(state))
     a_prev, a = 0.0, 1.0
@@ -409,27 +388,18 @@ def factorize_nnr(
         if abs(last - value) / max(abs(last), 1e-12) < tol:
             break
 
-    half = np.sqrt(state.sigma)
-    pair = FactorPair(
-        state.P * half, state.Q * half, state.rank, metagraph=name, method="nnr",
-        user_observed=obs.user_observed(), item_observed=obs.item_observed(),
-        objective_history=state.objective_history,
-    )
-    pair = pair.truncate(max_rank)
+    half = np.sqrt(state.sigma[:max_rank])
+    U, B = _zero_unobserved(obs, state.P[:, :max_rank] * half, state.Q[:, :max_rank] * half)
+    pair = FactorPair(U, B, metagraph=name, method="nnr", objective_history=state.objective_history)
     return (pair, state) if return_state else pair
 
 
 def save_factor_pair(path, pair):
-    """Persist both factor sides, their observed masks (all True where unknown) and the header fields."""
-    masks = [np.ones(len(m), dtype=bool) if o is None else o
-             for m, o in ((pair.U, pair.user_observed), (pair.B, pair.item_observed))]
-    np.savez(path, U=pair.U, B=pair.B, user_observed=masks[0], item_observed=masks[1], rank=pair.rank,
-             metagraph=pair.metagraph, method=pair.method)
+    """Persist both factor sides and the metagraph name and method tag."""
+    np.savez(path, U=pair.U, B=pair.B, metagraph=pair.metagraph, method=pair.method)
 
 
 def load_factor_pair(path):
     """The :class:`FactorPair` written by :func:`save_factor_pair`."""
     with np.load(path, allow_pickle=False) as f:
-        return FactorPair(f["U"], f["B"], int(f["rank"]), metagraph=str(f["metagraph"]),
-                          method=str(f["method"]), user_observed=f["user_observed"],
-                          item_observed=f["item_observed"])
+        return FactorPair(f["U"], f["B"], metagraph=str(f["metagraph"]), method=str(f["method"]))

@@ -181,8 +181,7 @@ class RegConfig:
 
 def factor_blocks(pairs):
     """``((user_features (m, d/2), item_features (n, d/2)), layout)``: every metagraph's factors
-    side by side, in layout order; users or items a metagraph's similarity matrix does not
-    observe get zero rows in its columns."""
+    side by side, in layout order (the engines give unobserved users and items zero rows)."""
     if not pairs:
         raise ValueError("need at least one factor pair")
     m, n = pairs[0].n_users, pairs[0].n_items
@@ -194,12 +193,8 @@ def factor_blocks(pairs):
             )
     layout = GroupLayout.from_ranks([p.metagraph for p in pairs], [p.rank for p in pairs])
     layout.validate()
-
-    def masked(matrix, observed):
-        return matrix if observed is None else np.where(np.asarray(observed, bool)[:, None], matrix, 0.0)
-
-    users = np.concatenate([masked(p.U, p.user_observed) for p in pairs], axis=1)
-    items = np.concatenate([masked(p.B, p.item_observed) for p in pairs], axis=1)
+    users = np.concatenate([p.U for p in pairs], axis=1)
+    items = np.concatenate([p.B for p in pairs], axis=1)
     return (users, items), layout
 
 

@@ -431,9 +431,9 @@ class _Stages:
         paths = []
         for sim in sims:
             key = _key(
-                "factors", self.fingerprint, sim.metagraph, cfg.feature_method, cfg.rank,
-                cfg.mu, cfg.max_rank, cfg.fractions, seed, cfg.binarize_ratings,
-                cfg.log_scale_similarity,
+                "factors", self.fingerprint, sim.metagraph, cfg.feature_method,
+                cfg.rank if cfg.feature_method == "mf" else cfg.max_rank,  # the width the method reads
+                cfg.mu, cfg.fractions, seed, cfg.binarize_ratings, cfg.log_scale_similarity,
             )
             paths.append(os.path.join(self.cache_dir, f"fac_{sim.metagraph}_{key}.npz"))
         hits = [os.path.exists(path) for path in paths]

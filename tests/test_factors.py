@@ -75,10 +75,31 @@ class TestFactorizeMf:
                     fd = (value(U, B + bump) - value(U, B - bump)) / (2 * eps)
                 assert abs(fd - grad[idx]) / max(abs(fd), 1e-8) <= 1e-5
 
-    def test_observed_masks(self):
-        obs = factors.ObservedMatrix((3, 4), np.array([0, 2]), np.array([1, 1]), np.ones(2))
-        assert obs.user_observed().tolist() == [True, False, True]
-        assert obs.item_observed().tolist() == [False, True, False, False]
+
+class TestUnobservedRows:
+    """A user or item with no observed entry gets an exact zero factor row, in C order."""
+
+    @staticmethod
+    def with_empty_row_and_column(seed=3, m=30, n=24):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < 0.5
+        mask[4, :] = False
+        mask[:, 7] = False
+        return factors.ObservedMatrix.from_dense(rng.normal(size=(m, n)), mask)
+
+    FITS = {
+        "mf": lambda obs: factors.factorize_mf(obs, 3, mu=0.1, seed=0),
+        "nnr": lambda obs: factors.factorize_nnr(obs, mu=0.5, seed=0),
+    }
+
+    @pytest.mark.parametrize("method", list(FITS))
+    def test_unobserved_rows_are_exact_zeros(self, method):
+        obs = self.with_empty_row_and_column()
+        pair = self.FITS[method](obs)
+        assert np.all(pair.U[4] == 0.0) and np.all(pair.B[7] == 0.0)
+        assert np.all(np.delete(pair.U, 4, axis=0).any(axis=1))
+        assert np.all(np.delete(pair.B, 7, axis=0).any(axis=1))
+        assert pair.U.flags.c_contiguous and pair.B.flags.c_contiguous
 
 
 def mf_value_and_grad_coo(U, B, obs, mu):
@@ -100,6 +121,28 @@ def unsorted_similarity(seed, m=40, k=60, n=30):
     S = left @ right
     assert not S.has_sorted_indices
     return factors.ObservedMatrix.from_similarity(SimpleNamespace(matrix=S))
+
+
+class TestFromSimilarity:
+    """An observed matrix shares the similarity's column indices and values, in stored order."""
+
+    def test_shares_the_csr_arrays_and_matches_its_coo(self):
+        rng = np.random.default_rng(2)
+        S = sp.random(40, 60, density=0.2, random_state=rng, format="csr") @ sp.random(
+            60, 30, density=0.2, random_state=rng, format="csr")
+        assert not S.has_sorted_indices
+        obs = factors.ObservedMatrix.from_similarity(SimpleNamespace(matrix=S))
+        assert np.shares_memory(obs.val, S.data) and np.shares_memory(obs.col, S.indices)
+        coo = S.tocoo()
+        want = factors.ObservedMatrix(coo.shape, coo.row.astype(np.int64), coo.col.astype(np.int64),
+                                      coo.data.astype(np.float64))
+        U, B = rng.normal(size=(40, 4)), rng.normal(size=(30, 4))
+        assert np.array_equal(obs.entries(U, B), want.entries(U, B))
+        values = rng.normal(size=obs.n_observed)
+        for got, expected in zip(obs.scatter(values), want.scatter(values)):
+            assert np.array_equal(got.indices, expected.indices)
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.data, expected.data)
 
 
 class TestFixedPattern:
@@ -188,7 +231,7 @@ def mf_loop_reference(obs, rank, mu, seed=0, tol=1e-5, max_iters=2000):
     return U, B, history, evals
 
 
-def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300, dense_cutoff=200):
+def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300):
     """The NNR loop as written before iterates kept their entries: each proximal step gathers
     the entries of both iterates again.  Returns (P, sigma, Q) and the objective history."""
     m, n = obs.shape
@@ -208,7 +251,7 @@ def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300, dense_cutoff=20
                 coeffs += c * obs.entries(P * s, Q)
         states = [(c, factors.NnrState(P, s, Q)) for c, P, s, Q in terms]
         op = factors._LowRankPlusSparse(states, *obs.scatter(obs.val - coeffs))
-        return factors._svt_of_operator(op, m, n, mu, max(len(terms[0][2]) + 5, 10), rng, dense_cutoff)
+        return factors._svt_of_operator(op, m, n, mu, max(len(terms[0][2]) + 5, 10), rng)
 
     state = prev = (np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     history = [objective(*state)]
@@ -220,6 +263,40 @@ def nnr_loop_reference(obs, mu, seed=0, tol=1e-5, max_iters=300, dense_cutoff=20
         if value > history[-1] + 1e-12:
             candidate = prox_from([(1.0, *state)])
             value = objective(*candidate)
+            a_prev, a = 0.0, 1.0
+        prev, state = state, candidate
+        last = history[-1]
+        history.append(value)
+        a_prev, a = a, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * a * a))
+        if abs(last - value) / max(abs(last), 1e-12) < tol:
+            break
+    return state, history
+
+
+def nnr_dense_reference(obs, mu, tol=1e-5, max_iters=300):
+    """The NNR loop on dense iterates: each proximal step applies ``svt`` to the densified
+    prox point Y - P_Omega(Y - R).  Returns the final iterate and the objective history."""
+    R, observed = np.zeros(obs.shape), np.zeros(obs.shape, dtype=bool)
+    R[obs.row, obs.col] = obs.val
+    observed[obs.row, obs.col] = True
+
+    def prox(Y):
+        return factors.svt(np.where(observed, R, Y), mu)
+
+    def objective(X):
+        err = X[obs.row, obs.col] - obs.val
+        return 0.5 * float(err @ err) + mu * float(np.sum(np.linalg.svd(X, compute_uv=False)))
+
+    state = prev = np.zeros(obs.shape)
+    history = [objective(state)]
+    a_prev, a = 0.0, 1.0
+    for _ in range(max_iters):
+        beta = (a_prev - 1.0) / a
+        candidate = prox((1.0 + beta) * state - beta * prev)
+        value = objective(candidate)
+        if value > history[-1] + 1e-12:
+            candidate = prox(state)
+            value = objective(candidate)
             a_prev, a = 0.0, 1.0
         prev, state = state, candidate
         last = history[-1]
@@ -296,11 +373,10 @@ class TestNoRepeatedWork:
         assert left.shape == right.shape == (obs.n_observed, 4)
         assert all(g[0] is left and g[1] is right for g in seen)
 
-    @pytest.mark.parametrize("dense_cutoff", [200, 1])
-    def test_nnr_equals_entries_at_every_step_loop(self, dense_cutoff):
+    def test_nnr_equals_entries_at_every_step_loop(self):
         obs = unsorted_similarity(8, m=50, k=70, n=45)
-        (P, sigma, Q), history = nnr_loop_reference(obs, 0.3, dense_cutoff=dense_cutoff)
-        _, state = factors.factorize_nnr(obs, 0.3, dense_cutoff=dense_cutoff, return_state=True)
+        (P, sigma, Q), history = nnr_loop_reference(obs, 0.3)
+        _, state = factors.factorize_nnr(obs, 0.3, return_state=True)
         assert len(history) > 3
         assert np.array_equal(state.P, P) and np.array_equal(state.sigma, sigma)
         assert np.array_equal(state.Q, Q)
@@ -429,15 +505,37 @@ class TestFactorizeNnr:
         pair = factors.factorize_nnr(observed_full(X), mu=1e-3, seed=0, max_rank=2)
         assert pair.rank == 2 and pair.U.shape[1] == 2
 
-    def test_partial_svd_path_matches_dense_path(self):
-        rng = np.random.default_rng(13)
+    @staticmethod
+    def against_dense_reference(X, mu, monkeypatch):
+        """Fit by the randomized route and check it against svt of the densified prox point,
+        step by step; returns the factored iterate and the operator of every partial SVD."""
+        obs = factors.ObservedMatrix.from_dense(X, np.random.default_rng(13).random(X.shape) < 0.7)
+        operators = []
+        partial_svd = factors._partial_svd
+
+        def recording(op, m, n, k, rng):
+            operators.append(op)
+            return partial_svd(op, m, n, k, rng)
+
+        monkeypatch.setattr(factors, "_partial_svd", recording)
+        _, state = factors.factorize_nnr(obs, mu=mu, seed=0, return_state=True)
+        want, history = nnr_dense_reference(obs, mu)
+        got = (state.P * state.sigma) @ state.Q.T
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-6
+        assert np.allclose(state.objective_history, history, rtol=1e-9, atol=0.0)
+        return state, operators
+
+    def test_partial_svd_path_matches_dense_path(self, monkeypatch):
         X = self.planted(seed=13, m=60, n=40, rank=3)
-        obs = factors.ObservedMatrix.from_dense(X, rng.random(X.shape) < 0.7)
-        dense = factors.factorize_nnr(obs, mu=0.05, seed=0, dense_cutoff=200)
-        randomized = factors.factorize_nnr(obs, mu=0.05, seed=0, dense_cutoff=1)
-        a = dense.U @ dense.B.T
-        b = randomized.U @ randomized.B.T
-        assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-3
+        state, _ = self.against_dense_reference(X, 0.05, monkeypatch)
+        assert state.rank == 3
+
+    def test_partial_svd_path_matches_dense_path_when_the_subspace_doubles(self, monkeypatch):
+        # more than 10 components stay above the threshold, past the first subspace
+        X = np.random.default_rng(14).normal(size=(60, 40))
+        state, operators = self.against_dense_reference(X, 2.0, monkeypatch)
+        assert state.rank > 10
+        assert any(a is b for a, b in zip(operators, operators[1:]))  # a redo on the same operator
 
     def test_nnr_rank_at_least_mf_rank_on_planted_suite(self):
         # mirrors the observation that nuclear-norm recovery keeps a higher rank
@@ -477,19 +575,11 @@ class TestPerIterationCost:
 class TestPersistence:
     def test_factor_sides_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        pair = factors.FactorPair(
-            rng.normal(size=(5, 2)), rng.normal(size=(4, 2)), 2, metagraph="M1", method="mf",
-            user_observed=np.array([True, False, True, True, False]),
-            item_observed=np.ones(4, dtype=bool),
-        )
+        pair = factors.FactorPair(rng.normal(size=(5, 2)), rng.normal(size=(4, 2)), metagraph="M1", method="mf")
         path = tmp_path / "pair.npz"
         factors.save_factor_pair(path, pair)
         again = factors.load_factor_pair(path)
         assert np.array_equal(again.U, pair.U) and np.array_equal(again.B, pair.B)
         assert again.metagraph == "M1" and again.method == "mf" and again.rank == 2
-        assert np.array_equal(again.user_observed, pair.user_observed)
-        assert np.array_equal(again.item_observed, pair.item_observed)
-        pair.user_observed = pair.item_observed = None  # unknown masks are stored as all observed
-        factors.save_factor_pair(path, pair)
-        again = factors.load_factor_pair(path)
-        assert again.user_observed.tolist() == [True] * 5 and again.item_observed.tolist() == [True] * 4
+        with np.load(path, allow_pickle=False) as f:
+            assert sorted(f.files) == ["B", "U", "metagraph", "method"]

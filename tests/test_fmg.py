@@ -6,16 +6,13 @@ import pytest
 from scipy.optimize import minimize
 
 from hinfuse import fmg
-from hinfuse.factors import FactorPair
+from hinfuse.factors import FactorPair, ObservedMatrix, factorize_mf
 from hinfuse.hin import RatingSet
 
 
-def make_pair(name, m, n, rank, seed=0, user_observed=None, item_observed=None):
+def make_pair(name, m, n, rank, seed=0):
     rng = np.random.default_rng(seed)
-    return FactorPair(
-        rng.normal(size=(m, rank)), rng.normal(size=(n, rank)), rank, metagraph=name,
-        user_observed=user_observed, item_observed=item_observed,
-    )
+    return FactorPair(rng.normal(size=(m, rank)), rng.normal(size=(n, rank)), metagraph=name)
 
 
 def make_ratings(users, items, values):
@@ -62,7 +59,9 @@ class TestAssemble:
         assert np.array_equal(gathered(table)[0], want)
 
     def test_absent_item_contributes_zero_block(self):
-        pair = make_pair("m1", 3, 3, 2, item_observed=np.array([True, False, True]))
+        # item 1 has no observed similarity, so the engine gives it a zero factor row
+        obs = ObservedMatrix((4, 4), np.array([0, 1, 2, 3]), np.array([0, 2, 3, 0]), np.ones(4))
+        pair = factorize_mf(obs, 2, mu=0.1, seed=0, name="m1")
         table, layout = rating_table([pair], make_ratings([0], [1], [2.0]))
         _, start, stop = layout.groups[1]
         X = gathered(table)

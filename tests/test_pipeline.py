@@ -192,6 +192,22 @@ class TestRunPipeline:
         assert all(e["hit"] for e in second.cache_events["similarity"])
         assert all(e["hit"] for e in second.cache_events["factorize"])
 
+    @pytest.mark.parametrize("method, unused, used", [("mf", "max_rank", "rank"), ("nnr", "rank", "max_rank")])
+    def test_factor_cache_key_names_only_the_width_the_method_reads(self, dataset, tmp_path, method, unused,
+                                                                   used):
+        root, schema = dataset
+        cache = str(tmp_path / "cache")
+
+        def factorize_hits(**widths):
+            cfg = small_config(str(root), schema, feature_method=method, **{"rank": 3, "max_rank": 3, **widths})
+            stages = pipeline._Stages(cfg, str(tmp_path / "out"), cache)
+            stages.run(cfg.seed, through="factorize")
+            return [e["hit"] for e in stages.cache_events["factorize"]]
+
+        assert not any(factorize_hits())
+        assert all(factorize_hits(**{unused: 2}))
+        assert not any(factorize_hits(**{used: 2}))
+
     def test_fresh_cache_still_deterministic(self, dataset, tmp_path):
         root, schema = dataset
         cfg = small_config(str(root), schema)
