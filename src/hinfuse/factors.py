@@ -9,16 +9,31 @@ Two routes produce per-metagraph user/item factors:
   singular value thresholding; the iterate is kept in factored SVD form
   and split as U = P Σ^{1/2}, B = Q Σ^{1/2} on exit.
 
-Both engines evaluate on one fixed observed pattern.  An
-:class:`ObservedMatrix` builds, once, the CSR matrix and its transpose at
-the observed positions.  An evaluation gathers factor rows with ``np.take``
-(:meth:`ObservedMatrix.entries`), into two buffers that an MF fit allocates
-once; a gradient writes the per-entry residuals into the data arrays of
-those two matrices (:meth:`ObservedMatrix.scatter`): no sparse matrix is
-constructed and no COO conversion, index sort or CSC transpose runs inside
-the loops.  The accumulation order matches scipy's canonical CSR, so
-without duplicate positions the factors are bit-identical to building the
-matrix from COO on every call.
+Both engines evaluate on one fixed observed pattern, held by an
+:class:`ObservedMatrix` in one of two forms, each built once, on first use:
+
+* The CSR pair: the CSR matrix and its transpose at the observed positions.
+  An evaluation gathers factor rows with ``np.take``
+  (:meth:`ObservedMatrix.entries`), into two nnz × rank buffers that an MF
+  fit allocates once; a gradient writes the per-entry residuals into the
+  data arrays of the pair (:meth:`ObservedMatrix.scatter`) and multiplies
+  by it.  No sparse matrix is constructed and no COO conversion, index sort
+  or CSC transpose runs inside the loops.  The accumulation order matches
+  scipy's canonical CSR, so without duplicate positions the factors are
+  bit-identical to building the matrix from COO on every call.
+* The dense form (:attr:`ObservedMatrix.dense`): the (m, n) array of the
+  observed values, 0 elsewhere, and the observed mask.  It exists where the
+  positions are unique and its 9 bytes per position (8 for the value, 1 for
+  the mask) total fewer than the CSR pair would hold:
+  2 · nnz · (8 + s) + (m + n + 2) · s bytes, with s the index itemsize, so
+  with int32 indices above a density of about 3/8.  An MF trial point is
+  then one ``U @ Bᵀ`` product into a residual buffer that the fit allocates
+  once, the masked residual and the objective; an accepted step is the two
+  products ``E @ B`` and ``Eᵀ @ U``, all through BLAS.
+
+MF runs on the dense form wherever it exists and on the CSR pair elsewhere
+(sparse patterns, repeated positions).  NNR always runs on the CSR pair:
+its randomized SVD amplifies the rounding differences between the two.
 
 A user or item with no observed entry gets an exact zero factor row: both
 objectives reduce to the regularizer there, which 0 minimises, and both
@@ -26,16 +41,17 @@ engines set those rows on exit (descent only approaches the zero, and
 NNR's QR leaves round-off there).
 
 No evaluation repeats work whose result the loop already holds.  MF's
-backtracking makes one residual pass (gather, residuals, objective) per
-trial point and forms the two gradients only at an accepted point, from
-that point's residuals: one scatter and two sparse products per accepted
-step.  An NNR iterate (:class:`NnrState`) keeps its entries at the
-observed positions once its objective has computed them, and the next
-proximal steps reuse them for the current and the previous iterate.
+backtracking makes one residual pass (product or gather, residuals,
+objective) per trial point and forms the two gradients only at an accepted
+point, from that point's residuals: two products per accepted step.  An
+NNR iterate (:class:`NnrState`) keeps its entries at the observed positions
+once its objective has computed them, and the next proximal steps reuse
+them for the current and the previous iterate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +75,25 @@ def _csr_layout(major, minor, n_major, index_dtype):
     return order, minor[order].astype(index_dtype), indptr
 
 
+def _dense_is_smaller(shape, nnz):
+    """Whether an (m, n) pattern with ``nnz`` entries takes fewer bytes dense than as a CSR pair.
+
+    Dense: 9 bytes per position, a float64 value and a bool mask entry.  CSR pair: the matrix
+    and its transpose, each nnz float64 values and nnz indices plus its row pointers.
+    """
+    m, n = shape
+    index_bytes = np.dtype(sp.get_index_dtype(maxval=max(m, n, nnz))).itemsize
+    return 9 * m * n < 2 * nnz * (8 + index_bytes) + (m + n + 2) * index_bytes
+
+
 @dataclass
 class ObservedMatrix:
     """Entries of a partially observed matrix; positions define the mask.
 
-    The positions are fixed once constructed: the CSR matrix and its
-    transpose at those positions are built here, once, and every
-    :meth:`scatter` writes new values into their data arrays.
+    The positions are fixed once constructed.  The CSR pair behind
+    :meth:`scatter` and the :attr:`dense` form are each built on first use
+    and kept; an MF fit uses the dense form where it exists and never
+    builds the pair, and an NNR fit builds only the pair.
     """
 
     shape: tuple
@@ -73,14 +101,32 @@ class ObservedMatrix:
     col: np.ndarray
     val: np.ndarray
 
-    def __post_init__(self):
+    @functools.cached_property
+    def _scattered(self):
+        """(entry order, CSR matrix) of the matrix, then of its transpose."""
         m, n = self.shape
         index_dtype = sp.get_index_dtype(maxval=max(m, n, len(self.row)))
-        self._scattered = []  # (entry order, CSR matrix) of the matrix, then of its transpose
+        scattered = []
         for major, minor, shape in ((self.row, self.col, (m, n)), (self.col, self.row, (n, m))):
             order, indices, indptr = _csr_layout(major, minor, shape[0], index_dtype)
             matrix = sp.csr_matrix((np.zeros(len(order)), indices, indptr), shape=shape)
-            self._scattered.append((order, matrix))
+            scattered.append((order, matrix))
+        return scattered
+
+    @functools.cached_property
+    def dense(self):
+        """``(values, mask)``: the (m, n) array of the observed values, 0 at unobserved
+        positions, and the observed mask; ``None`` where a position repeats or where this form
+        would not take fewer bytes than the CSR pair (see :func:`_dense_is_smaller`)."""
+        if not _dense_is_smaller(self.shape, self.n_observed):
+            return None
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.row, self.col] = True
+        if np.count_nonzero(mask) != self.n_observed:  # a position repeats
+            return None
+        values = np.zeros(self.shape)
+        values[self.row, self.col] = self.val
+        return values, mask
 
     def entries(self, U, B, gathered=None):
         """(U Bᵀ)_ij at every observed position, in O(nnz * rank).
@@ -99,12 +145,12 @@ class ObservedMatrix:
     def scatter(self, values):
         """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR.
 
-        Both are the matrices built at construction, with ``values`` written
-        into their data arrays: the pair is valid until the next ``scatter``
-        on this matrix, which overwrites it.
+        Both are the matrices built on the first call, with ``values``
+        written into their data arrays: the pair is valid until the next
+        ``scatter`` on this matrix, which overwrites it.
         """
         for order, matrix in self._scattered:
-            np.take(values, order, out=matrix.data)
+            np.take(values, order, out=matrix.data, mode="clip")  # mode "raise" would buffer the output
         return tuple(matrix for _, matrix in self._scattered)
 
     @classmethod
@@ -157,16 +203,28 @@ class FactorPair:
         return self.B.shape[0]
 
 
-def _mf_residual(U, B, obs, mu, gathered=None):
-    """Residuals (U Bᵀ)_ij - R_ij at the observed positions, and the objective value."""
-    err = obs.entries(U, B, gathered) - obs.val
-    value = 0.5 * float(err @ err) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
+def _mf_residual(U, B, obs, mu, work=None):
+    """Residuals U Bᵀ - R at the observed positions, and the objective value.
+
+    On the dense form the residuals are an (m, n) array with 0 at the unobserved positions,
+    written into ``work``, an (m, n) float array, when given.  On the CSR pair they are one
+    per entry, and ``work`` is the pair of gather buffers of :meth:`ObservedMatrix.entries`.
+    """
+    if obs.dense is None:
+        err = obs.entries(U, B, work) - obs.val
+    else:
+        values, mask = obs.dense
+        err = np.matmul(U, B.T, out=work)
+        np.multiply(err, mask, out=err)
+        err -= values
+    flat = err.reshape(-1)
+    value = 0.5 * float(flat @ flat) + 0.5 * mu * (float(np.sum(U * U)) + float(np.sum(B * B)))
     return err, value
 
 
 def _mf_grad(U, B, obs, mu, err):
     """Gradients with respect to U and B, given the residuals ``err`` at (U, B)."""
-    E, Et = obs.scatter(err)
+    E, Et = (err, err.T) if obs.dense is not None else obs.scatter(err)
     return E @ B + mu * U, Et @ U + mu * B
 
 
@@ -185,7 +243,9 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
 
     Accepted steps never increase the objective; iteration stops once the
     relative objective change drops below ``tol``.  A trial point costs one
-    residual pass; the gradients are formed only at accepted points.
+    residual pass; the gradients are formed only at accepted points.  The
+    evaluations run on the observed matrix's dense form where it exists, and
+    on its CSR pair otherwise.
     """
     m, n = obs.shape
     if rank < 1:
@@ -201,11 +261,14 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     scale = 0.1 / np.sqrt(rank)
     U = rng.normal(0.0, scale, (m, rank))
     B = rng.normal(0.0, scale, (n, rank))
-    # reused by every trial: a fresh nnz·rank array per trial costs page faults whenever
-    # the allocator hands it fresh pages, which depends on what the process freed earlier
-    gathered = (np.empty((obs.n_observed, rank)), np.empty((obs.n_observed, rank)))
+    # reused by every trial: a fresh buffer per trial costs page faults whenever the
+    # allocator hands it fresh pages, which depends on what the process freed earlier
+    if obs.dense is not None:
+        work = np.empty(obs.shape)
+    else:
+        work = (np.empty((obs.n_observed, rank)), np.empty((obs.n_observed, rank)))
 
-    err, value = _mf_residual(U, B, obs, mu, gathered)
+    err, value = _mf_residual(U, B, obs, mu, work)
     grad_u, grad_b = _mf_grad(U, B, obs, mu, err)
     history = [value]
     step = 0.1
@@ -217,7 +280,7 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
         for _ in range(40):
             U_new = U - step * grad_u
             B_new = B - step * grad_b
-            err, value_new = _mf_residual(U_new, B_new, obs, mu, gathered)
+            err, value_new = _mf_residual(U_new, B_new, obs, mu, work)
             if value_new <= value - 1e-4 * step * grad_sq:
                 accepted = True
                 break

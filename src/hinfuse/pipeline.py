@@ -244,16 +244,19 @@ def _key(*parts):
 
 def _fit(config, sim, seed):
     """Factor one similarity matrix under ``config``: ``(pair, record)``, where the record gives
-    the fit's seconds (observed matrix and solver loop), its iterations and its final objective."""
+    the fit's seconds (observed matrix and solver loop), its iterations, its final objective and
+    the layout its evaluations ran on ("dense" or "csr", see :mod:`hinfuse.factors`)."""
     start = time.perf_counter()
     obs = factors.ObservedMatrix.from_similarity(sim)
     if config.feature_method == "mf":
         pair = factors.factorize_mf(obs, config.rank, config.mu, seed=seed, name=sim.metagraph)
+        layout = "csr" if obs.dense is None else "dense"
     else:
         pair = factors.factorize_nnr(obs, config.mu, seed=seed, max_rank=config.max_rank,
                                      name=sim.metagraph)
+        layout = "csr"
     return pair, {"fit_s": time.perf_counter() - start, "iters": len(pair.objective_history) - 1,
-                  "objective": float(pair.objective_history[-1])}
+                  "objective": float(pair.objective_history[-1]), "layout": layout}
 
 
 def _available_cores():
@@ -423,8 +426,9 @@ class _Stages:
         process, one per available core (the affinity mask, so ``taskset`` limits the
         pool), each with its BLAS on one thread; the parent then writes the factor files
         and cache events in metagraph order.  Each extra worker adds one fit's working
-        set (the observed matrix, its CSR pair and the factors) to the peak memory; the
-        parent's pages, the similarity matrices included, are shared copy-on-write.
+        set (the observed matrix in the form its evaluations run on, dense or CSR, with
+        its buffers, and the factors) to the peak memory; the parent's pages, the
+        similarity matrices included, are shared copy-on-write.
         """
         cfg = self.config
         os.makedirs(self.cache_dir, exist_ok=True)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,21 @@ from hinfuse import factors
 
 def observed_full(X):
     return factors.ObservedMatrix.from_dense(np.asarray(X, dtype=float))
+
+
+@pytest.fixture
+def csr_arm(monkeypatch):
+    """Observed matrices made after this fixture never get a dense form: MF runs on the CSR pair."""
+    monkeypatch.setattr(factors, "_dense_is_smaller", lambda shape, nnz: False)
+
+
+def on_arm(arm, request, obs_factory):
+    """The observed matrix ``obs_factory()`` makes, evaluated on ``arm`` ("dense" or "csr")."""
+    if arm == "csr":
+        request.getfixturevalue("csr_arm")
+    obs = obs_factory()
+    assert (obs.dense is not None) == (arm == "dense")
+    return obs
 
 
 class TestFactorizeMf:
@@ -53,9 +69,17 @@ class TestFactorizeMf:
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] <= hist[0]
 
-    def test_gradient_matches_finite_differences(self):
+    def test_gradient_matches_finite_differences(self, request):
+        self.check_finite_differences("csr", request)
+
+    def test_gradient_matches_finite_differences_on_the_dense_form(self, request):
+        self.check_finite_differences("dense", request)
+
+    @staticmethod
+    def check_finite_differences(arm, request):
         rng = np.random.default_rng(7)
-        obs = factors.ObservedMatrix.from_dense(rng.normal(size=(6, 5)), rng.random((6, 5)) < 0.7)
+        X, mask = rng.normal(size=(6, 5)), rng.random((6, 5)) < 0.7
+        obs = on_arm(arm, request, lambda: factors.ObservedMatrix.from_dense(X, mask))
         U = rng.normal(size=(6, 2))
         B = rng.normal(size=(5, 2))
         mu = 0.3
@@ -154,37 +178,43 @@ class TestFixedPattern:
         return rng.normal(size=(obs.shape[0], rank)), rng.normal(size=(obs.shape[1], rank))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unsorted_csr_matches_coo_oracle_exactly(self, seed):
-        obs = unsorted_similarity(seed)
+    def test_unsorted_csr_matches_coo_oracle_exactly(self, seed, request):
+        obs = on_arm("csr", request, lambda: unsorted_similarity(seed))
         U, B = self.factors_for(obs, seed)
         value, gu, gb = factors.mf_value_and_grad(U, B, obs, 0.3)
         want_value, want_gu, want_gb = mf_value_and_grad_coo(U, B, obs, 0.3)
         assert value == want_value
         assert np.array_equal(gu, want_gu) and np.array_equal(gb, want_gb)
 
-    def test_from_dense_matches_coo_oracle_exactly(self):
-        rng = np.random.default_rng(4)
-        obs = factors.ObservedMatrix.from_dense(rng.normal(size=(25, 18)), rng.random((25, 18)) < 0.4)
+    def test_from_dense_matches_coo_oracle_exactly(self, request):
+        obs = on_arm("csr", request, lambda: masked_dense(4))
         U, B = self.factors_for(obs, 4, rank=3)
         value, gu, gb = factors.mf_value_and_grad(U, B, obs, 0.1)
         want_value, want_gu, want_gb = mf_value_and_grad_coo(U, B, obs, 0.1)
         assert value == want_value
         assert np.array_equal(gu, want_gu) and np.array_equal(gb, want_gb)
 
-    def test_duplicate_positions_match_coo_oracle(self):
-        # duplicates stay separate entries here but are summed (in sort order) by
-        # scipy's COO conversion, so only the rounding may differ
-        rng = np.random.default_rng(5)
-        m, n, n_obs = 30, 20, 900
-        obs = factors.ObservedMatrix(
-            (m, n), rng.integers(0, m, n_obs), rng.integers(0, n, n_obs), rng.normal(size=n_obs)
-        )
-        U, B = self.factors_for(obs, 5)
-        got = factors.mf_value_and_grad(U, B, obs, 0.2)
-        want = mf_value_and_grad_coo(U, B, obs, 0.2)
+    @staticmethod
+    def assert_close_to_coo_oracle(obs, U, B, mu):
+        got = factors.mf_value_and_grad(U, B, obs, mu)
+        want = mf_value_and_grad_coo(U, B, obs, mu)
         assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
         for g, w in zip(got[1:], want[1:]):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_duplicate_positions_match_coo_oracle(self):
+        # duplicates stay separate entries here but are summed (in sort order) by
+        # scipy's COO conversion, so only the rounding may differ
+        obs = duplicate_positions(5)
+        assert obs.dense is None
+        self.assert_close_to_coo_oracle(obs, *self.factors_for(obs, 5), 0.2)
+
+    @pytest.mark.parametrize("case", ["unsorted-0", "unsorted-1", "masked-dense"])
+    def test_dense_form_matches_coo_oracle(self, case):
+        # BLAS sums in its own order, so only the rounding may differ
+        obs = masked_dense(4) if case == "masked-dense" else unsorted_similarity(int(case[-1]))
+        assert obs.dense is not None
+        self.assert_close_to_coo_oracle(obs, *self.factors_for(obs, 4), 0.3)
 
     def test_rmatmat_with_precomputed_transpose_equals_transpose_product(self):
         obs = unsorted_similarity(6)
@@ -340,16 +370,23 @@ class TestNoRepeatedWork:
     }
 
     @pytest.mark.parametrize("case", list(MF_CASES))
-    def test_mf_equals_gradient_at_every_trial_loop(self, case):
+    def test_mf_equals_gradient_at_every_trial_loop(self, case, request):
+        self.check_loop_equivalence(case, "csr", request)
+
+    @pytest.mark.parametrize("case", ["unsorted-csr", "masked-dense"])
+    def test_mf_dense_form_equals_gradient_at_every_trial_loop(self, case, request):
+        self.check_loop_equivalence(case, "dense", request)
+
+    def check_loop_equivalence(self, case, arm, request):
         make, rank, mu = self.MF_CASES[case]
-        obs = make()
+        obs = on_arm(arm, request, make)
         U, B, history, evals = mf_loop_reference(obs, rank, mu, seed=2)
         assert evals > len(history)  # some trial points were rejected
         pair = factors.factorize_mf(obs, rank, mu, seed=2)
         assert np.array_equal(pair.U, U) and np.array_equal(pair.B, B)
         assert pair.objective_history == history
 
-    def test_mf_scatters_once_per_accepted_iterate(self, monkeypatch):
+    def test_mf_scatters_once_per_accepted_iterate(self, monkeypatch, csr_arm):
         obs = unsorted_similarity(3)
         evals = mf_loop_reference(obs, 4, 0.3, seed=2)[3]
         events = []
@@ -357,7 +394,29 @@ class TestNoRepeatedWork:
         pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
         assert len(events) == len(pair.objective_history) < evals
 
-    def test_mf_trials_gather_into_one_pair_of_buffers(self, monkeypatch):
+    def test_mf_dense_trials_write_one_residual_buffer(self, monkeypatch):
+        obs = unsorted_similarity(3)
+        assert obs.dense is not None
+        seen = []
+        residual = factors._mf_residual
+
+        def recording(U, B, obs, mu, work=None):
+            err, value = residual(U, B, obs, mu, work)
+            seen.append((work, err))
+            return err, value
+
+        monkeypatch.setattr(factors, "_mf_residual", recording)
+        events = []
+        counting(monkeypatch, "entries", events)
+        counting(monkeypatch, "scatter", events)
+        pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
+        assert len(seen) > len(pair.objective_history)  # some trial points were rejected
+        buffer = seen[0][0]
+        assert buffer.shape == obs.shape
+        assert all(work is buffer and err is buffer for work, err in seen)
+        assert events == []  # the CSR pair is never used
+
+    def test_mf_trials_gather_into_one_pair_of_buffers(self, monkeypatch, csr_arm):
         obs = unsorted_similarity(3)
         seen = []
         entries = factors.ObservedMatrix.entries
@@ -393,6 +452,19 @@ class TestNoRepeatedWork:
         assert len(pair.objective_history) > 3
         assert events == ["scatter", "entries"] * (len(events) // 2)
 
+    def test_scatter_allocates_no_entry_buffer(self):
+        obs = duplicate_positions(6, m=300, n=200, n_obs=200_000)
+        values = np.random.default_rng(6).normal(size=obs.n_observed)
+        first = [matrix.data.copy() for matrix in obs.scatter(values)]  # builds the CSR pair
+        tracemalloc.start()
+        try:
+            again = obs.scatter(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < obs.n_observed  # below 1 byte per entry; a buffered take copies 8
+        assert all(np.array_equal(a, m.data) for a, m in zip(first, again))
+
     def test_second_scatter_overwrites_the_first(self):
         obs = unsorted_similarity(7)
         first, first_t = obs.scatter(obs.val)
@@ -400,6 +472,63 @@ class TestNoRepeatedWork:
         obs.scatter(values)
         want = sp.csr_matrix((values, (obs.row, obs.col)), shape=obs.shape).toarray()
         assert np.array_equal(first.toarray(), want) and np.array_equal(first_t.toarray(), want.T)
+
+
+class TestDenseForm:
+    """Where MF runs on the dense form: unique positions taking fewer bytes dense than as a CSR pair."""
+
+    def test_holds_the_observed_values_and_mask(self):
+        obs = masked_dense(4)
+        values, mask = obs.dense
+        want = np.zeros(obs.shape)
+        want[obs.row, obs.col] = obs.val
+        assert values.shape == mask.shape == obs.shape
+        assert np.array_equal(values, want) and np.count_nonzero(mask) == obs.n_observed
+        assert mask[obs.row, obs.col].all()
+
+    def test_repeated_positions_take_the_csr_arm(self):
+        obs = duplicate_positions(5)  # 900 entries on 600 positions: dense would be smaller
+        assert factors._dense_is_smaller(obs.shape, obs.n_observed)
+        assert obs.dense is None
+
+    def test_byte_rule_boundary(self):
+        # 40 x 30 with int32 indices: dense 9 * 1200 = 10800 bytes, the CSR pair
+        # 2 * nnz * 12 + 72 * 4, equal at nnz = 438
+        m, n = 40, 30
+        position = np.random.default_rng(1).permutation(m * n)
+        for nnz, dense in ((438, False), (439, True)):
+            row, col = np.divmod(position[:nnz], n)
+            obs = factors.ObservedMatrix((m, n), row, col, np.ones(nnz))
+            assert (obs.dense is not None) == dense
+
+    def test_nnr_never_builds_the_dense_form(self, monkeypatch):
+        obs = masked_dense(9, m=40, n=30, density=0.5)
+        rule = factors._dense_is_smaller
+        calls = []
+        monkeypatch.setattr(factors, "_dense_is_smaller", lambda *a: calls.append(a) or rule(*a))
+        factors.factorize_nnr(obs, 0.1)
+        assert calls == []
+        assert obs.dense is not None  # the form MF would have used
+
+    def test_mf_fit_allocates_no_entry_buffer_and_no_csr_pair(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m, n, rank = 600, 400, 10
+        row, col = np.divmod(np.arange(m * n), n)
+        obs = factors.ObservedMatrix((m, n), row, col, rng.normal(size=m * n))
+        layouts = []
+        csr_layout = factors._csr_layout
+        monkeypatch.setattr(factors, "_csr_layout", lambda *a: layouts.append(a) or csr_layout(*a))
+        tracemalloc.start()
+        try:
+            pair = factors.factorize_mf(obs, rank, 0.1, seed=0, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pair.objective_history) > 1 and layouts == []
+        csr_pair = 2 * obs.n_observed * (8 + 4)
+        # the dense form (9 bytes per position) and the residual buffer (8), plus 1 MiB for the
+        # factors, gradients and ufunc buffers: below the CSR pair and one gather buffer
+        assert peak < 17 * m * n + 2**20 < min(csr_pair, obs.n_observed * rank * 8)
 
 
 def svt_oracle(X, tau):
@@ -549,6 +678,10 @@ class TestFactorizeNnr:
 
 
 class TestPerIterationCost:
+    """The CSR arm's cost per evaluation is linear in the entries.  These observed matrices
+    have no dense form: 40,000 entries on 120,000 positions are below the byte rule, and
+    80,000 random positions repeat."""
+
     def test_cost_scales_linearly_in_observations(self):
         rng = np.random.default_rng(0)
         m, n, rank = 400, 300, 10
@@ -561,6 +694,7 @@ class TestPerIterationCost:
 
         factors.mf_value_and_grad(U, B, observed(2000), 0.1)  # warm up allocations
         runs = {n_obs: (observed(n_obs), []) for n_obs in (40000, 80000)}
+        assert all(obs.dense is None for obs, _ in runs.values())
         # this thread's CPU time, sizes interleaved, best sample: another process on the cores adds
         # no time and slows neither size more, and no idle BLAS thread's spin-wait is counted
         for _ in range(15):

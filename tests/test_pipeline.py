@@ -884,9 +884,14 @@ class TestForkedFits:
             assert [pair.metagraph for pair in run.pairs] == names
             events = stages.cache_events["factorize"]
             assert [e["metagraph"] for e in events] == names and not any(e["hit"] for e in events)
-            for event, pair in zip(events, run.pairs):  # the fit's own record, measured in its worker
+            # each fit's own record, measured in its worker
+            for event, pair, sim in zip(events, run.pairs, run.sims):
                 assert event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
                 assert event["objective"] == pair.objective_history[-1]
+                dense = method == "mf" and factors.ObservedMatrix.from_similarity(sim).dense is not None
+                assert event["layout"] == ("dense" if dense else "csr")
+            if method == "mf":  # both layouts run in one request
+                assert {e["layout"] for e in events} == {"dense", "csr"}
             files[cores] = {p.name: p.read_bytes() for p in sorted(cache.glob("fac_*.npz"))}
         assert len(files[1]) == len(names) and files[1] == files[2]  # one file per factor pair
 
