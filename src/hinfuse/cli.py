@@ -39,7 +39,7 @@ def _load_config(args):
 def _run(args, through):
     """Run the stages through ``through`` under the command's config; return (stages, run)."""
     cfg = _load_config(args)
-    stages = pipeline._Stages(cfg, args.out_dir, args.cache_dir)
+    stages = pipeline.Stages(cfg, args.out_dir, args.cache_dir)
     return stages, stages.run(cfg.seed, through)
 
 
@@ -95,7 +95,7 @@ def _model_path(args, stage):
 def cmd_evaluate(args):
     model = fmg.load_model(_model_path(args, "evaluate"))
     cfg = _load_config(args)
-    rmses = pipeline._Stages(cfg, args.out_dir, args.cache_dir).score_model(model, cfg.seed)
+    rmses = pipeline.Stages(cfg, args.out_dir, args.cache_dir).score_model(model, cfg.seed)
     print(json.dumps(rmses, indent=2))
     return 0
 

@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+FORMAT = 1  # the model-file layout this version writes and reads; a layout change bumps it
+
 
 @dataclass(frozen=True)
 class GroupLayout:
@@ -117,14 +119,10 @@ class FeatureTable:
         :meth:`dense` table holds None instead."""
         import scipy.sparse as sp
 
-        from .factors import _csr_layout
-
         summers = []
         for features, index in self.blocks:
-            n_entities, n = len(features), len(index)
-            index_dtype = sp.get_index_dtype(maxval=max(n_entities, n))
-            _, rows, indptr = _csr_layout(index, np.arange(n), n_entities, index_dtype)
-            summers.append(sp.csr_matrix((np.zeros(n), rows, indptr), shape=(n_entities, n)))
+            n = len(index)  # column r of the CSC form holds the one slot at (index[r], r)
+            summers.append(sp.csc_matrix((np.zeros(n), index, np.arange(n + 1)), shape=(len(features), n)).tocsr())
         return summers
 
     def entity_sums(self, weights, rows):
@@ -388,9 +386,10 @@ class SavedModel:
 
 
 def save_model(path, model):
-    """Persist a :class:`SavedModel`; it round-trips bit-exactly, its ids as unicode arrays."""
+    """Persist a :class:`SavedModel` of format :data:`FORMAT`; it round-trips bit-exactly, ids as unicode."""
     params, reg = model.params, model.reg
     header = {
+        "format": FORMAT,
         "d": params.d,
         "K": params.K,
         "groups": [list(g) for g in model.layout.groups],
@@ -408,33 +407,24 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """The :class:`SavedModel` written by :func:`save_model`; older files, and files whose group
-    layout does not cover its parameters and features, are refused."""
-    data = np.load(path, allow_pickle=False)
-    header = json.loads(str(data["header"]))
-    if "user_features" not in data.files:
-        raise ValueError(f"{path} does not hold the entity features it was trained on; train the model again")
-    if "prediction" not in header:
-        raise ValueError(f"{path} does not record its prediction settings; train the model again")
-    if "clip_predictions" in header["prediction"]:
-        raise ValueError(f"{path} records clip_predictions, no longer a setting; train the model again")
-    if "split" not in header:
-        raise ValueError(f"{path} does not record the rating split it was trained on; train the model again")
-    if "ratings_sha256" not in header["split"]:
-        raise ValueError(f"{path} does not record the ratings file it was trained on; train the model again")
-    reg = header["reg"]
-    if reg.get("eta_w") is not None or reg.get("eta_v") is not None:
-        raise ValueError(f"{path} records per-group weights, no longer a setting; train the model again")
-    model = SavedModel(
-        params=FmParams(float(data["b"]), data["w"], data["V"]),
-        layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
-        reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
-        prediction=header["prediction"],
-        features=(data["user_features"], data["item_features"]),
-        user_ids=data["user_ids"],
-        item_ids=data["item_ids"],
-        split=header["split"],
-    )
+    """The :class:`SavedModel` written by :func:`save_model`; a file of another format (or none), and
+    one whose group layout does not cover its parameters and features, are refused."""
+    with np.load(path, allow_pickle=False) as data:
+        header = json.loads(str(data["header"]))
+        found = header.get("format", "none")
+        if found != FORMAT:
+            raise ValueError(f"{path} has format {found}, this version reads format {FORMAT}; train the model again")
+        reg = header["reg"]
+        model = SavedModel(
+            params=FmParams(float(data["b"]), data["w"], data["V"]),
+            layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
+            reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
+            prediction=header["prediction"],
+            features=(data["user_features"], data["item_features"]),
+            user_ids=data["user_ids"],
+            item_ids=data["item_ids"],
+            split=header["split"],
+        )
     d = model.layout.d
     widths = [model.params.d, len(model.params.V), *(2 * block.shape[1] for block in model.features)]
     if any(width != d for width in widths):

@@ -306,8 +306,9 @@ def ingest(path):
     Data file names resolve against the schema's directory.  The ratings
     file is read first (users/items get the lowest indices), then relation
     edge files in declared order.  The rating adjacency is *not* attached
-    here; callers decide which split feeds it (see :func:`attach_ratings`),
-    which keeps held-out pairs out of the graph.
+    here; callers feed it one split (see :func:`attach_ratings`), so held-out
+    ratings stay out of it.  Other relations are read whole: a held-out
+    rating's review keeps its edges, and review metagraphs reach its pair.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     schema = load_schema(path)

@@ -796,9 +796,9 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     ``nnz_budget``: a load's nnz, a face-splitting product's exact nnz
     Σ_r Πᵢ nnz(Aᵢ[r, :]), or a product's bound (computed only when the
     product's m·n exceeds the budget).  Over budget,
-    :class:`ResourceLimitError` is raised before the slot is formed.  A
-    masked operand and a Hadamard result hold at most the mask's nnz, which
-    passed the same check.
+    :class:`ResourceLimitError` (naming the metagraph and the step) is
+    raised before the slot is formed.  A masked operand and a Hadamard
+    result hold at most the mask's nnz, which passed the same check.
 
     Exact zeros are dropped from storage.  Every slot is a new matrix: a
     load step copies the store's adjacency, so callers may scale a result
@@ -812,10 +812,11 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     }
     slots = []  # None for a deferred product until its Hadamard step fills it (if keep_slots)
 
-    def guard(bound, shape):
+    def guard(bound, index):
         if bound > nnz_budget:
             raise ResourceLimitError(
-                f"intermediate of shape {shape} may hold {bound} nonzeros, over budget {nnz_budget}"
+                f"intermediate of shape {plan.shapes[index]} may hold {bound} nonzeros, over budget "
+                f"{nnz_budget} ({plan.metagraph}, step {index}, {type(plan.steps[index]).__name__})"
             )
 
     def bound(index):
@@ -828,7 +829,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
         step, shape = plan.steps[index], plan.shapes[index]
         left, right = slots[step.left], slots[step.right]
         if shape[0] * shape[1] > nnz_budget:  # otherwise even the cap m·n fits
-            guard(_product_nnz_bound(left, right), shape)
+            guard(_product_nnz_bound(left, right), index)
         mat = (left @ right).tocsr()
         mat.eliminate_zeros()
         return mat
@@ -836,7 +837,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
     for index, (step, shape) in enumerate(zip(plan.steps, plan.shapes)):
         if isinstance(step, LoadStep):
             adj = hin.adjacency(step.relation)
-            guard(adj.nnz, shape)
+            guard(adj.nnz, index)
             mat = adj.T.tocsr() if step.transposed else adj.copy()
             mat.eliminate_zeros()
         elif index in deferred:
@@ -846,7 +847,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
         elif isinstance(step, FaceSplitStep):  # Khatri–Rao: the face split of the transposes, transposed
             operands = [slots[i].T.tocsr() if step.columns else slots[i] for i in step.operands]
             counts = np.prod([np.diff(m.indptr) for m in operands], axis=0, dtype=np.int64)
-            guard(int(counts.sum()), shape)
+            guard(int(counts.sum()), index)
             mat = _face_split(operands, counts)
             mat = mat.T.tocsr() if step.columns else mat
             mat.eliminate_zeros()

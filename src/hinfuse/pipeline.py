@@ -3,10 +3,12 @@
 Reads one JSON experiment config, runs the stages in order with per-artifact
 disk caching, and writes a metrics report plus model and trace files.
 The per-metagraph factorizations run in forked worker processes, one per
-available core (see :meth:`_Stages.factorize`).  Similarity matrices are
-computed over the *training* split's rating adjacency only, so held-out
-pairs never shape the features; test labels are first touched in the
-evaluation stage (see :data:`label_access_hook`).
+available core (see :meth:`Stages.factorize`).  Similarity matrices are
+computed over the *training* split's ratings only; every other relation is
+used whole, so a held-out rating's review keeps its edges (``write``,
+``about`` and ``mention`` in the bundled Yelp set), and the review
+metagraphs M8 and M9 reach held-out pairs through them.  Test labels are
+first touched in the evaluation stage (see :data:`label_access_hook`).
 """
 
 from __future__ import annotations
@@ -339,7 +341,7 @@ def _in_workers(jobs, sizes):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-class _Stages:
+class Stages:
     """The pipeline's stages; :meth:`run` is the one sequence run_pipeline and the CLI share."""
 
     def __init__(self, config, out_dir, cache_dir=None):
@@ -615,9 +617,12 @@ class _Stages:
         run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))
 
 
+_Stages = Stages  # the name the benchmark harness (perfbench/) constructs and patches the class by
+
+
 def run_pipeline(config, out_dir, cache_dir=None):
     """Execute every stage and write metrics.json, model.npz and trace.jsonl."""
-    stages = _Stages(config, out_dir, cache_dir)
+    stages = Stages(config, out_dir, cache_dir)
     report = MetricsReport()
 
     test_rmses = []

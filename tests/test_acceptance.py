@@ -339,12 +339,22 @@ def test_09_scalability():
     start = time.perf_counter()
     sizes = [12500, 25000, 50000, 100000, 200000]
     times = []
-    for n in sizes:
-        problem = synth.scaled_fm_problem(5, n)
-        t0 = time.perf_counter()
-        solvers.train_svrg(problem, solvers.SolverConfig(step=0.01, max_iters=6, checkpoint_every=6))
-        solvers.train_nmapg(problem, solvers.SolverConfig(step=0.01, max_iters=60, checkpoint_every=60))
-        times.append(time.perf_counter() - t0)
+    # this thread's CPU time, with BLAS on this thread alone: another process on the cores adds
+    # no time, and no wait for a BLAS thread that another process keeps off a core is counted
+    blas = pipeline._openblas_thread_calls()
+    threads = [get_threads() for _, get_threads in blas]
+    for set_threads, _ in blas:
+        set_threads(1)
+    try:
+        for n in sizes:
+            problem = synth.scaled_fm_problem(5, n)
+            t0 = time.thread_time()
+            solvers.train_svrg(problem, solvers.SolverConfig(step=0.01, max_iters=6, checkpoint_every=6))
+            solvers.train_nmapg(problem, solvers.SolverConfig(step=0.01, max_iters=60, checkpoint_every=60))
+            times.append(time.thread_time() - t0)
+    finally:
+        for (set_threads, _), count in zip(blas, threads):
+            set_threads(count)
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times)
     design = np.vstack([x, np.ones_like(x)]).T

@@ -575,80 +575,50 @@ class TestModelPersistence:
             assert stored.dtype == given.dtype and np.array_equal(stored, given)
         assert loaded.user_ids.tolist() == model.user_ids and loaded.item_ids.tolist() == model.item_ids
 
-    @staticmethod
-    def save_without(path, field):
-        """A saved model with the header entry or array ``field`` taken out."""
-        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
-        fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
-        with np.load(path) as data:
-            arrays = dict(data)
-        header = json.loads(str(arrays["header"]))
-        header.pop(field, None)
-        arrays.pop(field, None)
-        arrays["header"] = json.dumps(header)
-        np.savez(path, **arrays)
+    CONVEX = {"mode": "convex", "lam_w": 0.0, "lam_v": 0.0}
+    LEGACY_LAYOUTS = {  # files from before the format number: no "format", these entries dropped or set
+        "no format number": {},
+        "no entity features": {"drop": ("user_features", "item_features")},
+        "no prediction settings": {"drop": ("prediction",)},
+        "clip switch": {"prediction": {"clip_predictions": True, "rating_range": [1.0, 5.0]}},
+        "no split": {"drop": ("split",)},
+        "no ratings digest": {"split": {"seed": 3, "fractions": [0.8, 0.1, 0.1]}},
+        "null group weights": {"reg": {**CONVEX, "eta_w": None, "eta_v": None}},
+        "group weights": {"reg": {**CONVEX, "eta_w": [1.0, 2.0], "eta_v": None}},
+    }
 
-    def test_file_without_entity_features_rejected(self, tmp_path):
-        # a file from before models carried their features: its weights cannot be
-        # scored without re-deriving features, so it is refused
-        path = tmp_path / "model.npz"
-        self.save_without(path, "user_features")
-        with pytest.raises(ValueError, match="entity features.*train the model again"):
-            fmg.load_model(path)
+    @pytest.mark.parametrize("case", [*LEGACY_LAYOUTS, "newer format"])
+    def test_file_of_another_format_refused(self, tmp_path, capsys, case):
+        # a file of another format may lack what scoring needs (its features, split or clip
+        # range) or mean another model by the same entries (per-group weights): one check on
+        # the format number refuses it before any entry is read
+        from hinfuse import cli
 
-    def test_file_without_prediction_settings_rejected(self, tmp_path):
-        # without its clip range a model would be scored with whatever the
-        # config says, so it is refused
-        path = tmp_path / "model.npz"
-        self.save_without(path, "prediction")
-        with pytest.raises(ValueError, match="prediction settings.*train the model again"):
-            fmg.load_model(path)
-
-    def test_file_with_clip_switch_rejected(self, tmp_path):
-        # clip_predictions is no longer a setting: predictions are always clipped to the
-        # schema's range, so a model saved with the switch is refused, not reinterpreted
-        path = tmp_path / "model.npz"
-        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
-        model = saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex"))
-        model.prediction = {"clip_predictions": True, "rating_range": [1.0, 5.0]}
-        fmg.save_model(path, model)
-        with pytest.raises(ValueError, match="clip_predictions.*train the model again"):
-            fmg.load_model(path)
-
-    def test_header_group_weights(self, tmp_path):
-        # per-group weights are no longer a setting: an earlier file that records them as null
-        # (every group weighted 1) still loads; one that records weights is refused, not scored
-        # as if every group had weight 1
         path = tmp_path / "model.npz"
         layout = fmg.GroupLayout.from_ranks(["m1"], [2])
         fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
         with np.load(path) as data:
             arrays = dict(data)
         header = json.loads(str(arrays["header"]))
-        header["reg"].update(eta_w=None, eta_v=None)
+        assert header["format"] == fmg.FORMAT
+        if case == "newer format":
+            header["format"] = found = fmg.FORMAT + 1
+        else:
+            del header["format"]
+            found = "none"
+            changes = dict(self.LEGACY_LAYOUTS[case])
+            for key in changes.pop("drop", ()):
+                header.pop(key, None)
+                arrays.pop(key, None)
+            header.update(changes)
         np.savez(path, **{**arrays, "header": json.dumps(header)})
-        assert fmg.load_model(path).reg == fmg.RegConfig(mode="convex")
-        header["reg"]["eta_w"] = [1.0, 2.0]
-        np.savez(path, **{**arrays, "header": json.dumps(header)})
-        with pytest.raises(ValueError, match="per-group weights.*train the model again"):
+        with pytest.raises(ValueError) as err:
             fmg.load_model(path)
-
-    def test_file_without_split_record_rejected(self, tmp_path):
-        # without its split a model cannot tell held-out ratings from ones it was trained on
-        path = tmp_path / "model.npz"
-        self.save_without(path, "split")
-        with pytest.raises(ValueError, match="rating split.*train the model again"):
-            fmg.load_model(path)
-
-    def test_file_without_ratings_digest_rejected(self, tmp_path):
-        # the split's draw depends on the ratings file's line order, so a model must name its file
-        path = tmp_path / "model.npz"
-        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
-        model = saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex"))
-        model.split = {key: value for key, value in SPLIT.items() if key != "ratings_sha256"}
-        fmg.save_model(path, model)
-        with pytest.raises(ValueError, match="ratings file.*train the model again"):
-            fmg.load_model(path)
+        message = str(err.value)
+        assert message.startswith(str(path)) and message.endswith("train the model again")
+        assert f"format {found}," in message and f"reads format {fmg.FORMAT};" in message
+        assert cli.main(["report", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"[config] {message}\n"
 
     TAMPERINGS = {  # the header entry or array to change, and the change
         "last group dropped": ("groups", lambda groups: groups[:-1]),

@@ -131,10 +131,10 @@ class TestRunPipeline:
         cfg = small_config(str(root), schema)
         cache_dir = str(tmp_path / "cache")
         if cache == "warm":
-            filled = pipeline._Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
+            filled = pipeline.Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
             assert [sim.metagraph for sim in filled.sims] == [spec.name for spec in filled.specs]
         refs, alive = [], []
-        similarities, train = pipeline._Stages.similarities, pipeline._Stages.train
+        similarities, train = pipeline.Stages.similarities, pipeline.Stages.train
 
         def tracked(stages, *args):
             sims = similarities(stages, *args)
@@ -145,9 +145,9 @@ class TestRunPipeline:
             alive.append(sum(ref() is not None for ref in refs))
             return train(stages, *args)
 
-        monkeypatch.setattr(pipeline._Stages, "similarities", tracked)
-        monkeypatch.setattr(pipeline._Stages, "train", counted)
-        stages = pipeline._Stages(cfg, str(tmp_path / "out"), cache_dir)
+        monkeypatch.setattr(pipeline.Stages, "similarities", tracked)
+        monkeypatch.setattr(pipeline.Stages, "train", counted)
+        stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache_dir)
         run = stages.run(cfg.seed)
         assert len(refs) == len(run.specs) > 1 and alive == [0]
         assert run.sims is None and run.rmses["test"] > 0
@@ -200,7 +200,7 @@ class TestRunPipeline:
 
         def factorize_hits(**widths):
             cfg = small_config(str(root), schema, feature_method=method, **{"rank": 3, "max_rank": 3, **widths})
-            stages = pipeline._Stages(cfg, str(tmp_path / "out"), cache)
+            stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache)
             stages.run(cfg.seed, through="factorize")
             return [e["hit"] for e in stages.cache_events["factorize"]]
 
@@ -270,7 +270,7 @@ class TestRunPipeline:
         sims = {}
         for name, extra in (("default", {}), ("literal", {"optimize_plans": False})):
             cfg = pipeline.ExperimentConfig.from_dict({**doc, **extra}, base_dir=data)
-            run = pipeline._Stages(cfg, str(tmp_path / name)).run(cfg.seed, through="similarity")
+            run = pipeline.Stages(cfg, str(tmp_path / name)).run(cfg.seed, through="similarity")
             sims[name] = run.sims
         assert compiled == [True] * 9 + [False] * 9
         assert [s.metagraph for s in sims["default"]] == [f"M{i}" for i in range(1, 10)]
@@ -285,7 +285,7 @@ class TestRunPipeline:
         for select in (["M1", "M2"], ["M2"]):
             cfg = small_config(str(root), schema, select=select)
             out = str(tmp_path / "-".join(select))
-            sims[len(select)] = pipeline._Stages(cfg, out).run(cfg.seed, through="similarity").sims
+            sims[len(select)] = pipeline.Stages(cfg, out).run(cfg.seed, through="similarity").sims
         assert sims[2][0].matrix.data.max() == pytest.approx(np.log1p(1.0))
         pair, alone = sims[2][1].matrix, sims[1][0].matrix
         for name in ("indptr", "indices", "data"):
@@ -341,7 +341,7 @@ class TestRunPipeline:
         assert len(calls) == 2  # once per repeat: train, valid and test share the blocks
         calls.clear()
         model = fmg.load_model(os.path.join(out, "model.npz"))
-        rmses = pipeline._Stages(cfg, out).score_model(model, cfg.seed)
+        rmses = pipeline.Stages(cfg, out).score_model(model, cfg.seed)
         assert not calls and set(rmses) == {"train", "valid", "test"}  # a saved model brings its own
 
     def test_cache_key_tracks_input_content(self, dataset, tmp_path):
@@ -710,12 +710,13 @@ class TestCli:
 
     def test_similarity_over_budget_fails_with_stage_tag(self, tmp_path, capsys):
         # the left-to-right plan's (user, review) product could hold n * n > 1e8 nonzeros:
-        # the default nnz_budget refuses it before it is formed
+        # the default nnz_budget refuses it before it is formed, naming the metagraph and the step
         data = self.write_wide_store(tmp_path, 10001)
         config = self.write_config(data, tmp_path, optimize_plans=False)
         assert cli.main(["similarity", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[similarity] intermediate of shape (10001, 10001)") and "over budget" in err
+        assert err.endswith("over budget 100000000 (M8, step 6, MatMulStep)\n")
 
     def test_similarity_default_planner_runs_wide_store(self, tmp_path, capsys):
         # the cost planner pairs mention~ with write~ and never forms the (user, review) product
@@ -876,7 +877,7 @@ class TestForkedFits:
         for cores in (1, 2):
             monkeypatch.setattr(pipeline, "_available_cores", lambda cores=cores: cores)
             cache = tmp_path / f"cache{cores}"
-            stages = pipeline._Stages(cfg, str(tmp_path / f"out{cores}"), str(cache))
+            stages = pipeline.Stages(cfg, str(tmp_path / f"out{cores}"), str(cache))
             run = stages.run(cfg.seed, "factorize")
             names = [sim.metagraph for sim in run.sims]
             nnz = [sim.nnz for sim in run.sims]
