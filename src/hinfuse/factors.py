@@ -13,14 +13,14 @@ Both engines evaluate on one fixed observed pattern, held by an
 :class:`ObservedMatrix` in one of two forms, each built once, on first use:
 
 * The CSR pair: the CSR matrix and its transpose at the observed positions.
-  An evaluation gathers factor rows with ``np.take``
-  (:meth:`ObservedMatrix.entries`), into two nnz × rank buffers that an MF
-  fit allocates once; a gradient writes the per-entry residuals into the
-  data arrays of the pair (:meth:`ObservedMatrix.scatter`) and multiplies
-  by it.  No sparse matrix is constructed and no COO conversion, index sort
-  or CSC transpose runs inside the loops.  The accumulation order matches
-  scipy's canonical CSR, so without duplicate positions the factors are
-  bit-identical to building the matrix from COO on every call.
+  An evaluation gathers factor rows with ``np.take`` in chunks of a fixed
+  size (:meth:`ObservedMatrix.entries`), so it holds no nnz × rank array; a
+  gradient writes the per-entry residuals into the data arrays of the pair
+  (:meth:`ObservedMatrix.scatter`) and multiplies by it.  No sparse matrix
+  is constructed and no COO conversion, index sort or CSC transpose runs
+  inside the loops.  The accumulation order matches scipy's canonical CSR,
+  so without duplicate positions the factors are bit-identical to building
+  the matrix from COO on every call.
 * The dense form (:attr:`ObservedMatrix.dense`): the (m, n) array of the
   observed values, 0 elsewhere, and the observed mask.  It exists where the
   positions are unique and its 9 bytes per position (8 for the value, 1 for
@@ -86,6 +86,9 @@ def _dense_is_smaller(shape, nnz):
     return 9 * m * n < 2 * nnz * (8 + index_bytes) + (m + n + 2) * index_bytes
 
 
+_GATHER = 2**15  # factor elements per gather buffer of ObservedMatrix.entries; 2**17 doubled NNR's page faults
+
+
 @dataclass
 class ObservedMatrix:
     """Entries of a partially observed matrix; positions define the mask.
@@ -128,19 +131,21 @@ class ObservedMatrix:
         values[self.row, self.col] = self.val
         return values, mask
 
-    def entries(self, U, B, gathered=None):
+    def entries(self, U, B):
         """(U Bᵀ)_ij at every observed position, in O(nnz * rank).
 
-        ``gathered``, two float arrays of shape (nnz, rank), receives the
-        gathered factor rows, so a loop that evaluates many points can
-        allocate them once.
+        Factor rows are gathered in chunks of at most _GATHER elements a side, so the result is
+        the only nnz-length array; each entry is one rank-length dot product, whatever the chunk.
         """
-        if gathered is None:
-            return np.einsum("ij,ij->i", np.take(U, self.row, axis=0), np.take(B, self.col, axis=0))
-        left, right = gathered
-        np.take(U, self.row, axis=0, out=left, mode="clip")  # mode "raise" would buffer the output
-        np.take(B, self.col, axis=0, out=right, mode="clip")
-        return np.einsum("ij,ij->i", left, right)
+        nnz, rank = self.n_observed, U.shape[1]
+        rows = max(1, min(nnz, _GATHER // rank))
+        left, right, out = np.empty((rows, rank)), np.empty((rows, rank)), np.empty(nnz)
+        for s in range(0, nnz, rows):
+            e = min(s + rows, nnz)
+            np.take(U, self.row[s:e], axis=0, out=left[:e - s], mode="clip")  # "raise" would buffer
+            np.take(B, self.col[s:e], axis=0, out=right[:e - s], mode="clip")
+            np.einsum("ij,ij->i", left[:e - s], right[:e - s], out=out[s:e])
+        return out
 
     def scatter(self, values):
         """The CSR matrix holding ``values`` at the observed positions, and its transpose as CSR.
@@ -207,11 +212,10 @@ def _mf_residual(U, B, obs, mu, work=None):
     """Residuals U Bᵀ - R at the observed positions, and the objective value.
 
     On the dense form the residuals are an (m, n) array with 0 at the unobserved positions,
-    written into ``work``, an (m, n) float array, when given.  On the CSR pair they are one
-    per entry, and ``work`` is the pair of gather buffers of :meth:`ObservedMatrix.entries`.
+    written into ``work``, an (m, n) float array, when given; on the CSR pair, one per entry.
     """
     if obs.dense is None:
-        err = obs.entries(U, B, work) - obs.val
+        err = obs.entries(U, B) - obs.val
     else:
         values, mask = obs.dense
         err = np.matmul(U, B.T, out=work)
@@ -263,10 +267,7 @@ def factorize_mf(obs, rank, mu=0.01, seed=0, tol=1e-5, max_iters=2000, name=""):
     B = rng.normal(0.0, scale, (n, rank))
     # reused by every trial: a fresh buffer per trial costs page faults whenever the
     # allocator hands it fresh pages, which depends on what the process freed earlier
-    if obs.dense is not None:
-        work = np.empty(obs.shape)
-    else:
-        work = (np.empty((obs.n_observed, rank)), np.empty((obs.n_observed, rank)))
+    work = np.empty(obs.shape) if obs.dense is not None else None
 
     err, value = _mf_residual(U, B, obs, mu, work)
     grad_u, grad_b = _mf_grad(U, B, obs, mu, err)

@@ -393,11 +393,7 @@ def save_model(path, model):
         "d": params.d,
         "K": params.K,
         "groups": [list(g) for g in model.layout.groups],
-        "reg": {
-            "mode": reg.mode,
-            "lam_w": reg.lam_w,
-            "lam_v": reg.lam_v,
-        },
+        "reg": {"mode": reg.mode, "lam_w": reg.lam_w, "lam_v": reg.lam_v},
         "prediction": model.prediction,
         "split": model.split,
     }
@@ -407,24 +403,27 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """The :class:`SavedModel` written by :func:`save_model`; a file of another format (or none), and
-    one whose group layout does not cover its parameters and features, are refused."""
+    """The :class:`SavedModel` written by :func:`save_model`; a file of another format (or none), one
+    lacking an entry, and one whose group layout does not cover its parameters and features are refused."""
     with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        found = header.get("format", "none")
-        if found != FORMAT:
-            raise ValueError(f"{path} has format {found}, this version reads format {FORMAT}; train the model again")
-        reg = header["reg"]
-        model = SavedModel(
-            params=FmParams(float(data["b"]), data["w"], data["V"]),
-            layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
-            reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
-            prediction=header["prediction"],
-            features=(data["user_features"], data["item_features"]),
-            user_ids=data["user_ids"],
-            item_ids=data["item_ids"],
-            split=header["split"],
-        )
+        try:
+            header = json.loads(str(data["header"]))
+            found = header.get("format", "none")
+            if found != FORMAT:
+                raise ValueError(f"{path} has format {found}, this version reads format {FORMAT}; train the model again")
+            reg = header["reg"]
+            model = SavedModel(
+                params=FmParams(float(data["b"]), data["w"], data["V"]),
+                layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
+                reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
+                prediction=header["prediction"],
+                features=(data["user_features"], data["item_features"]),
+                user_ids=data["user_ids"],
+                item_ids=data["item_ids"],
+                split=header["split"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path} lacks an entry ({exc.args[0]}); train the model again") from None
     d = model.layout.d
     widths = [model.params.d, len(model.params.V), *(2 * block.shape[1] for block in model.features)]
     if any(width != d for width in widths):

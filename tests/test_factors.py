@@ -416,22 +416,6 @@ class TestNoRepeatedWork:
         assert all(work is buffer and err is buffer for work, err in seen)
         assert events == []  # the CSR pair is never used
 
-    def test_mf_trials_gather_into_one_pair_of_buffers(self, monkeypatch, csr_arm):
-        obs = unsorted_similarity(3)
-        seen = []
-        entries = factors.ObservedMatrix.entries
-
-        def recording(self, U, B, gathered=None):
-            seen.append(gathered)
-            return entries(self, U, B, gathered)
-
-        monkeypatch.setattr(factors.ObservedMatrix, "entries", recording)
-        pair = factors.factorize_mf(obs, 4, 0.3, seed=2)
-        assert len(seen) > len(pair.objective_history)  # some trial points were rejected
-        left, right = seen[0]
-        assert left.shape == right.shape == (obs.n_observed, 4)
-        assert all(g[0] is left and g[1] is right for g in seen)
-
     def test_nnr_equals_entries_at_every_step_loop(self):
         obs = unsorted_similarity(8, m=50, k=70, n=45)
         (P, sigma, Q), history = nnr_loop_reference(obs, 0.3)
@@ -472,6 +456,62 @@ class TestNoRepeatedWork:
         obs.scatter(values)
         want = sp.csr_matrix((values, (obs.row, obs.col)), shape=obs.shape).toarray()
         assert np.array_equal(first.toarray(), want) and np.array_equal(first_t.toarray(), want.T)
+
+
+def int32_pattern(seed, nnz, m=300, n=200):
+    """Positions with int32 indices, as a similarity's CSR holds them."""
+    rng = np.random.default_rng(seed)
+    row, col = rng.integers(0, m, nnz).astype(np.int32), rng.integers(0, n, nnz).astype(np.int32)
+    return factors.ObservedMatrix((m, n), row, col, rng.normal(size=nnz))
+
+
+class TestChunkedGather:
+    """``entries`` gathers factor rows in chunks of at most ``_GATHER`` elements a side: the same
+    bits as one gather of every entry's rows, and no nnz × rank array."""
+
+    @pytest.mark.parametrize("rank", [1, 5, 110])
+    @pytest.mark.parametrize("size", ["none", "one", "below a chunk", "3 chunks", "3 chunks and 7"])
+    def test_equals_one_whole_gather(self, rank, size):
+        rows = factors._GATHER // rank
+        nnz = {"none": 0, "one": 1, "below a chunk": rows // 2,
+               "3 chunks": 3 * rows, "3 chunks and 7": 3 * rows + 7}[size]
+        obs = int32_pattern(rank, nnz)
+        rng = np.random.default_rng(nnz)
+        U, B = rng.normal(size=(obs.shape[0], rank)), rng.normal(size=(obs.shape[1], rank))
+        want = np.einsum("ij,ij->i", U[obs.row], B[obs.col])
+        assert np.array_equal(obs.entries(U, B), want)
+
+    @pytest.mark.parametrize("rank", [5, 110])
+    def test_peak_is_the_output_and_two_chunks(self, rank):
+        obs = int32_pattern(0, 200_000)
+        rng = np.random.default_rng(1)
+        U, B = rng.normal(size=(obs.shape[0], rank)), rng.normal(size=(obs.shape[1], rank))
+        first = obs.entries(U, B)
+        tracemalloc.start()
+        try:
+            again = obs.entries(U, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = factors._GATHER // rank
+        # the result, the two chunk buffers and one chunk of indices converted to intp by np.take
+        assert peak < 8 * obs.n_observed + 2 * 8 * rows * rank + 8 * rows + 4096
+        assert peak < 8 * obs.n_observed * rank  # one nnz × rank array would not fit
+        assert np.array_equal(first, again)
+
+    def test_mf_fit_on_the_csr_pair_holds_no_entry_by_rank_array(self, csr_arm):
+        obs, rank = int32_pattern(2, 200_000), 20
+        obs.scatter(obs.val)  # builds the CSR pair before measuring
+        tracemalloc.start()
+        try:
+            pair = factors.factorize_mf(obs, rank, 0.1, seed=0, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pair.objective_history) > 1
+        # the residuals at the current and at a trial point, one more entry vector, the chunk
+        # buffers and the factors: far below one nnz × rank gather
+        assert peak < 3 * 8 * obs.n_observed + 2**20 < obs.n_observed * rank * 8
 
 
 class TestDenseForm:

@@ -620,6 +620,31 @@ class TestModelPersistence:
         assert cli.main(["report", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"[config] {message}\n"
 
+    @pytest.mark.parametrize("lacking", ["split", "header"])
+    def test_file_lacking_an_entry_refused(self, tmp_path, capsys, lacking):
+        # a damaged format-1 file, without a header entry or without an array, is refused with
+        # one message, also where the command (report) never reads what is missing
+        from hinfuse import cli
+
+        path = tmp_path / "model.npz"
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        fmg.save_model(path, saved_model(np.random.default_rng(1), layout, fmg.RegConfig(mode="convex")))
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(str(arrays["header"]))
+        header.pop(lacking, None)
+        arrays.pop(lacking, None)
+        if lacking != "header":
+            arrays["header"] = json.dumps(header)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            fmg.load_model(path)
+        message = str(err.value)
+        assert message.startswith(f"{path} lacks an entry (") and lacking in message
+        assert message.endswith("train the model again")
+        assert cli.main(["report", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"[config] {message}\n"
+
     TAMPERINGS = {  # the header entry or array to change, and the change
         "last group dropped": ("groups", lambda groups: groups[:-1]),
         "groups overlap": ("groups", lambda groups: [groups[0], [groups[1][0], 2, groups[1][2]], *groups[2:]]),
