@@ -2,8 +2,10 @@
 
 Reads one JSON experiment config, runs the stages in order with per-artifact
 disk caching, and writes a metrics report plus model and trace files.
-The per-metagraph factorizations run in forked worker processes, one per
-available core (see :meth:`Stages.factorize`).  Similarity matrices are
+The per-metagraph factorizations and the per-lambda FM fits run in forked
+worker processes, one per available core (see :meth:`Stages.factorize` and
+:meth:`Stages.train`), and each fit reports its own record, measured in its
+worker, to ``metrics.json``.  Similarity matrices are
 computed over the *training* split's ratings only; every other relation is
 used whole, so a held-out rating's review keeps its edges (``write``,
 ``about`` and ``mention`` in the bundled Yelp set), and the review
@@ -168,6 +170,7 @@ class MetricsReport:
     lambda_series: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
     cache_events: dict = field(default_factory=dict)
+    train_events: list = field(default_factory=list)
     repeats: list = field(default_factory=list)
 
     def to_dict(self):
@@ -180,6 +183,7 @@ class MetricsReport:
             "lambda_series": self.lambda_series,
             "stage_seconds": self.stage_seconds,
             "cache_events": self.cache_events,
+            "train_events": self.train_events,
             "repeats": self.repeats,
         }
 
@@ -192,6 +196,7 @@ class MetricsReport:
         doc = self.to_dict()
         doc.pop("stage_seconds")
         doc.pop("cache_events")
+        doc.pop("train_events")
         return doc
 
 
@@ -261,6 +266,24 @@ def _fit(config, sim, seed):
                   "objective": float(pair.objective_history[-1]), "layout": layout}
 
 
+def _train(train_table, valid_table, layout, reg, K, solver_cfg, rating_range):
+    """Fit the FM under ``reg`` from the solver's fresh start: ``(params, trace, valid RMSE,
+    record)``, where the record gives the fit's seconds (problem and solver loop) and the
+    iteration and gradient-evaluation count of its last trace record."""
+    start = time.perf_counter()
+    problem = solvers.TrainProblem(train_table, layout, reg, K, valid=valid_table, clip_range=rating_range)
+    params, trace = solvers.train(problem, solver_cfg)
+    train_s = time.perf_counter() - start
+    valid_rmse = float("nan") if valid_table is None else _clipped_rmse(params, valid_table, rating_range)
+    last = trace.records[-1]  # every trainer records its last iteration
+    return params, trace, valid_rmse, {"train_s": train_s, "iters": last.iteration,
+                                       "grad_evals": last.grad_evals}
+
+
+def _clipped_rmse(params, table, rating_range):
+    return rmse(np.clip(fmg.predict_batch(params, table), *rating_range), table.y)
+
+
 def _available_cores():
     """The number of CPUs this process may run on (its affinity mask, so ``taskset`` limits it)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -317,11 +340,13 @@ def _run_job(index):
 def _in_workers(jobs, sizes):
     """``[job() for job in jobs]``, computed in forked worker processes, one per available core.
 
-    The workers inherit ``jobs`` through fork, so only an index goes to each and only the
-    results come back pickled.  The largest job (by ``sizes``) is submitted first, and the
-    results are read in job order, so the first failing job in that order raises.  On any
-    exit the pending jobs are cancelled and the workers joined.  Where fork is unavailable
-    the jobs run here, one after another.
+    The pipeline runs its factorizations and its lambda fits through here.  The workers
+    inherit ``jobs`` through fork, so only an index goes to each and only the results come
+    back pickled; what a job does in its worker (a traced call, a counter) stays there, so
+    a job returns any record of its own work with its result.  The largest job (by
+    ``sizes``) is submitted first, and the results are read in job order, so the first
+    failing job in that order raises.  On any exit the pending jobs are cancelled and the
+    workers joined.  Where fork is unavailable the jobs run here, one after another.
     """
     if not jobs:  # every fit was a cache hit: import nothing, start no pool
         return []
@@ -351,6 +376,7 @@ class Stages:
         os.makedirs(self.out_dir, exist_ok=True)
         self.stage_seconds = {}
         self.cache_events = {"similarity": [], "factorize": []}
+        self.train_events = []  # one record per lambda fit, in grid order
         self.fingerprint = None
         self.ingested = None  # the ingest stage's outputs, reused by every later run
 
@@ -478,19 +504,25 @@ class Stages:
         return fmg.RegConfig(mode=self.config.mode, lam_w=lam, lam_v=lam)
 
     def train(self, features, train_rs, valid_rs, layout):
-        """Sweep the lambda grid, select by validation RMSE, return the winner."""
+        """Sweep the lambda grid, select by validation RMSE, return the winner.
+
+        Every lambda's fit is a cold start from the same initial parameters, so the fits run
+        in forked worker processes, one per available core, each with its BLAS on one thread
+        (see :func:`_in_workers`).  The tables and the rating range are built here, before the
+        fork, so :data:`label_access_hook` sees every label read.  The series and the winner
+        are then taken in grid order, and the first fit that fails in that order raises.  Each
+        fit's record, measured in its worker, goes to ``train_events`` in grid order.
+        """
         cfg = self.config
         train_table = self.table(features, train_rs, "train")
         valid_table = self.table(features, valid_rs, "train") if len(valid_rs) else None
+        jobs = [functools.partial(_train, train_table, valid_table, layout, self.reg_config(lam), cfg.K,
+                                  cfg.solver, self.rating_range) for lam in cfg.lambdas]
+        fits = _in_workers(jobs, [1] * len(jobs))  # equal sizes: submitted in grid order
         series = []
         best = None
-        for lam in cfg.lambdas:
-            problem = solvers.TrainProblem(
-                train_table, layout, self.reg_config(lam), cfg.K, valid=valid_table,
-                clip_range=self.rating_range,
-            )
-            params, trace = solvers.train(problem, cfg.solver)
-            valid_rmse = float("nan") if valid_table is None else self.score(params, valid_table)
+        for lam, (params, trace, valid_rmse, record) in zip(cfg.lambdas, fits):
+            self.train_events.append({"lambda": lam, **record})
             entry = {"lambda": lam, "rmse_valid": valid_rmse, "nnz": fmg.param_nnz_ratio(params)}
             series.append(entry)
             if best is None or (np.isfinite(valid_rmse) and valid_rmse < best[0]):
@@ -505,7 +537,7 @@ class Stages:
 
     def score(self, params, table):
         """RMSE of the predictions, clipped to the rating range."""
-        return rmse(np.clip(fmg.predict_batch(params, table), *self.rating_range), table.y)
+        return _clipped_rmse(params, table, self.rating_range)
 
     def split_record(self, seed):
         """The split a model trained under ``seed`` was fit on: its seed, the config's fractions and
@@ -643,5 +675,6 @@ def run_pipeline(config, out_dir, cache_dir=None):
     report.rmse_test_std = float(np.std(test_rmses)) if len(test_rmses) > 1 else None
     report.stage_seconds = stages.stage_seconds
     report.cache_events = stages.cache_events
+    report.train_events = stages.train_events
     report.save(os.path.join(out_dir, "metrics.json"))
     return report

@@ -950,3 +950,84 @@ class TestForkedFits:
             pipeline._in_workers(jobs, [2] + [1] * len(marks))
         assert multiprocessing.active_children() == []
         assert sum(path.exists() for path in marks) < len(marks)
+
+
+def _trace_without_seconds(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        row.pop("seconds")
+    return rows
+
+
+class TestForkedTraining:
+    def lsp_config(self, root, schema, **overrides):
+        solver = solvers.SolverConfig(algorithm="nmapg", step=0.01, max_iters=20, checkpoint_every=5, seed=5)
+        return small_config(root, schema, mode="lsp", lambdas=(0.01, 0.05, 0.2), solver=solver, **overrides)
+
+    def test_pool_size_leaves_training_outputs_unchanged(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        cfg = self.lsp_config(str(root), schema)
+        outputs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(pipeline, "_available_cores", lambda cores=cores: cores)
+            out = tmp_path / f"out{cores}"
+            report = pipeline.run_pipeline(cfg, str(out), str(tmp_path / f"cache{cores}"))
+            assert multiprocessing.active_children() == []
+            with np.load(out / "model.npz") as model:
+                arrays = {name: model[name] for name in model.files}
+            outputs[cores] = (report.comparable(), arrays, _trace_without_seconds(out / "trace.jsonl"))
+        (comp1, model1, trace1), (comp2, model2, trace2) = outputs[1], outputs[2]
+        assert comp1 == comp2 and len(comp1["lambda_series"]) == 3
+        assert model1.keys() == model2.keys()
+        assert all(np.array_equal(model1[name], model2[name]) for name in model1)
+        assert trace1 == trace2 and len(trace1) == 4
+
+    def test_each_lambda_fit_has_a_record_from_its_worker(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        calls = []
+        train = solvers.train
+
+        def counted(*args):
+            calls.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(pipeline.solvers, "train", counted)
+        monkeypatch.setattr(pipeline, "_available_cores", lambda: 2)
+        cfg = self.lsp_config(str(root), schema, repeats=2)
+        out = tmp_path / "out"
+        report = pipeline.run_pipeline(cfg, str(out))
+        assert calls == []  # every fit ran in a worker
+        events = json.loads((out / "metrics.json").read_text())["train_events"]
+        assert events == report.train_events
+        assert [e["lambda"] for e in events] == list(cfg.lambdas) * cfg.repeats  # grid order, per repeat
+        for event in events:
+            assert set(event) == {"lambda", "train_s", "iters", "grad_evals"}
+            assert event["train_s"] > 0 and event["iters"] == cfg.solver.max_iters
+            assert event["grad_evals"] >= event["iters"]
+        # the selected fit's record matches the last line of the trace it wrote
+        last = json.loads((out / "trace.jsonl").read_text().splitlines()[-1])
+        selected = events[list(cfg.lambdas).index(report.selected_lambda)]
+        assert (selected["iters"], selected["grad_evals"]) == (last["iter"], last["grad_evals_over_N"])
+        # timings stay out of the determinism view and the lambda series
+        assert "train_events" not in report.comparable()
+        assert all(set(entry) == {"lambda", "rmse_valid", "nnz"} for entry in report.lambda_series)
+
+    def test_divergence_in_a_worker_fails_the_train_stage(self, dataset, tmp_path, capsys):
+        root, _ = dataset
+        doc = {
+            "schema": os.path.join(str(root), "schema.json"),
+            "metagraphs": os.path.join(str(root), "metagraphs.txt"),
+            "split": {"fractions": [0.8, 0.1, 0.1], "seed": 5},
+            "features": {"method": "mf", "rank": 3, "mu": 0.05},
+            "log_scale_similarity": True,
+            "fm": {"K": 3, "mode": "lsp", "lambda": [0.01, 0.05, 0.2]},
+            "solver": {"algorithm": "nmapg", "step": 50.0, "max_iters": 20, "seed": 5},
+        }
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"\[train\] objective diverged at iteration \d+ \(step 25\.0\)", err)
+        assert multiprocessing.active_children() == []
+        assert not (out / "metrics.json").exists()
