@@ -57,6 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .metagraph import atomic_write
+
 
 class OverRegularizedError(ValueError):
     """Shrinkage removed every component; nothing left to factor."""
@@ -459,8 +461,10 @@ def factorize_nnr(
 
 
 def save_factor_pair(path, pair):
-    """Persist both factor sides and the metagraph name and method tag."""
-    np.savez(path, U=pair.U, B=pair.B, metagraph=pair.metagraph, method=pair.method)
+    """Persist both factor sides and the metagraph name and method tag to exactly ``path``
+    (see :func:`hinfuse.metagraph.atomic_write`)."""
+    with atomic_write(path) as fh:
+        np.savez(fh, U=pair.U, B=pair.B, metagraph=pair.metagraph, method=pair.method)
 
 
 def load_factor_pair(path):

@@ -20,8 +20,10 @@ a spec is its chain; the brute-force oracle builds the graph it enumerates.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import re
 import warnings
 from collections import Counter
@@ -985,21 +987,67 @@ def brute_force_matrix(spec, hin, guard=10**7):
 # Persistence: one uncompressed .npz of CSR arrays per matrix
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file handle whose contents land at ``path`` only once the block completes.
+
+    The block writes a temporary file beside ``path`` that is then renamed over it, so a
+    write that raises or is killed partway leaves no file at ``path``; a raising block
+    also removes the temporary file.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_similarity(path, sim):
-    """Write CSR ``data``/``indices``/``indptr``, ``shape`` and ``metagraph`` to exactly ``path``.
+    """Write CSR ``data``/``indices``/``indptr``, ``shape`` and ``metagraph`` to exactly ``path``
+    (see :func:`atomic_write`); return the file's :class:`SimilarityFile`.
 
     Through an open handle, because ``np.savez`` appends ``.npz`` to a bare
     path; uncompressed, because compressing costs 20x the time of writing.
     """
     matrix = sim.matrix.tocsr()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(
             fh, data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
             shape=np.asarray(matrix.shape, dtype=np.int64), metagraph=sim.metagraph,
         )
+    return SimilarityFile(os.fspath(path), sim.metagraph, matrix.shape, matrix.nnz)
 
 
 def load_similarity(path):
     with np.load(path, allow_pickle=False) as f:
         matrix = sp.csr_matrix((f["data"], f["indices"], f["indptr"]), shape=tuple(f["shape"].tolist()))
         return SimilarityMatrix(matrix, str(f["metagraph"]))
+
+
+@dataclass(frozen=True)
+class SimilarityFile:
+    """A similarity matrix written by :func:`save_similarity`, known by its file: the path, the
+    metagraph, the shape and the nnz.  The record holds no entries; :attr:`matrix` reads them
+    from the file on every access."""
+
+    path: str
+    metagraph: str
+    shape: tuple
+    nnz: int
+
+    @classmethod
+    def read(cls, path):
+        """The record of the file at ``path``, from its ``shape``, ``indptr`` and ``metagraph``
+        members only: the entries (``data`` and ``indices``) are not read."""
+        with np.load(path, allow_pickle=False) as f:
+            return cls(os.fspath(path), str(f["metagraph"]), tuple(f["shape"].tolist()),
+                       int(f["indptr"][-1]))
+
+    @property
+    def matrix(self):
+        return load_similarity(self.path).matrix

@@ -2,15 +2,20 @@
 
 Reads one JSON experiment config, runs the stages in order with per-artifact
 disk caching, and writes a metrics report plus model and trace files.
-The per-metagraph factorizations and the per-lambda FM fits run in forked
-worker processes, one per available core (see :meth:`Stages.factorize` and
-:meth:`Stages.train`), and each fit reports its own record, measured in its
-worker, to ``metrics.json``.  Similarity matrices are
-computed over the *training* split's ratings only; every other relation is
-used whole, so a held-out rating's review keeps its edges (``write``,
-``about`` and ``mention`` in the bundled Yelp set), and the review
-metagraphs M8 and M9 reach held-out pairs through them.  Test labels are
-first touched in the evaluation stage (see :data:`label_access_hook`).
+Each similarity matrix goes to its cache file as soon as it is computed and
+is dropped before the next metagraph runs, so the process holds at most one
+at a time; the later stages know a similarity by its file's record
+(:class:`metagraph.SimilarityFile`).  The per-metagraph factorizations and
+the per-lambda FM fits run in forked worker processes, one per available
+core (see :meth:`Stages.factorize` and :meth:`Stages.train`): a
+factorization reads its own similarity file in its worker, and each fit
+reports its own record, measured in its worker, to ``metrics.json``.
+Similarity matrices are computed over the *training* split's ratings only;
+every other relation is used whole, so a held-out rating's review keeps its
+edges (``write``, ``about`` and ``mention`` in the bundled Yelp set), and
+the review metagraphs M8 and M9 reach held-out pairs through them.  Test
+labels are first touched in the evaluation stage (see
+:data:`label_access_hook`).
 """
 
 from __future__ import annotations
@@ -222,10 +227,7 @@ def _input_fingerprint(config):
 
 @dataclass
 class StageRun:
-    """What one pass through the stages built; fields of stages not run stay None.
-
-    ``sims`` is kept only by a pass that stops at similarity or factorize: nothing after
-    factorize reads the similarity matrices, so a longer pass drops them before assembling."""
+    """What one pass through the stages built; fields of stages not run stay None."""
 
     seed: int = None  # the split seed of this pass
     store: hin.HinStore = None
@@ -233,7 +235,7 @@ class StageRun:
     specs: list = None
     validation: object = None  # the ingest stage's hin.validate report
     splits: dict = None  # role -> RatingSet
-    sims: list = None
+    sims: list = None  # metagraph.SimilarityFile per metagraph: the cache file, not the matrix
     pairs: list = None
     features: tuple = None  # (user, item) entity feature arrays, standardized if configured
     layout: fmg.GroupLayout = None
@@ -249,10 +251,14 @@ def _key(*parts):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fit(config, sim, seed):
-    """Factor one similarity matrix under ``config``: ``(pair, record)``, where the record gives
-    the fit's seconds (observed matrix and solver loop), its iterations, its final objective and
-    the layout its evaluations ran on ("dense" or "csr", see :mod:`hinfuse.factors`)."""
+def _fit(config, sim_file, seed):
+    """Factor the similarity matrix in ``sim_file`` (a :class:`metagraph.SimilarityFile`) under
+    ``config``: ``(pair, record)``, where the record gives the seconds spent reading the file, the
+    fit's seconds (observed matrix and solver loop), its iterations, its final objective and the
+    layout its evaluations ran on ("dense" or "csr", see :mod:`hinfuse.factors`)."""
+    start = time.perf_counter()
+    sim = metagraph.load_similarity(sim_file.path)
+    read_s = time.perf_counter() - start
     start = time.perf_counter()
     obs = factors.ObservedMatrix.from_similarity(sim)
     if config.feature_method == "mf":
@@ -262,8 +268,9 @@ def _fit(config, sim, seed):
         pair = factors.factorize_nnr(obs, config.mu, seed=seed, max_rank=config.max_rank,
                                      name=sim.metagraph)
         layout = "csr"
-    return pair, {"fit_s": time.perf_counter() - start, "iters": len(pair.objective_history) - 1,
-                  "objective": float(pair.objective_history[-1]), "layout": layout}
+    return pair, {"read_s": read_s, "fit_s": time.perf_counter() - start,
+                  "iters": len(pair.objective_history) - 1, "objective": float(pair.objective_history[-1]),
+                  "layout": layout}
 
 
 def _train(train_table, valid_table, layout, reg, K, solver_cfg, rating_range):
@@ -417,46 +424,60 @@ class Stages:
         return hin.split_ratings(ratings, self.config.fractions, seed)
 
     def similarities(self, store, train_ratings, rating_decl, specs, seed):
+        """One :class:`metagraph.SimilarityFile` per metagraph, read from the cache or computed.
+
+        A similarity whose file exists is known by the file's record, and its entries are not
+        read.  A missing one is computed, written to the cache and dropped before the next
+        metagraph runs, so the stage holds at most one matrix at a time.  The train ratings
+        are attached to ``store`` only if some similarity is computed, the one use they have
+        here.  The cache event's ``hit`` says whether the file existed.
+        """
         cfg = self.config
         os.makedirs(self.cache_dir, exist_ok=True)
-        hin.attach_ratings(store, train_ratings, rating_decl, binarize=cfg.binarize_ratings)
         for spec in specs:
             if (spec.source_type, spec.sink_type) != (rating_decl.head_type, rating_decl.tail_type):
                 raise ValueError(
                     f"metagraph {spec.name!r} runs {spec.source_type}->{spec.sink_type}, but "
                     f"ratings connect {rating_decl.head_type}->{rating_decl.tail_type}"
                 )
-        sims = []
+        paths = []
         for spec in specs:
             key = _key(
                 "similarity", self.fingerprint, metagraph.format_metagraph(spec),
                 cfg.fractions, seed, cfg.binarize_ratings, cfg.log_scale_similarity,
                 cfg.optimize_plans,
             )
-            path = os.path.join(self.cache_dir, f"sim_{spec.name}_{key}.npz")
-            hit = os.path.exists(path)
-            if hit:
-                sim = metagraph.load_similarity(path)
-            else:
-                plan = metagraph.compile_plan(spec, store, optimize=cfg.optimize_plans)
-                sim = metagraph.execute_plan(plan, store)
-                if cfg.log_scale_similarity:
-                    sim.matrix.data = np.log1p(sim.matrix.data)
-                metagraph.save_similarity(path, sim)
-            self.cache_events["similarity"].append({"metagraph": spec.name, "hit": hit})
+            paths.append(os.path.join(self.cache_dir, f"sim_{spec.name}_{key}.npz"))
+        hits = [os.path.exists(path) for path in paths]
+        if not all(hits):
+            hin.attach_ratings(store, train_ratings, rating_decl, binarize=cfg.binarize_ratings)
+        sims = []
+        for spec, path, hit in zip(specs, paths, hits):
+            sim = metagraph.SimilarityFile.read(path) if hit else self.write_similarity(spec, store, path)
             sims.append(sim)
+            self.cache_events["similarity"].append({"metagraph": spec.name, "hit": hit})
         return sims
 
+    def write_similarity(self, spec, store, path):
+        """Compute the similarity of ``spec``, write it to ``path`` and return its file's record;
+        the matrix is freed on return."""
+        plan = metagraph.compile_plan(spec, store, optimize=self.config.optimize_plans)
+        sim = metagraph.execute_plan(plan, store)
+        if self.config.log_scale_similarity:
+            sim.matrix.data = np.log1p(sim.matrix.data)
+        return metagraph.save_similarity(path, sim)
+
     def factorize(self, sims, seed):
-        """One factor pair per similarity matrix, read from the cache or fitted.
+        """One factor pair per :class:`metagraph.SimilarityFile`, read from the cache or fitted.
 
         The fits are independent, so every cache miss is fitted in a forked worker
         process, one per available core (the affinity mask, so ``taskset`` limits the
-        pool), each with its BLAS on one thread; the parent then writes the factor files
-        and cache events in metagraph order.  Each extra worker adds one fit's working
-        set (the observed matrix in the form its evaluations run on, dense or CSR, with
-        its buffers, and the factors) to the peak memory; the parent's pages, the
-        similarity matrices included, are shared copy-on-write.
+        pool), each with its BLAS on one thread; each worker reads its own similarity
+        file, and the parent then writes the factor files and cache events in metagraph
+        order.  Only the fits read similarity matrices, so a run whose factor files all
+        hit reads none.  Each extra worker adds one fit's working set (its similarity
+        matrix, the observed matrix in the form its evaluations run on, dense or CSR,
+        with its buffers, and the factors) to the peak memory.
         """
         cfg = self.config
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -584,7 +605,6 @@ class Stages:
         run.pairs = self.timed("factorize", lambda: self.factorize(run.sims, seed))
         if through == "factorize":
             return run
-        run.sims = None  # free the similarity matrices before training
         run.features, run.layout = self.timed("assemble", lambda: self.assemble(run.pairs, train_rs))
         run.params, run.trace, run.lam, run.series = self.timed(
             "train", lambda: self.train(run.features, train_rs, valid_rs, run.layout)

@@ -828,3 +828,39 @@ class TestPersistence:
         assert again.metagraph == sim.metagraph
         assert again.shape == sim.shape
         assert (again.matrix != sim.matrix).nnz == 0
+
+    def test_similarity_file_record_reads_no_entries(self, tmp_path, monkeypatch):
+        store = synth.random_binary_hin(6)
+        sim = mg.execute_plan(mg.compile_plan(mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4]), store), store)
+        path = tmp_path / "sim.npz"
+        written = mg.save_similarity(path, sim)
+        assert written == mg.SimilarityFile(str(path), sim.metagraph, sim.shape, sim.nnz)
+        members = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(npz, key):
+            members.append(key)
+            return getitem(npz, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        assert mg.SimilarityFile.read(path) == written
+        assert sorted(members) == ["indptr", "metagraph", "shape"]
+        assert (written.matrix != sim.matrix).nnz == 0 and "data" in members  # read on access
+        assert "matrix" not in vars(written)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        store = synth.random_binary_hin(6)
+        sim = mg.execute_plan(mg.compile_plan(mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4]), store), store)
+        path = tmp_path / "sim.npz"
+        seen = []
+
+        def broken(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            fh.flush()
+            seen.append(path.exists())  # a process killed here leaves the path as it is now
+            raise OSError("planted write failure")
+
+        monkeypatch.setattr(np, "savez", broken)
+        with pytest.raises(OSError, match="planted"):
+            mg.save_similarity(path, sim)
+        assert seen == [False] and list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -127,31 +129,126 @@ def set_rating_range(data, scale):
 class TestRunPipeline:
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_training_holds_no_similarity_matrix(self, dataset, tmp_path, monkeypatch, cache):
+        # every matrix built or read in this process is tracked; the fits run here too (the
+        # fallback where fork is unavailable), so their reads are seen
         root, schema = dataset
         cfg = small_config(str(root), schema)
         cache_dir = str(tmp_path / "cache")
         if cache == "warm":
-            filled = pipeline.Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
-            assert [sim.metagraph for sim in filled.sims] == [spec.name for spec in filled.specs]
-        refs, alive = [], []
-        similarities, train = pipeline.Stages.similarities, pipeline.Stages.train
+            pipeline.Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
+        refs, alive = [], {"new": [], "train": []}
+        train = pipeline.Stages.train
 
-        def tracked(stages, *args):
-            sims = similarities(stages, *args)
-            refs.extend(weakref.ref(sim.matrix) for sim in sims)
-            return sims
+        def live():
+            return sum(ref() is not None for ref in refs)
+
+        def tracked(fn):
+            def wrapper(*args, **kwargs):
+                alive["new"].append(live())
+                sim = fn(*args, **kwargs)
+                refs.append(weakref.ref(sim.matrix))
+                return sim
+            return wrapper
 
         def counted(stages, *args):
-            alive.append(sum(ref() is not None for ref in refs))
+            alive["train"].append(live())
             return train(stages, *args)
 
-        monkeypatch.setattr(pipeline.Stages, "similarities", tracked)
+        monkeypatch.setattr(metagraph, "execute_plan", tracked(metagraph.execute_plan))
+        monkeypatch.setattr(metagraph, "load_similarity", tracked(metagraph.load_similarity))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(pipeline.Stages, "train", counted)
         stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache_dir)
         run = stages.run(cfg.seed)
-        assert len(refs) == len(run.specs) > 1 and alive == [0]
-        assert run.sims is None and run.rmses["test"] > 0
-        assert [e["hit"] for e in stages.cache_events["similarity"]] == [cache == "warm"] * len(refs)
+        # cold: each matrix is computed, then read back by its fit; warm: every factor file hits
+        assert len(refs) == (2 * len(run.specs) if cache == "cold" else 0) and len(run.specs) > 1
+        assert alive == {"new": [0] * len(refs), "train": [0]} and live() == 0
+        assert run.rmses["test"] > 0
+        assert [e["hit"] for e in stages.cache_events["similarity"]] == [cache == "warm"] * len(run.specs)
+
+    def test_warm_run_reads_no_similarity(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        cfg = small_config(str(root), schema)
+        cache_dir = str(tmp_path / "cache")
+        filled = pipeline.Stages(cfg, str(tmp_path / "fill"), cache_dir).run(cfg.seed, through="factorize")
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a warm run read or built a similarity matrix")
+
+        monkeypatch.setattr(metagraph, "load_similarity", refused)
+        monkeypatch.setattr(metagraph, "execute_plan", refused)
+        monkeypatch.setattr(hin, "attach_ratings", refused)  # only a computed similarity needs the ratings
+        stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache_dir)
+        run = stages.run(cfg.seed)
+        assert calls == [] and run.rmses["test"] > 0
+        assert all(e["hit"] for kind in ("similarity", "factorize") for e in stages.cache_events[kind])
+        assert run.sims == filled.sims  # the same records, read from the files' headers
+
+    def test_similarity_stage_holds_one_matrix_at_a_time(self, tmp_path):
+        # nine metagraphs: the stage's peak stays below the bytes of its matrices together
+        data = str(tmp_path / "data")
+        synth.write_review_dataset(data, seed=4, n_users=300, n_items=150)
+        cfg = pipeline.ExperimentConfig.from_dict({"schema": "schema.json", "metagraphs": "metagraphs.txt"},
+                                                  base_dir=data)
+        stages = pipeline.Stages(cfg, str(tmp_path / "out"))
+        store, ratings, decl, specs, _ = stages.ingest()
+        train, _, _ = stages.split(ratings, cfg.seed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sims = stages.similarities(store, train, decl, specs, cfg.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 0
+        for sim in sims:
+            matrix = sim.matrix
+            assert (sim.shape, sim.nnz) == (matrix.shape, matrix.nnz)
+            held += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert len(sims) == 9 and peak < held
+
+    def test_missing_similarity_beside_factor_file_is_recomputed(self, dataset, tmp_path):
+        root, schema = dataset
+        cfg = small_config(str(root), schema)
+        cache = tmp_path / "cache"
+        filled = pipeline.Stages(cfg, str(tmp_path / "fill"), str(cache)).run(cfg.seed, through="factorize")
+        lost = filled.sims[1]
+        with np.load(lost.path) as f:
+            before = {name: f[name] for name in f.files}
+        os.remove(lost.path)
+        stages = pipeline.Stages(cfg, str(tmp_path / "out"), str(cache))
+        run = stages.run(cfg.seed, through="factorize")
+        hits = [e["hit"] for e in stages.cache_events["similarity"]]
+        assert hits == [sim is not lost for sim in filled.sims]
+        assert all(e["hit"] for e in stages.cache_events["factorize"])
+        assert run.sims == filled.sims
+        with np.load(lost.path) as again:
+            assert again.files == list(before) and all(np.array_equal(before[n], again[n]) for n in before)
+
+    @pytest.mark.parametrize("stage", ["similarity", "factorize"])
+    def test_failed_cache_write_leaves_no_file(self, dataset, tmp_path, monkeypatch, stage):
+        root, schema = dataset
+        cfg = small_config(str(root), schema)
+        cache = tmp_path / "cache"
+        if stage == "factorize":
+            pipeline.Stages(cfg, str(tmp_path / "fill"), str(cache)).run(cfg.seed, through="similarity")
+        filled = sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+        def broken(fh, **arrays):
+            fh.write(b"PK\x03\x04")  # a partial archive, as a write killed midway leaves it
+            raise OSError("planted write failure")
+
+        monkeypatch.setattr(np, "savez", broken)
+        with pytest.raises(pipeline.StageError, match=rf"\[{stage}\] planted write failure"):
+            pipeline.Stages(cfg, str(tmp_path / "out"), str(cache)).run(cfg.seed, through="factorize")
+        assert sorted(p.name for p in cache.iterdir()) == filled  # no file at the path, no temporary file
+        monkeypatch.undo()
+        stages = pipeline.Stages(cfg, str(tmp_path / "out"), str(cache))
+        run = stages.run(cfg.seed, through="factorize")
+        assert [e["hit"] for e in stages.cache_events["similarity"]] == [stage == "factorize"] * len(run.specs)
+        assert not any(e["hit"] for e in stages.cache_events["factorize"])
 
     def test_no_metagraphs_error(self, dataset, tmp_path):
         root, schema = dataset
@@ -887,7 +984,7 @@ class TestForkedFits:
             assert [e["metagraph"] for e in events] == names and not any(e["hit"] for e in events)
             # each fit's own record, measured in its worker
             for event, pair, sim in zip(events, run.pairs, run.sims):
-                assert event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
+                assert event["read_s"] > 0 and event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
                 assert event["objective"] == pair.objective_history[-1]
                 dense = method == "mf" and factors.ObservedMatrix.from_similarity(sim).dense is not None
                 assert event["layout"] == ("dense" if dense else "csr")
