@@ -132,8 +132,8 @@ def _parse_edge_line(path, lineno, line):
         raise EdgeFileError(path, lineno, f"expected 2 or 3 TAB-separated fields, got {len(parts)}")
     if not head or not tail:
         raise EdgeFileError(path, lineno, "empty entity id")
-    if weight < 0:
-        raise ValidationError(f"{path}:{lineno}: negative weight {weight}")
+    if not 0 <= weight < np.inf:  # nan fails both comparisons
+        raise ValidationError(f"{path}:{lineno}: {'negative' if weight < 0 else 'non-finite'} weight {weight}")
     return head, tail, weight
 
 

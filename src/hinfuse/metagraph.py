@@ -428,210 +428,194 @@ def _transposed(sketch):
     return _Sketch(sketch.cols, sketch.rows, sketch.nnz)
 
 
-def _cheapest_splits(sketches):
-    """Matrix-chain DP over estimated scalar multiplications.
+def _cheapest_splits(nodes, optimize):
+    """Matrix-chain DP over estimated scalar multiplications, for a chain of two or more ``nodes``.
 
-    ``sketches`` are the chain's operands.  Returns the sketch of every
-    interval (i, j), always propagated left to right so that it does not
-    depend on the split; the split k of (i, j) into (i, k) and (k + 1, j)
-    that minimises Σ :func:`_product_terms` over the interval's products;
-    and that minimum.  Ties go to the largest k, so a chain whose splits
-    all cost the same keeps its left-to-right association.
+    Returns, per interval (i, j): its sketch, always propagated left to
+    right so that it does not depend on the split; the split k into (i, k)
+    and (k + 1, j); Σ :func:`_product_terms` over the interval's products;
+    and those of its own product.  With ``optimize`` k minimises that sum,
+    ties going to the largest k, so a chain whose splits all cost the same
+    keeps its left-to-right association; without, k is fixed at j - 1.
     """
-    n = len(sketches)
-    sketch = {(i, i): s for i, s in enumerate(sketches)}
+    for left, right in zip(nodes, nodes[1:]):
+        if left.shape[1] != right.shape[0]:
+            raise PlanCompileError(f"cannot multiply {left.shape} by {right.shape}")
+    n = len(nodes)
+    sketch = {(i, i): node.sketch for i, node in enumerate(nodes)}
     cost = {(i, i): 0.0 for i in range(n)}
-    split = {}
+    split, terms = {}, {}
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
             sketch[i, j] = _product_sketch(sketch[i, j - 1], sketch[j, j])
-            for k in range(j - 1, i - 1, -1):
-                c = cost[i, k] + cost[k + 1, j]
-                c += float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
+            for k in range(j - 1, i - 1 if optimize else j - 2, -1):
+                t = float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
+                c = cost[i, k] + cost[k + 1, j] + t
                 if (i, j) not in cost or c < cost[i, j]:
-                    cost[i, j], split[i, j] = c, k
-    return sketch, split, cost
+                    cost[i, j], split[i, j], terms[i, j] = c, k, t
+    return sketch, split, cost, terms
 
 
 @dataclass(frozen=True)
 class _Node:
-    """A slot before its steps are emitted.
+    """A slot of a plan being compiled, as plain data.
 
     ``rank`` is what :func:`execute_plan` ranks the slot by as a Hadamard
     operand (a product's bound, else the nnz), ``cost`` the estimated scalar
-    multiplications of all its steps, and ``emit`` emits them and returns
-    the slot's index.
+    multiplications of all its steps.  ``steps`` are its own (step, shape,
+    cost), whose slot indices are local: ``inputs`` in order, then each step.
     """
 
     shape: tuple
     sketch: _Sketch
     rank: float
     cost: float
-    emit: object
+    inputs: tuple
+    steps: tuple
 
 
-class _PlanBuilder:
-    """Compiles a chain into nodes, chooses each block's form, then emits the chosen steps."""
+def _emit(node, out):
+    """Append the steps of ``node`` to ``out``, its inputs' first and in order; return its slot."""
+    slots = [_emit(source, out) for source in node.inputs]
+    for step, shape, cost in node.steps:
+        if isinstance(step, FaceSplitStep):
+            step = FaceSplitStep(tuple(slots[i] for i in step.operands), step.columns)
+        elif not isinstance(step, LoadStep):
+            step = type(step)(slots[step.left], slots[step.right])
+        slots.append(len(out))
+        out.append((step, shape, cost))
+    return slots[-1]
 
-    def __init__(self, hin, optimize):
-        self.hin = hin
-        self.optimize = optimize
-        self.steps = []
-        self.shapes = []
-        self.costs = []
 
-    def emit(self, step, shape, cost=0.0):
-        self.steps.append(step)
-        self.shapes.append(shape)
-        self.costs.append(cost)
-        return len(self.steps) - 1
+def _load(hin, edge, src_type, dst_type):
+    if edge.relation not in hin.relations:
+        raise PlanCompileError(f"unknown relation {edge.relation!r}")
+    decl, adj = hin.relations[edge.relation]
+    declared = (hin.entity(decl.head_type).count, hin.entity(decl.tail_type).count)
+    if adj.shape != declared:
+        raise PlanCompileError(
+            f"adjacency for {edge.relation!r} has shape {adj.shape}, "
+            f"expected {declared}; was the store re-shaped after ingestion?"
+        )
+    transposed = resolve_orientation(decl, adj, src_type, dst_type, edge.reverse)
+    shape = (declared[1], declared[0]) if transposed else declared
+    sketch = _load_sketch(adj, transposed)
+    return _Node(shape, sketch, sketch.nnz, 0.0, (), ((LoadStep(edge.relation, transposed), shape, 0.0),))
 
-    def count(self, type_name):
-        return self.hin.entity(type_name).count
 
-    def load(self, edge, src_type, dst_type):
-        if edge.relation not in self.hin.relations:
-            raise PlanCompileError(f"unknown relation {edge.relation!r}")
-        decl, adj = self.hin.relations[edge.relation]
-        declared = (self.count(decl.head_type), self.count(decl.tail_type))
-        if adj.shape != declared:
+def _product(nodes, table, lo, hi):
+    """The node of ``nodes[lo..hi]``'s product, associated as the chain's DP ``table`` splits it."""
+    if lo == hi:
+        return nodes[lo]
+    sketch, split, cost, terms = table
+    order, pending = [], [(lo, hi)]
+    while pending:  # each product, then its right operand's, then its left operand's
+        i, j = pending.pop()
+        if i < j:
+            order.append((i, j))
+            pending += [(i, split[i, j]), (split[i, j] + 1, j)]
+    slot = {(i, i): i - lo for i in range(lo, hi + 1)}
+    steps = []
+    for i, j in reversed(order):  # every product after both its operands
+        k = split[i, j]
+        slot[i, j] = len(slot)
+        step_shape = (nodes[i].shape[0], nodes[j].shape[1])
+        steps.append((MatMulStep(slot[i, k], slot[k + 1, j]), step_shape, terms[i, j]))
+    shape, inputs = (nodes[lo].shape[0], nodes[hi].shape[1]), tuple(nodes[lo:hi + 1])
+    return _Node(shape, sketch[lo, hi], min(terms[lo, hi], shape[0] * shape[1]),
+                 cost[lo, hi] + sum(node.cost for node in inputs), inputs, tuple(steps))
+
+
+def _chain(hin, optimize, connectors, types):
+    """A chain's cheapest product, its operands, their DP table, and the operand positions ending a connector.
+
+    Each connector offers one or more forms (:func:`_connector`).  Starting
+    from every block as a Hadamard slot, each block in turn takes the form
+    that lowers the product's cost, the others held fixed.
+    """
+    forms = [_connector(hin, optimize, conn, types[i], types[i + 1]) for i, conn in enumerate(connectors)]
+
+    def product(choice):
+        nodes = [node for form, c in zip(forms, choice) for node in form[c]]
+        table = _cheapest_splits(nodes, optimize) if len(nodes) > 1 else None
+        return _product(nodes, table, 0, len(nodes) - 1), nodes, table
+
+    choice = [0] * len(forms)
+    best = product(choice)
+    for i, form in enumerate(forms):
+        for c in range(1, len(form)):
+            trial = choice[:i] + [c] + choice[i + 1:]
+            candidate = product(trial)
+            if candidate[0].cost < best[0].cost:
+                best, choice = candidate, trial
+    ends = np.cumsum([len(form[c]) for form, c in zip(forms, choice)])
+    return (*best, ends[:-1].tolist())
+
+
+def _connector(hin, optimize, conn, src_type, dst_type):
+    """The forms a connector can take in its chain, each a list of operands.
+
+    An edge is one load.  A block is first one Hadamard slot; with
+    ``optimize`` it may also be spliced as the two operands
+    (•ᵢ Lᵢ)(⊙ᵢ Rᵢ) of :func:`_splices`.
+    """
+    if isinstance(conn, EdgeRef):
+        return [[_load(hin, conn, src_type, dst_type)]]
+    want = (hin.entity(src_type).count, hin.entity(dst_type).count)
+    branches = []
+    for branch in conn.branches:
+        branches.append(_chain(hin, optimize, branch.connectors, [src_type, *branch.inner_types, dst_type]))
+        if branches[-1][0].shape != want:
             raise PlanCompileError(
-                f"adjacency for {edge.relation!r} has shape {adj.shape}, "
-                f"expected {declared}; was the store re-shaped after ingestion?"
+                f"branch endpoint mismatch: block joins {src_type} to {dst_type} "
+                f"{want} but a branch produced {branches[-1][0].shape}"
             )
-        transposed = resolve_orientation(decl, adj, src_type, dst_type, edge.reverse)
-        shape = (declared[1], declared[0]) if transposed else declared
-        sketch = _load_sketch(adj, transposed)
-        step = LoadStep(edge.relation, transposed)
-        return _Node(shape, sketch, sketch.nnz, 0.0, lambda: self.emit(step, shape))
+    forms = [[_hadamard([node for node, *_ in branches], want)]]
+    return (forms + _splices(branches)) if optimize else forms
 
-    def chain(self, connectors, types):
-        """The cheapest product of a chain, its operands, and the operand positions where a connector ends.
 
-        Each connector offers one or more forms (:meth:`connector`).  Starting
-        from every block as a Hadamard slot, each block in turn takes the form
-        that lowers the product's cost, the others held fixed.
-        """
-        forms = [self.connector(conn, types[i], types[i + 1]) for i, conn in enumerate(connectors)]
-        choice = [0] * len(forms)
+def _hadamard(branches, shape):
+    sketch, rank = branches[0].sketch, branches[0].rank
+    for node in branches[1:]:
+        if node.rank < rank:  # the mask; the left operand on a tie, as in execute_plan
+            sketch = node.sketch
+        rank = sketch.nnz
+    n = len(branches)  # local slots: the branches, then each fold's result
+    steps = tuple((HadamardStep(n + b - 2 if b > 1 else 0, b), shape, 0.0) for b in range(1, n))
+    return _Node(shape, sketch, rank, sum(node.cost for node in branches), tuple(branches), steps)
 
-        def operands(choice):
-            return [node for form, c in zip(forms, choice) for node in form[c]]
 
-        best = self.product(operands(choice))
-        for i, form in enumerate(forms):
-            for c in range(1, len(form)):
-                trial = choice[:i] + [c] + choice[i + 1:]
-                node = self.product(operands(trial))
-                if node.cost < best.cost:
-                    best, choice = node, trial
-        ends = np.cumsum([len(form[c]) for form, c in zip(forms, choice)])
-        return best, operands(choice), ends[:-1].tolist()
+def _splices(branches):
+    """Each way to cut every branch at a connector boundary into Lᵢ·Rᵢ, as operands [•ᵢ Lᵢ, ⊙ᵢ Rᵢ].
 
-    def connector(self, conn, src_type, dst_type):
-        """The forms a connector can take in its chain, each a list of operands.
+    (L₁R₁) ∘ (L₂R₂) = (L₁ • L₂)(R₁ ⊙ R₂), the mixed-product identity of
+    the face-splitting and Khatri–Rao products.  Lᵢ and Rᵢ take their
+    intervals of the branch's DP table, which hold what a DP over each would.
+    A cut whose inner width Πᵢ cᵢ exceeds the stored entries of its Lᵢ and
+    Rᵢ is skipped, so the sketches stay that small.
+    """
+    halves = [[(_product(nodes, table, 0, k - 1), _product(nodes, table, k, len(nodes) - 1)) for k in ends]
+              for _, nodes, table, ends in branches]
+    forms = []
+    for cut in itertools.product(*halves):
+        lefts, rights = zip(*cut)
+        width = math.prod(node.shape[1] for node in lefts)
+        if width <= sum(node.sketch.nnz for node in lefts + rights):
+            forms.append([_face_split_node(lefts, False), _face_split_node(rights, True)])
+    return forms
 
-        An edge is one load.  A block is first one Hadamard slot; with
-        ``optimize`` it may also be spliced as the two operands
-        (•ᵢ Lᵢ)(⊙ᵢ Rᵢ) of :meth:`splices`.
-        """
-        if isinstance(conn, EdgeRef):
-            return [[self.load(conn, src_type, dst_type)]]
-        want = (self.count(src_type), self.count(dst_type))
-        branches = []
-        for branch in conn.branches:
-            node, operands, ends = self.chain(branch.connectors, [src_type, *branch.inner_types, dst_type])
-            if node.shape != want:
-                raise PlanCompileError(
-                    f"branch endpoint mismatch: block joins {src_type} to {dst_type} "
-                    f"{want} but a branch produced {node.shape}"
-                )
-            branches.append((node, operands, ends))
-        forms = [[self.hadamard([node for node, _, _ in branches], want)]]
-        return (forms + self.splices(branches)) if self.optimize else forms
 
-    def hadamard(self, branches, shape):
-        sketch, rank = branches[0].sketch, branches[0].rank
-        for node in branches[1:]:
-            if node.rank < rank:  # the mask; the left operand on a tie, as in execute_plan
-                sketch = node.sketch
-            rank = sketch.nnz
-
-        def emit():
-            slots = [node.emit() for node in branches]
-            out = slots[0]
-            for slot in slots[1:]:
-                out = self.emit(HadamardStep(out, slot), shape)
-            return out
-
-        return _Node(shape, sketch, rank, sum(node.cost for node in branches), emit)
-
-    def splices(self, branches):
-        """Each way to cut every branch at a connector boundary into Lᵢ·Rᵢ, as operands [•ᵢ Lᵢ, ⊙ᵢ Rᵢ].
-
-        (L₁R₁) ∘ (L₂R₂) = (L₁ • L₂)(R₁ ⊙ R₂), the mixed-product identity of
-        the face-splitting and Khatri–Rao products.  A cut whose inner width
-        Πᵢ cᵢ exceeds the stored entries of its Lᵢ and Rᵢ is skipped, so the
-        sketches stay that small.
-        """
-        forms = []
-        for cuts in itertools.product(*(ends for _, _, ends in branches)):
-            lefts = [self.product(operands[:k]) for (_, operands, _), k in zip(branches, cuts)]
-            rights = [self.product(operands[k:]) for (_, operands, _), k in zip(branches, cuts)]
-            width = math.prod(node.shape[1] for node in lefts)
-            if width <= sum(node.sketch.nnz for node in lefts + rights):
-                forms.append([self.face_split(lefts, False), self.face_split(rights, True)])
-        return forms
-
-    def face_split(self, operands, columns):
-        if columns:
-            sketch = _transposed(_face_split_sketch([_transposed(node.sketch) for node in operands]))
-            shape = (math.prod(node.shape[0] for node in operands), operands[0].shape[1])
-        else:
-            sketch = _face_split_sketch([node.sketch for node in operands])
-            shape = (operands[0].shape[0], math.prod(node.shape[1] for node in operands))
-        cost = sketch.nnz  # one multiplication per stored entry
-
-        def emit():
-            slots = tuple(node.emit() for node in operands)
-            return self.emit(FaceSplitStep(slots, columns), shape, cost)
-
-        return _Node(shape, sketch, sketch.nnz, cost + sum(node.cost for node in operands), emit)
-
-    def product(self, nodes):
-        if len(nodes) == 1:
-            return nodes[0]
-        for left, right in zip(nodes, nodes[1:]):
-            if left.shape[1] != right.shape[0]:
-                raise PlanCompileError(f"cannot multiply {left.shape} by {right.shape}")
-        sketch, split, cost = _cheapest_splits([node.sketch for node in nodes])
-        last = len(nodes) - 1
-
-        def cut(i, j):
-            return split[i, j] if self.optimize else j - 1
-
-        def step_cost(i, j):
-            k = cut(i, j)
-            return float(_product_terms(sketch[i, k].cols, sketch[k + 1, j].rows))
-
-        def emit():
-            slots = [node.emit() for node in nodes]
-
-            def assemble(i, j):
-                if i == j:
-                    return slots[i]
-                k = cut(i, j)
-                left, right = assemble(i, k), assemble(k + 1, j)
-                return self.emit(MatMulStep(left, right), (self.shapes[left][0], self.shapes[right][1]),
-                                 step_cost(i, j))
-
-            return assemble(0, last)
-
-        shape = (nodes[0].shape[0], nodes[-1].shape[1])
-        own = cost[0, last] if self.optimize else sum(step_cost(0, j) for j in range(1, last + 1))
-        rank = min(step_cost(0, last), shape[0] * shape[1])
-        return _Node(shape, sketch[0, last], rank, own + sum(node.cost for node in nodes), emit)
+def _face_split_node(operands, columns):
+    if columns:
+        sketch = _transposed(_face_split_sketch([_transposed(node.sketch) for node in operands]))
+        shape = (math.prod(node.shape[0] for node in operands), operands[0].shape[1])
+    else:
+        sketch = _face_split_sketch([node.sketch for node in operands])
+        shape = (operands[0].shape[0], math.prod(node.shape[1] for node in operands))
+    step = FaceSplitStep(tuple(range(len(operands))), columns)
+    return _Node(shape, sketch, sketch.nnz, sketch.nnz + sum(node.cost for node in operands), operands,
+                 ((step, shape, sketch.nnz),))  # one multiplication per stored entry
 
 
 def compile_plan(spec, hin, optimize=False):
@@ -645,7 +629,8 @@ def compile_plan(spec, hin, optimize=False):
 
     - each chain (a block's branches and the outer chain) takes the
       association with the fewest multiplications Σ_k c_A[k]·r_B[k] over
-      its products (:func:`_cheapest_splits`);
+      its products (:func:`_cheapest_splits`, the DP that the literal
+      plan runs with every split fixed);
     - a block whose branches are each cut at a connector boundary into
       Lᵢ·Rᵢ may be spliced into the enclosing chain as two operands,
       since ∘ᵢ (LᵢRᵢ) = (•ᵢ Lᵢ)(⊙ᵢ Rᵢ): the face-splitting product of the
@@ -660,14 +645,15 @@ def compile_plan(spec, hin, optimize=False):
     the sketch of the operand that :func:`execute_plan` uses as its mask,
     and for a face-splitting product exact row counts when its operands'
     are.  Every plan of a metagraph gives the same integer counts, so only
-    the cost changes.  ``plan.costs`` holds each step's estimate.
+    the cost changes.  ``plan.costs`` holds each step's estimate.  The plan
+    is chosen as a tree of :class:`_Node` values, which :func:`_emit` lists.
     """
     for type_name in spec.types:
         hin.entity(type_name)  # raises KeyError on undeclared types
-    builder = _PlanBuilder(hin, optimize)
-    node, _, _ = builder.chain(spec.connectors, spec.types)
-    node.emit()
-    return ExecutionPlan(tuple(builder.steps), tuple(builder.shapes), spec.name, tuple(builder.costs))
+    out = []
+    _emit(_chain(hin, optimize, spec.connectors, spec.types)[0], out)
+    steps, shapes, costs = zip(*out)
+    return ExecutionPlan(steps, shapes, spec.name, costs)
 
 
 _COUNT_CHUNK = 2**20  # stored entries counted per np.bincount call

@@ -427,10 +427,12 @@ class Stages:
         """One :class:`metagraph.SimilarityFile` per metagraph, read from the cache or computed.
 
         A similarity whose file exists is known by the file's record, and its entries are not
-        read.  A missing one is computed, written to the cache and dropped before the next
-        metagraph runs, so the stage holds at most one matrix at a time.  The train ratings
-        are attached to ``store`` only if some similarity is computed, the one use they have
-        here.  The cache event's ``hit`` says whether the file existed.
+        read.  Every missing one is compiled before any executes, so a metagraph that cannot be
+        compiled fails the stage, named in the message, before anything is computed or written.
+        Each is then computed, written to the cache and dropped before the next metagraph runs,
+        so the stage holds at most one matrix at a time.  The train ratings are attached to
+        ``store`` only if some similarity is computed, the one use they have here.  The cache
+        event's ``hit`` says whether the file existed.
         """
         cfg = self.config
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -451,17 +453,22 @@ class Stages:
         hits = [os.path.exists(path) for path in paths]
         if not all(hits):
             hin.attach_ratings(store, train_ratings, rating_decl, binarize=cfg.binarize_ratings)
+        plans = []
+        for spec, hit in zip(specs, hits):
+            try:
+                plans.append(None if hit else metagraph.compile_plan(spec, store, optimize=cfg.optimize_plans))
+            except (metagraph.PlanCompileError, KeyError) as exc:  # KeyError: an undeclared entity type
+                raise metagraph.PlanCompileError(f"{spec.name}: {exc.args[0]}") from exc
         sims = []
-        for spec, path, hit in zip(specs, paths, hits):
-            sim = metagraph.SimilarityFile.read(path) if hit else self.write_similarity(spec, store, path)
+        for spec, path, hit, plan in zip(specs, paths, hits, plans):
+            sim = metagraph.SimilarityFile.read(path) if hit else self.write_similarity(plan, store, path)
             sims.append(sim)
             self.cache_events["similarity"].append({"metagraph": spec.name, "hit": hit})
         return sims
 
-    def write_similarity(self, spec, store, path):
-        """Compute the similarity of ``spec``, write it to ``path`` and return its file's record;
+    def write_similarity(self, plan, store, path):
+        """Execute ``plan``, write its similarity to ``path`` and return its file's record;
         the matrix is freed on return."""
-        plan = metagraph.compile_plan(spec, store, optimize=self.config.optimize_plans)
         sim = metagraph.execute_plan(plan, store)
         if self.config.log_scale_similarity:
             sim.matrix.data = np.log1p(sim.matrix.data)
@@ -691,8 +698,9 @@ def run_pipeline(config, out_dir, cache_dir=None):
             stages.save_model(run)
 
     report.repeats = test_rmses
-    report.rmse_test = float(np.mean(test_rmses))
-    report.rmse_test_std = float(np.std(test_rmses)) if len(test_rmses) > 1 else None
+    if None not in test_rmses:  # an empty test split scores None
+        report.rmse_test = float(np.mean(test_rmses))
+        report.rmse_test_std = float(np.std(test_rmses)) if len(test_rmses) > 1 else None
     report.stage_seconds = stages.stage_seconds
     report.cache_events = stages.cache_events
     report.train_events = stages.train_events

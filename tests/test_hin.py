@@ -57,6 +57,12 @@ class TestLoadEdges:
         with pytest.raises(hin.ValidationError, match="negative"):
             hin.load_edges(path, DECL, registry("U", "B"))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+    def test_non_finite_weight_rejected(self, tmp_path, raw):
+        path = write(tmp_path / "e.tsv", f"a\tx\t1\nb\ty\t{raw}\n")
+        with pytest.raises(hin.ValidationError, match=r"e\.tsv:2: non-finite weight"):
+            hin.load_edges(path, DECL, registry("U", "B"))
+
     def test_duplicates_sum_in_file_order(self, tmp_path):
         # float addition is not associative: 1e16 + 1 + 1 == 1e16 < 1 + 1 + 1e16.  Sorting a row's
         # 60 entries by column, as sum_duplicates does, does not keep their file order.

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import warnings
 
@@ -289,6 +290,32 @@ class TestCompile:
             m2 = next(s for s in mg.bundled_metagraphs("yelp") if s.name == "M2")
             mg.brute_force_count(m2, store, 0, 0)
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_dropped_plans_leave_no_cyclic_garbage(self, tmp_path, optimize):
+        # the planner's nodes form no reference cycle, so its sketches are freed with the last
+        # reference, with the cyclic collector off; a planner that leaves cycles keeps ~0.5 MB here
+        store, ratings, decl = hin.ingest(synth.write_review_dataset(str(tmp_path), seed=4, n_users=200,
+                                                                     n_items=100))
+        hin.attach_ratings(store, ratings, decl)
+        specs = mg.bundled_metagraphs("yelp")
+        gc.collect()
+        gc.disable()
+        try:
+            for spec in specs:  # untraced: fills the interpreter's free lists, which gc.collect emptied
+                mg.compile_plan(spec, store, optimize=optimize)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for spec in specs:
+                    mg.compile_plan(spec, store, optimize=optimize)
+                retained = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            assert retained < 16 * 1024
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_compile_is_deterministic(self):
         spec = mg.parse_metagraph(M9_TEXT)
         store = synth.random_binary_hin(4)
@@ -564,6 +591,18 @@ class TestCostPlanner:
             for text in synth.ORACLE_METAGRAPHS:
                 spec = mg.parse_metagraph(text)
                 assert mg.compile_plan(spec, store, optimize=True) == mg.compile_plan(spec, store, optimize=True)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_splices_run_no_dp_of_their_own(self, monkeypatch):
+        # the DP runs once per form of a chain; a splice's Lᵢ and Rᵢ are intervals of its branch's
+        # table (162 runs when each Lᵢ and Rᵢ ran its own)
+        runs = []
+        dp = mg._cheapest_splits
+        monkeypatch.setattr(mg, "_cheapest_splits", lambda nodes, optimize: runs.append(1) or dp(nodes, optimize))
+        store = synth.random_binary_hin(3)
+        for spec in ORACLE_SPECS + RANDOM_SPECS:
+            mg.compile_plan(spec, store, optimize=True)
+        assert len(runs) <= 159
 
     def test_equal_costs_keep_the_left_to_right_association(self):
         # every product of a chain of identity matrices costs the same

@@ -822,6 +822,31 @@ class TestCli:
         assert cli.main(["similarity", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out == "M8: 10001x1, nnz=10001 (computed)\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("M5: U -[rate]- B -[hastar~]- B", "M5: unknown relation 'hastar'"),
+        ("M5: U -[rate]- S -[rate~]- U -[rate]- B", "M5: undeclared entity type 'S'"),
+    ])
+    def test_uncompilable_metagraph_fails_before_any_similarity(self, dataset, tmp_path, capsys, text, message):
+        # every plan is compiled before the first runs: the last metagraph's error leaves no sim_* file
+        root, _ = dataset
+        metagraphs = tmp_path / "metagraphs.txt"
+        metagraphs.write_text((root / "metagraphs.txt").read_text() + f"\n{text}\n")
+        config = self.write_config(root, tmp_path, metagraphs=str(metagraphs))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", config, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"[similarity] {message}\n"
+        assert not list((out / "cache").glob("sim_*"))
+
+    @pytest.mark.parametrize("fractions", [[0.9, 0.1, 0.0], [1, 0, 0]])
+    def test_empty_test_split_reports_null(self, dataset, tmp_path, capsys, fractions):
+        root, _ = dataset
+        config = self.write_config(root, tmp_path, split={"fractions": fractions, "seed": 5})
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", config, "--out-dir", str(out)]) == 0
+        rmse = json.loads((out / "metrics.json").read_text())["rmse"]
+        assert rmse["test"] is None and rmse["test_std"] is None and rmse["train"] is not None
+        assert (out / "model.npz").exists()
+
     def test_broken_config_fails_nonzero(self, dataset, tmp_path, capsys):
         root, _ = dataset
         config = self.write_config(root, tmp_path, fm={"K": 3, "lambda": [-1.0]})
