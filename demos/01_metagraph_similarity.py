@@ -45,7 +45,7 @@ for text in SHAPES:
     spec = mg.parse_metagraph(text)
     plan = mg.compile_plan(spec, store)
     sim = mg.execute_plan(plan, store)
-    counts = np.asarray(sim.matrix.todense()).astype(int)
+    counts = np.asarray(sim.todense()).astype(int)
     oracle = mg.brute_force_matrix(spec, store)
     print(f"{spec.name}: plan has {len(plan.steps)} steps "
           f"({sum(isinstance(s, mg.HadamardStep) for s in plan.steps)} Hadamard)")
@@ -67,5 +67,5 @@ plan = mg.compile_plan(m9, store, optimize=True)
 print(f"{m9.name}, optimized plan:")
 for i, step in enumerate(plan.steps):
     print(f"  slot {i:2d}: {step} -> shape {plan.shapes[i]}")
-counts = np.asarray(mg.execute_plan(plan, store).matrix.todense()).astype(int)
+counts = np.asarray(mg.execute_plan(plan, store).todense()).astype(int)
 assert np.array_equal(counts, mg.brute_force_matrix(m9, store)), "optimized plan disagrees!"

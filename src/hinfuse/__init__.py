@@ -27,7 +27,6 @@ from .hin import (
 from .metagraph import (
     ExecutionPlan,
     MetagraphSpec,
-    SimilarityMatrix,
     brute_force_count,
     brute_force_matrix,
     bundled_metagraphs,
@@ -52,6 +51,7 @@ from .fmg import (
     predict_batch,
     prox_group,
     reg_value,
+    rmse,
 )
 from .solvers import (
     SolverConfig,
@@ -63,6 +63,6 @@ from .solvers import (
     train_sgd,
     train_svrg,
 )
-from .pipeline import ExperimentConfig, MetricsReport, report_selected, rmse, run_pipeline
+from .pipeline import ExperimentConfig, MetricsReport, report_selected, run_pipeline
 
 __version__ = "0.1.0"

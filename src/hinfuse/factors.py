@@ -161,9 +161,8 @@ class ObservedMatrix:
         return tuple(matrix for _, matrix in self._scattered)
 
     @classmethod
-    def from_similarity(cls, sim):
-        """The similarity's stored entries, in stored order; ``col`` and ``val`` are its CSR arrays."""
-        R = sim.matrix
+    def from_csr(cls, R):
+        """The CSR matrix's stored entries, in stored order; ``col`` and ``val`` are its arrays."""
         row = np.repeat(np.arange(R.shape[0], dtype=R.indices.dtype), np.diff(R.indptr))
         return cls(R.shape, row, R.indices, np.asarray(R.data, dtype=np.float64))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -266,6 +267,23 @@ def mse_loss(params, table):
     return float(err @ err) / len(table)
 
 
+def rmse(predictions, labels):
+    """Root-mean-square error; inputs must be equal-length and non-empty."""
+    predictions = np.asarray(predictions, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if predictions.shape != labels.shape:
+        raise ValueError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
+    if predictions.size == 0:
+        raise ValueError("cannot compute RMSE of an empty sample")
+    return float(np.sqrt(np.sum((labels - predictions) ** 2)) / np.sqrt(predictions.size))
+
+
+def clipped_rmse(params, table, rating_range=None):
+    """RMSE over the table of the predictions clipped to ``rating_range`` (unclipped if None)."""
+    predictions = predict_batch(params, table)
+    return rmse(predictions if rating_range is None else np.clip(predictions, *rating_range), table.y)
+
+
 def group_norms(z, layout):
     """Euclidean (vectors) or Frobenius (matrices) norm of every group block, in one reduction."""
     squares = np.square(z).reshape(len(z), -1).sum(axis=1)
@@ -385,8 +403,9 @@ class SavedModel:
     split: dict
 
 
-def save_model(path, model):
-    """Persist a :class:`SavedModel` of format :data:`FORMAT`; it round-trips bit-exactly, ids as unicode."""
+def save_model(file, model):
+    """Persist a :class:`SavedModel` of format :data:`FORMAT` to ``file``, a path or an open binary
+    handle; it round-trips bit-exactly, ids as unicode."""
     params, reg = model.params, model.reg
     header = {
         "format": FORMAT,
@@ -397,33 +416,38 @@ def save_model(path, model):
         "prediction": model.prediction,
         "split": model.split,
     }
-    np.savez(path, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V,
+    np.savez(file, header=json.dumps(header), b=np.float64(params.b), w=params.w, V=params.V,
              user_features=model.features[0], item_features=model.features[1],
              user_ids=np.asarray(model.user_ids, dtype=str), item_ids=np.asarray(model.item_ids, dtype=str))
 
 
 def load_model(path):
-    """The :class:`SavedModel` written by :func:`save_model`; a file of another format (or none), one
-    lacking an entry, and one whose group layout does not cover its parameters and features are refused."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            header = json.loads(str(data["header"]))
-            found = header.get("format", "none")
-            if found != FORMAT:
-                raise ValueError(f"{path} has format {found}, this version reads format {FORMAT}; train the model again")
-            reg = header["reg"]
-            model = SavedModel(
-                params=FmParams(float(data["b"]), data["w"], data["V"]),
-                layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
-                reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
-                prediction=header["prediction"],
-                features=(data["user_features"], data["item_features"]),
-                user_ids=data["user_ids"],
-                item_ids=data["item_ids"],
-                split=header["split"],
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path} lacks an entry ({exc.args[0]}); train the model again") from None
+    """The :class:`SavedModel` written by :func:`save_model`; a file numpy cannot read as an archive
+    (empty, truncated or of another kind), one of another format (or none), one lacking an entry, and
+    one whose group layout does not cover its parameters and features are refused."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            data = {name: archive[name] for name in archive.files}
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:  # TypeError: a lone .npy array
+        raise ValueError(f"{path} is not a model file this version can read ({exc}); train the model again") from None
+    try:
+        header = json.loads(str(data["header"]))
+        found = header.get("format", "none")
+        if found != FORMAT:
+            raise ValueError(f"{path} has format {found}, this version reads format {FORMAT}; train the model again")
+        reg = header["reg"]
+        model = SavedModel(
+            params=FmParams(float(data["b"]), data["w"], data["V"]),
+            layout=GroupLayout(tuple(tuple(g) for g in header["groups"]), header["d"]),
+            reg=RegConfig(mode=reg["mode"], lam_w=reg["lam_w"], lam_v=reg["lam_v"]),
+            prediction=header["prediction"],
+            features=(data["user_features"], data["item_features"]),
+            user_ids=data["user_ids"],
+            item_ids=data["item_ids"],
+            split=header["split"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks an entry ({exc.args[0]}); train the model again") from None
     d = model.layout.d
     widths = [model.params.d, len(model.params.V), *(2 * block.shape[1] for block in model.features)]
     if any(width != d for width in widths):

@@ -174,7 +174,13 @@ def load_edges(path, decl, entities):
     keys, inverse = np.unique(keys, return_inverse=True)
     rows, cols = np.divmod(keys, shape[1])
     # np.bincount adds each edge's weights in file order; a sort of the duplicates would not keep it
-    return _canonical_csr(np.bincount(inverse, weights), rows, cols, shape)
+    sums = np.bincount(inverse, weights)
+    overflow = np.flatnonzero(~np.isfinite(sums))  # finite weights can sum past the float range
+    if overflow.size:
+        k = overflow[0]
+        raise ValidationError(f"{path}: the weights of edge ({list(head_ids)[rows[k]]}, "
+                              f"{list(tail_ids)[cols[k]]}) sum to {sums[k]}")
+    return _canonical_csr(sums, rows, cols, shape)
 
 
 def load_ratings(path, user_set, item_set, scale):

@@ -316,22 +316,6 @@ class ExecutionPlan:
         return self.shapes[-1]
 
 
-@dataclass
-class SimilarityMatrix:
-    """Sparse nonnegative user-item similarity; entries count metagraph instances."""
-
-    matrix: sp.csr_matrix
-    metagraph: str
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
-
 def resolve_orientation(decl, adj, src_type, dst_type, reverse):
     """Decide whether traversing ``decl`` (adjacency ``adj``) from ``src_type`` to ``dst_type``
     transposes it.
@@ -763,7 +747,7 @@ def _inputs(step):
 
 
 def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
-    """Run a compiled plan over the store's adjacencies.
+    """Run a compiled plan over the store's adjacencies; return the result slot's CSR matrix.
 
     A product whose only reader is a Hadamard step is deferred to that step
     (masked evaluation).  The Hadamard step ranks its two operands by an
@@ -790,7 +774,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
 
     Exact zeros are dropped from storage.  Every slot is a new matrix: a
     load step copies the store's adjacency, so callers may scale a result
-    in place.  With ``keep_slots=True`` the slots are returned too; a masked
+    in place.  With ``keep_slots=True`` the pair ``(result, slots)`` is returned; a masked
     operand's slot holds its product restricted to the mask's pattern.
     """
     reads = Counter(i for step in plan.steps for i in _inputs(step))
@@ -854,8 +838,7 @@ def execute_plan(plan, hin, nnz_budget=10**8, keep_slots=False):
                 values = _values_at(slots[second], rows, mask.indices)
             mat = _on_pattern(mask, mask.data * values)
         slots.append(mat)
-    sim = SimilarityMatrix(slots[plan.result], plan.metagraph)
-    return (sim, slots) if keep_slots else sim
+    return (slots[plan.result], slots) if keep_slots else slots[plan.result]
 
 
 # ---------------------------------------------------------------------------
@@ -993,26 +976,19 @@ def atomic_write(path):
         raise
 
 
-def save_similarity(path, sim):
-    """Write CSR ``data``/``indices``/``indptr``, ``shape`` and ``metagraph`` to exactly ``path``
-    (see :func:`atomic_write`); return the file's :class:`SimilarityFile`.
+def save_similarity(path, matrix, metagraph):
+    """Write the CSR ``matrix`` (``data``/``indices``/``indptr``, ``shape``) and its ``metagraph``
+    name to exactly ``path`` (see :func:`atomic_write`); return the file's :class:`SimilarityFile`.
 
     Through an open handle, because ``np.savez`` appends ``.npz`` to a bare
     path; uncompressed, because compressing costs 20x the time of writing.
     """
-    matrix = sim.matrix.tocsr()
     with atomic_write(path) as fh:
         np.savez(
             fh, data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
-            shape=np.asarray(matrix.shape, dtype=np.int64), metagraph=sim.metagraph,
+            shape=np.asarray(matrix.shape, dtype=np.int64), metagraph=metagraph,
         )
-    return SimilarityFile(os.fspath(path), sim.metagraph, matrix.shape, matrix.nnz)
-
-
-def load_similarity(path):
-    with np.load(path, allow_pickle=False) as f:
-        matrix = sp.csr_matrix((f["data"], f["indices"], f["indptr"]), shape=tuple(f["shape"].tolist()))
-        return SimilarityMatrix(matrix, str(f["metagraph"]))
+    return SimilarityFile(os.fspath(path), metagraph, matrix.shape, matrix.nnz)
 
 
 @dataclass(frozen=True)
@@ -1036,4 +1012,6 @@ class SimilarityFile:
 
     @property
     def matrix(self):
-        return load_similarity(self.path).matrix
+        """The CSR matrix, read from the file."""
+        with np.load(self.path, allow_pickle=False) as f:
+            return sp.csr_matrix((f["data"], f["indices"], f["indptr"]), shape=tuple(f["shape"].tolist()))

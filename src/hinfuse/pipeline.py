@@ -54,17 +54,6 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def rmse(predictions, labels):
-    """Root-mean-square error; inputs must be equal-length and non-empty."""
-    predictions = np.asarray(predictions, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if predictions.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
-    if predictions.size == 0:
-        raise ValueError("cannot compute RMSE of an empty sample")
-    return float(np.sqrt(np.sum((labels - predictions) ** 2)) / np.sqrt(predictions.size))
-
-
 def report_selected(params, layout, threshold=1e-10):
     """Per-group norms and selected flags for first- and second-order blocks."""
     if threshold < 0:
@@ -118,6 +107,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         solvers.check_settings(self)
+        repeated = sorted({name for name in self.select or () if self.select.count(name) > 1})
+        if repeated:
+            raise ValueError(f"select names {', '.join(repeated)} more than once")
         if not self.lambdas:
             raise ValueError("lambda grid is empty; give at least one value")
         hin.check_fractions(self.fractions)
@@ -257,16 +249,16 @@ def _fit(config, sim_file, seed):
     fit's seconds (observed matrix and solver loop), its iterations, its final objective and the
     layout its evaluations ran on ("dense" or "csr", see :mod:`hinfuse.factors`)."""
     start = time.perf_counter()
-    sim = metagraph.load_similarity(sim_file.path)
+    matrix = sim_file.matrix
     read_s = time.perf_counter() - start
     start = time.perf_counter()
-    obs = factors.ObservedMatrix.from_similarity(sim)
+    obs = factors.ObservedMatrix.from_csr(matrix)
     if config.feature_method == "mf":
-        pair = factors.factorize_mf(obs, config.rank, config.mu, seed=seed, name=sim.metagraph)
+        pair = factors.factorize_mf(obs, config.rank, config.mu, seed=seed, name=sim_file.metagraph)
         layout = "csr" if obs.dense is None else "dense"
     else:
         pair = factors.factorize_nnr(obs, config.mu, seed=seed, max_rank=config.max_rank,
-                                     name=sim.metagraph)
+                                     name=sim_file.metagraph)
         layout = "csr"
     return pair, {"read_s": read_s, "fit_s": time.perf_counter() - start,
                   "iters": len(pair.objective_history) - 1, "objective": float(pair.objective_history[-1]),
@@ -274,21 +266,15 @@ def _fit(config, sim_file, seed):
 
 
 def _train(train_table, valid_table, layout, reg, K, solver_cfg, rating_range):
-    """Fit the FM under ``reg`` from the solver's fresh start: ``(params, trace, valid RMSE,
-    record)``, where the record gives the fit's seconds (problem and solver loop) and the
-    iteration and gradient-evaluation count of its last trace record."""
+    """Fit the FM under ``reg`` from the solver's fresh start: ``(params, trace, record)``, where
+    the record gives the fit's seconds (problem and solver loop) and the iteration and
+    gradient-evaluation count of its last trace record, which every trainer takes at ``params``."""
     start = time.perf_counter()
     problem = solvers.TrainProblem(train_table, layout, reg, K, valid=valid_table, clip_range=rating_range)
     params, trace = solvers.train(problem, solver_cfg)
-    train_s = time.perf_counter() - start
-    valid_rmse = float("nan") if valid_table is None else _clipped_rmse(params, valid_table, rating_range)
-    last = trace.records[-1]  # every trainer records its last iteration
-    return params, trace, valid_rmse, {"train_s": train_s, "iters": last.iteration,
-                                       "grad_evals": last.grad_evals}
-
-
-def _clipped_rmse(params, table, rating_range):
-    return rmse(np.clip(fmg.predict_batch(params, table), *rating_range), table.y)
+    last = trace.records[-1]
+    return params, trace, {"train_s": time.perf_counter() - start, "iters": last.iteration,
+                           "grad_evals": last.grad_evals}
 
 
 def _available_cores():
@@ -469,10 +455,10 @@ class Stages:
     def write_similarity(self, plan, store, path):
         """Execute ``plan``, write its similarity to ``path`` and return its file's record;
         the matrix is freed on return."""
-        sim = metagraph.execute_plan(plan, store)
+        matrix = metagraph.execute_plan(plan, store)
         if self.config.log_scale_similarity:
-            sim.matrix.data = np.log1p(sim.matrix.data)
-        return metagraph.save_similarity(path, sim)
+            matrix.data = np.log1p(matrix.data)
+        return metagraph.save_similarity(path, matrix, plan.metagraph)
 
     def factorize(self, sims, seed):
         """One factor pair per :class:`metagraph.SimilarityFile`, read from the cache or fitted.
@@ -538,8 +524,9 @@ class Stages:
         in forked worker processes, one per available core, each with its BLAS on one thread
         (see :func:`_in_workers`).  The tables and the rating range are built here, before the
         fork, so :data:`label_access_hook` sees every label read.  The series and the winner
-        are then taken in grid order, and the first fit that fails in that order raises.  Each
-        fit's record, measured in its worker, goes to ``train_events`` in grid order.
+        are then taken in grid order, and the first fit that fails in that order raises; a
+        fit's validation RMSE and nnz ratio are those of its trace's last record.  Each fit's
+        record, measured in its worker, goes to ``train_events`` in grid order.
         """
         cfg = self.config
         train_table = self.table(features, train_rs, "train")
@@ -548,24 +535,19 @@ class Stages:
                                   cfg.solver, self.rating_range) for lam in cfg.lambdas]
         fits = _in_workers(jobs, [1] * len(jobs))  # equal sizes: submitted in grid order
         series = []
-        best = None
-        for lam, (params, trace, valid_rmse, record) in zip(cfg.lambdas, fits):
+        for lam, (_, trace, record) in zip(cfg.lambdas, fits):
             self.train_events.append({"lambda": lam, **record})
-            entry = {"lambda": lam, "rmse_valid": valid_rmse, "nnz": fmg.param_nnz_ratio(params)}
-            series.append(entry)
-            if best is None or (np.isfinite(valid_rmse) and valid_rmse < best[0]):
-                best = (valid_rmse if np.isfinite(valid_rmse) else float("inf"), lam, params, trace)
-        _, lam, params, trace = best
-        return params, trace, lam, series
+            last = trace.records[-1]
+            valid_rmse = float("nan") if last.rmse_valid is None else last.rmse_valid
+            series.append({"lambda": lam, "rmse_valid": valid_rmse, "nnz": last.nnz})
+        best = int(np.argmin([e["rmse_valid"] if np.isfinite(e["rmse_valid"]) else np.inf for e in series]))
+        params, trace, _ = fits[best]  # the first lowest finite validation RMSE, else the first fit
+        return params, trace, cfg.lambdas[best], series
 
     @functools.cached_property
     def rating_range(self):
         """The schema's rating scale: ingest checks the ratings against it; predictions are clipped to it."""
         return hin.rating_range(hin.load_schema(self.config.schema))
-
-    def score(self, params, table):
-        """RMSE of the predictions, clipped to the rating range."""
-        return _clipped_rmse(params, table, self.rating_range)
 
     def split_record(self, seed):
         """The split a model trained under ``seed`` was fit on: its seed, the config's fractions and
@@ -586,7 +568,8 @@ class Stages:
     def evaluate(self, params, features, splits):
         """RMSE per split, scored on the assembled entity features."""
         return {
-            role: self.score(params, self.table(features, rating_set, "evaluate")) if len(rating_set) else None
+            role: fmg.clipped_rmse(params, self.table(features, rating_set, "evaluate"), self.rating_range)
+            if len(rating_set) else None
             for role, rating_set in splits.items()
         }
 
@@ -665,14 +648,16 @@ class Stages:
 
     def save_model(self, run):
         """Write the trained model, with its split, the entity features and ids it was trained on,
-        and its solver trace to out_dir."""
+        and its solver trace to out_dir; ``model.npz`` is written atomically (see
+        :func:`metagraph.atomic_write`)."""
         store, _, decl, _, _ = self.ingested
         model = fmg.SavedModel(
             run.params, run.layout, self.reg_config(run.lam), self.prediction_settings(),
             run.features, *(list(store.entity(t).id_map) for t in (decl.head_type, decl.tail_type)),
             split=self.split_record(run.seed),
         )
-        fmg.save_model(os.path.join(self.out_dir, "model.npz"), model)
+        with metagraph.atomic_write(os.path.join(self.out_dir, "model.npz")) as fh:
+            fmg.save_model(fh, model)
         run.trace.to_jsonl(os.path.join(self.out_dir, "trace.jsonl"))
 
 

@@ -240,10 +240,7 @@ class _Objective:
     def rmse_valid(self, params):
         if self.problem.valid is None:
             return None
-        pred = fmg.predict_batch(params, self.problem.valid)
-        if self.problem.clip_range is not None:
-            pred = np.clip(pred, *self.problem.clip_range)
-        return float(np.sqrt(np.mean((pred - self.problem.valid.y) ** 2)))
+        return fmg.clipped_rmse(params, self.problem.valid, self.problem.clip_range)
 
     def end_epoch(self, trace, epoch, grad_evals, params, started, diverged_at=None):
         """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective

@@ -42,7 +42,7 @@ def test_01_metagraph_oracle_equivalence():
         store = synth.random_binary_hin(seed)
         for spec in specs:
             plan = mg.compile_plan(spec, store)
-            got = np.asarray(mg.execute_plan(plan, store).matrix.todense()).astype(np.int64)
+            got = np.asarray(mg.execute_plan(plan, store).todense()).astype(np.int64)
             want = mg.brute_force_matrix(spec, store)
             assert np.array_equal(got, want), (seed, spec.name)
             checks += got.size
@@ -57,7 +57,7 @@ def test_02_m3_m9_worked_examples():
     store = store_with({"U": 2, "B": 2}, {"rate": ("U", "B", [[1, 1], [1, 0]])})
     spec = mg.parse_metagraph("M3: U -[rate]- B -[rate~]- U -[rate]- B")
     sim = mg.execute_plan(mg.compile_plan(spec, store), store)
-    assert np.array_equal(np.asarray(sim.matrix.todense()), [[3, 2], [2, 1]])
+    assert np.array_equal(np.asarray(sim.todense()), [[3, 2], [2, 1]])
 
     m9_store = store_with(
         {"U": 3, "R": 4, "A": 2, "B": 3},

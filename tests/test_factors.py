@@ -1,6 +1,5 @@
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,7 +143,7 @@ def unsorted_similarity(seed, m=40, k=60, n=30):
     right = sp.random(k, n, density=0.2, random_state=rng, format="csr")
     S = left @ right
     assert not S.has_sorted_indices
-    return factors.ObservedMatrix.from_similarity(SimpleNamespace(matrix=S))
+    return factors.ObservedMatrix.from_csr(S)
 
 
 class TestFromSimilarity:
@@ -155,7 +154,7 @@ class TestFromSimilarity:
         S = sp.random(40, 60, density=0.2, random_state=rng, format="csr") @ sp.random(
             60, 30, density=0.2, random_state=rng, format="csr")
         assert not S.has_sorted_indices
-        obs = factors.ObservedMatrix.from_similarity(SimpleNamespace(matrix=S))
+        obs = factors.ObservedMatrix.from_csr(S)
         assert np.shares_memory(obs.val, S.data) and np.shares_memory(obs.col, S.indices)
         coo = S.tocoo()
         want = factors.ObservedMatrix(coo.shape, coo.row.astype(np.int64), coo.col.astype(np.int64),

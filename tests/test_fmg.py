@@ -259,6 +259,31 @@ def prox_reference(z, layout, thresholds):
     return out
 
 
+class TestRmse:
+    def test_perfect_predictions(self):
+        assert fmg.rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+    def test_unit_errors(self):
+        assert fmg.rmse([2.0, 4.0], [1.0, 3.0]) == pytest.approx(1.0)
+
+    def test_mixed_errors(self):
+        assert fmg.rmse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(np.sqrt(25 / 2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fmg.rmse([], [])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            fmg.rmse([1.0], [1.0, 2.0])
+
+    def test_clipped_scores_the_clipped_predictions(self):
+        table = fmg.FeatureTable.dense(np.zeros((3, 2)), [1.0, 3.0, 5.0])
+        params = fmg.FmParams(6.0, np.zeros(2), np.zeros((2, 1)))  # predicts 6 everywhere
+        assert fmg.clipped_rmse(params, table) == fmg.rmse([6.0] * 3, table.y)
+        assert fmg.clipped_rmse(params, table, (1.0, 5.0)) == fmg.rmse([5.0] * 3, table.y)
+
+
 class TestRegValue:
     def test_zero_params_zero_value(self):
         layout = one_group_layout()

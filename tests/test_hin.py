@@ -63,6 +63,12 @@ class TestLoadEdges:
         with pytest.raises(hin.ValidationError, match=r"e\.tsv:2: non-finite weight"):
             hin.load_edges(path, DECL, registry("U", "B"))
 
+    def test_weights_summing_past_float_range_rejected(self, tmp_path):
+        # each line's weight is finite; the sum of the repeated (b, y) pair is not
+        path = write(tmp_path / "e.tsv", "a\tx\t1\nb\ty\t1e308\nb\ty\t1e308\n")
+        with pytest.raises(hin.ValidationError, match=r"e\.tsv: the weights of edge \(b, y\) sum to inf"):
+            hin.load_edges(path, DECL, registry("U", "B"))
+
     def test_duplicates_sum_in_file_order(self, tmp_path):
         # float addition is not associative: 1e16 + 1 + 1 == 1e16 < 1 + 1 + 1e16.  Sorting a row's
         # 60 entries by column, as sum_duplicates does, does not keep their file order.

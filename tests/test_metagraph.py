@@ -195,7 +195,7 @@ class TestGrammarInvariants:
                 want = mg.brute_force_matrix(spec, store)
                 for optimize in (False, True):
                     got = mg.execute_plan(mg.compile_plan(spec, store, optimize=optimize), store)
-                    assert np.array_equal(got.matrix.toarray(), want), (seed, spec, optimize)
+                    assert np.array_equal(got.toarray(), want), (seed, spec, optimize)
 
 
 class TestCompile:
@@ -326,7 +326,7 @@ class TestCompile:
         spec = mg.parse_metagraph("M: U -[rate]- B -[about~]- R -[write~]- U -[rate]- B")
         base = mg.execute_plan(mg.compile_plan(spec, store), store)
         opt = mg.execute_plan(mg.compile_plan(spec, store, optimize=True), store)
-        assert (base.matrix != opt.matrix).nnz == 0
+        assert (base != opt).nnz == 0
 
 
 class TestExecute:
@@ -334,7 +334,7 @@ class TestExecute:
         store = two_by_two_store()
         plan = mg.compile_plan(mg.parse_metagraph(M3_TEXT), store)
         sim = mg.execute_plan(plan, store)
-        assert np.array_equal(np.asarray(sim.matrix.todense()), [[3, 2], [2, 1]])
+        assert np.array_equal(np.asarray(sim.todense()), [[3, 2], [2, 1]])
 
     def test_zero_adjacency_annihilates(self):
         store = store_with({"U": 2, "B": 2}, {"rate": ("U", "B", np.zeros((2, 2)))})
@@ -444,7 +444,7 @@ class TestMaskedExecution:
     def check(self, plan, store, weights):
         sim, slots = mg.execute_plan(plan, store, keep_slots=True)
         want = full_product_slots(plan, store)
-        assert_same_matrix(sim.matrix, want[plan.result], weights)
+        assert_same_matrix(sim, want[plan.result], weights)
         for index, step in enumerate(plan.steps):
             if not isinstance(step, HadamardStep):
                 continue
@@ -540,7 +540,7 @@ class TestExecutionMemory:
         assert full.nnz >= 50 * mask.nnz
         peak, error = traced_peak(lambda: mg.execute_plan(plan, store, nnz_budget=full.nnz - 1))
         assert error is None and peak < csr_bytes(full.nnz, full.shape[0])
-        assert (mg.execute_plan(plan, store).matrix != want[plan.result]).nnz == 0
+        assert (mg.execute_plan(plan, store) != want[plan.result]).nnz == 0
 
     def test_budget_trips_before_the_product_is_allocated(self):
         n = 2000  # mention·mention~ would hold n * n nonzeros
@@ -632,7 +632,7 @@ class TestCostPlanner:
                    if isinstance(step, MatMulStep))
         sim, slots = mg.execute_plan(mg.compile_plan(m8, store, optimize=True), store, keep_slots=True)
         assert max(slot.nnz for slot in slots) <= sim.nnz
-        assert (sim.matrix != ltr_sim.matrix).nnz == 0
+        assert (sim != ltr_sim).nnz == 0
 
 
 def face_split_store(n_reviews, n_aspects, n_businesses, density, seed=0):
@@ -674,7 +674,7 @@ class TestFaceSplit:
         steps = (*(LoadStep(f"r{k}", False) for k in range(len(widths))),
                  FaceSplitStep(tuple(range(len(widths))), columns))
         plan = mg.ExecutionPlan(steps, (*shapes, (width, 6) if columns else (6, width)), "F")
-        got = mg.execute_plan(plan, store).matrix
+        got = mg.execute_plan(plan, store)
         want = face_split_reference([store.adjacency(f"r{k}") for k in range(len(widths))], columns)
         assert got.shape == want.shape and 0 < want.nnz < want.shape[0] * want.shape[1]
         assert_same_matrix(got, want, weights)
@@ -692,7 +692,7 @@ class TestFaceSplit:
         assert not formed & {(reviews, reviews), (users, reviews)}
         assert len(slots) == len(plan.steps)
         paper = mg.execute_plan(mg.compile_plan(m9, store), store)
-        assert sim.nnz == paper.nnz and (sim.matrix != paper.matrix).nnz == 0
+        assert sim.nnz == paper.nnz and (sim != paper).nnz == 0
 
     def test_budget_trips_before_the_face_split_is_allocated(self):
         # each review mentions all 40 aspects and is about all 40 businesses: •ᵢ Lᵢ holds 300 * 40 * 40
@@ -742,7 +742,7 @@ class TestFaceSplit:
                 spec = mg.parse_metagraph(text)
                 plan = mg.compile_plan(spec, store, optimize=True)
                 sim, slots = mg.execute_plan(plan, store, keep_slots=True)
-                got = np.asarray(sim.matrix.todense()).astype(np.int64)
+                got = np.asarray(sim.todense()).astype(np.int64)
                 assert np.array_equal(got, mg.brute_force_matrix(spec, store)), (seed, spec.name)
                 want = full_product_slots(plan, store)
                 for index, step in enumerate(plan.steps):
@@ -783,7 +783,7 @@ class TestOracleEquivalence:
                 spec = mg.parse_metagraph(text)
                 for optimize in (False, True):
                     plan = mg.compile_plan(spec, store, optimize=optimize)
-                    got = np.asarray(mg.execute_plan(plan, store).matrix.todense()).astype(np.int64)
+                    got = np.asarray(mg.execute_plan(plan, store).todense()).astype(np.int64)
                     want = mg.brute_force_matrix(spec, store)
                     assert np.array_equal(got, want), (seed, spec.name, optimize)
 
@@ -843,7 +843,7 @@ class TestBundledSets:
             store = random_schema_store(schema, seed)
             for spec in mg.bundled_metagraphs(dataset):
                 plan = mg.compile_plan(spec, store)
-                counts = np.asarray(mg.execute_plan(plan, store).matrix.todense()).astype(np.int64)
+                counts = np.asarray(mg.execute_plan(plan, store).todense()).astype(np.int64)
                 assert counts.shape == (schema["types"]["U"], schema["types"]["B"])
                 assert np.array_equal(counts, mg.brute_force_matrix(spec, store)), (dataset, spec.name)
 
@@ -858,22 +858,23 @@ class TestPersistence:
         spec = mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4])
         sim = mg.execute_plan(mg.compile_plan(spec, store), store)
         path = tmp_path / "sim.bin"  # no .npz suffix: the file must land at exactly this path
-        mg.save_similarity(path, sim)
+        mg.save_similarity(path, sim, spec.name)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.bin"]
         first = path.read_bytes()
-        mg.save_similarity(path, sim)
+        mg.save_similarity(path, sim, spec.name)
         assert path.read_bytes() == first  # rewrites are byte-identical
-        again = mg.load_similarity(path)
-        assert again.metagraph == sim.metagraph
+        again = mg.SimilarityFile.read(path)
+        assert again.metagraph == spec.name
         assert again.shape == sim.shape
-        assert (again.matrix != sim.matrix).nnz == 0
+        assert again.matrix.format == "csr" and (again.matrix != sim).nnz == 0
 
     def test_similarity_file_record_reads_no_entries(self, tmp_path, monkeypatch):
         store = synth.random_binary_hin(6)
-        sim = mg.execute_plan(mg.compile_plan(mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4]), store), store)
+        spec = mg.parse_metagraph(synth.ORACLE_METAGRAPHS[4])
+        sim = mg.execute_plan(mg.compile_plan(spec, store), store)
         path = tmp_path / "sim.npz"
-        written = mg.save_similarity(path, sim)
-        assert written == mg.SimilarityFile(str(path), sim.metagraph, sim.shape, sim.nnz)
+        written = mg.save_similarity(path, sim, spec.name)
+        assert written == mg.SimilarityFile(str(path), spec.name, sim.shape, sim.nnz)
         members = []
         getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -884,7 +885,7 @@ class TestPersistence:
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
         assert mg.SimilarityFile.read(path) == written
         assert sorted(members) == ["indptr", "metagraph", "shape"]
-        assert (written.matrix != sim.matrix).nnz == 0 and "data" in members  # read on access
+        assert (written.matrix != sim).nnz == 0 and "data" in members  # read on access
         assert "matrix" not in vars(written)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
@@ -901,5 +902,5 @@ class TestPersistence:
 
         monkeypatch.setattr(np, "savez", broken)
         with pytest.raises(OSError, match="planted"):
-            mg.save_similarity(path, sim)
+            mg.save_similarity(path, sim, "M")
         assert seen == [False] and list(tmp_path.iterdir()) == []

@@ -20,25 +20,6 @@ from hinfuse import cli, factors, fmg, hin, metagraph, pipeline, solvers, synth
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
-class TestRmse:
-    def test_perfect_predictions(self):
-        assert pipeline.rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_unit_errors(self):
-        assert pipeline.rmse([2.0, 4.0], [1.0, 3.0]) == pytest.approx(1.0)
-
-    def test_mixed_errors(self):
-        assert pipeline.rmse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(np.sqrt(25 / 2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            pipeline.rmse([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            pipeline.rmse([1.0], [1.0, 2.0])
-
-
 class TestNnzRatio:
     def test_all_zero(self):
         params = fmg.FmParams(3.0, np.zeros(4), np.zeros((4, 2)))
@@ -145,9 +126,9 @@ class TestRunPipeline:
         def tracked(fn):
             def wrapper(*args, **kwargs):
                 alive["new"].append(live())
-                sim = fn(*args, **kwargs)
-                refs.append(weakref.ref(sim.matrix))
-                return sim
+                matrix = fn(*args, **kwargs)
+                refs.append(weakref.ref(matrix))
+                return matrix
             return wrapper
 
         def counted(stages, *args):
@@ -155,7 +136,7 @@ class TestRunPipeline:
             return train(stages, *args)
 
         monkeypatch.setattr(metagraph, "execute_plan", tracked(metagraph.execute_plan))
-        monkeypatch.setattr(metagraph, "load_similarity", tracked(metagraph.load_similarity))
+        monkeypatch.setattr(metagraph.SimilarityFile, "matrix", property(tracked(metagraph.SimilarityFile.matrix.fget)))
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(pipeline.Stages, "train", counted)
         stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache_dir)
@@ -177,7 +158,7 @@ class TestRunPipeline:
             calls.append(args)
             raise AssertionError("a warm run read or built a similarity matrix")
 
-        monkeypatch.setattr(metagraph, "load_similarity", refused)
+        monkeypatch.setattr(metagraph.SimilarityFile, "matrix", property(refused))
         monkeypatch.setattr(metagraph, "execute_plan", refused)
         monkeypatch.setattr(hin, "attach_ratings", refused)  # only a computed similarity needs the ratings
         stages = pipeline.Stages(cfg, str(tmp_path / "out"), cache_dir)
@@ -261,6 +242,46 @@ class TestRunPipeline:
         cfg = small_config(str(root), schema, select=["M1", "M99"])
         with pytest.raises(pipeline.StageError, match="M99"):
             pipeline.run_pipeline(cfg, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("algorithm", ["svrg", "nmapg-lsp"])
+    def test_trace_ends_at_the_reported_fit(self, dataset, tmp_path, algorithm):
+        # the selected lambda's series entry is its trace's last record, to the last bit; split
+        # seed 4 is one where a second scoring formula differed from the trace's in the last bits
+        root, schema = dataset
+        if algorithm == "svrg":
+            cfg = small_config(str(root), schema, seed=4)
+        else:
+            solver = solvers.SolverConfig(algorithm="nmapg", step=0.01, max_iters=20, checkpoint_every=5, seed=5)
+            cfg = small_config(str(root), schema, seed=4, mode="lsp", lambdas=(0.01, 0.05, 0.2), solver=solver)
+        out = tmp_path / "out"
+        pipeline.run_pipeline(cfg, str(out))
+        metrics = json.loads((out / "metrics.json").read_text())
+        last = json.loads((out / "trace.jsonl").read_text().splitlines()[-1])
+        entry, = (e for e in metrics["lambda_series"] if e["lambda"] == metrics["selected_lambda"])
+        assert (last["rmse_valid"], last["nnz"]) == (entry["rmse_valid"], entry["nnz"])
+        assert entry["nnz"] == metrics["nnz"]
+
+    def test_failed_model_write_leaves_no_file(self, dataset, tmp_path, monkeypatch):
+        root, schema = dataset
+        cfg = small_config(str(root), schema, lambdas=(0.05,))
+        out = tmp_path / "out"
+        stages = pipeline.Stages(cfg, str(out), str(tmp_path / "cache"))
+        run = stages.run(cfg.seed, through="train")
+        seen = []
+
+        def broken(fh, **arrays):
+            fh.write(b"PK\x03\x04")  # a partial archive, as a write killed midway leaves it
+            fh.flush()
+            seen.append((out / "model.npz").exists())  # a process killed here leaves the path as it is now
+            raise OSError("planted write failure")
+
+        monkeypatch.setattr(np, "savez", broken)
+        with pytest.raises(OSError, match="planted"):
+            stages.save_model(run)
+        assert seen == [False] and os.listdir(out) == []  # no model.npz, no temporary file
+        monkeypatch.undo()
+        stages.save_model(run)
+        assert fmg.load_model(str(out / "model.npz")).reg.lam_w == 0.05
 
     def test_full_run_writes_artifacts(self, dataset, tmp_path):
         root, schema = dataset
@@ -571,6 +592,28 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "m" in printed and "nnz=" in printed
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-zip", "lone-array"])
+    def test_damaged_model_refused(self, dataset, tmp_path, capsys, damage):
+        root, _ = dataset
+        out = tmp_path / "out"
+        path = out / "model.npz"
+        if damage == "truncated":
+            assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", str(out)]) == 0
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            out.mkdir()
+            with open(path, "wb") as fh:
+                if damage == "lone-array":
+                    np.save(fh, np.zeros(3))  # a .npy file: numpy loads it as an array, not an archive
+                else:
+                    fh.write(b"" if damage == "empty" else b"b\t0.5\nw\t0 0 0\n")
+        capsys.readouterr()
+        for command in (["report"], ["evaluate", "--config", self.write_config(root, tmp_path)]):
+            assert cli.main([*command, "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"[config] {path} is not a model file this version can read (")
+            assert err.endswith("; train the model again")
+
     def test_stage_commands_compose(self, dataset, tmp_path, capsys):
         root, _ = dataset
         config = self.write_config(root, tmp_path)
@@ -678,7 +721,7 @@ class TestCli:
             index = (np.array([user_row[users[u]] for u in split.users]),
                      np.array([item_row[items[i]] for i in split.items]))
             table = fmg.FeatureTable(split.values, tuple(zip(model.features, index)))
-            expected = pipeline.rmse(np.clip(fmg.predict_batch(model.params, table), 1.0, 5.0), split.values)
+            expected = fmg.rmse(np.clip(fmg.predict_batch(model.params, table), 1.0, 5.0), split.values)
             assert printed[split.role] == pytest.approx(expected, rel=1e-12), split.role
 
     @pytest.mark.parametrize("change", ["seed", "fractions"])
@@ -919,6 +962,8 @@ class TestCli:
         ({"split": {"fractions": [0.8, 0.1, 0.1], "seed": -1}}, "split.seed must be >= 0, got -1"),
         ({"solver": {"seed": -1}}, "solver.seed must be >= 0, got -1"),
         ({"repeats": 0}, "repeats must be >= 1, got 0"),
+        # a repeated metagraph would be computed, fitted and given FM groups twice
+        ({"select": ["M1", "M3", "M1"]}, "select names M1 more than once"),
     ]
 
     @pytest.mark.parametrize("extra, message", BAD_VALUES, ids=[f"extra{i}" for i in range(len(BAD_VALUES))])
@@ -1011,7 +1056,7 @@ class TestForkedFits:
             for event, pair, sim in zip(events, run.pairs, run.sims):
                 assert event["read_s"] > 0 and event["fit_s"] > 0 and event["iters"] == len(pair.objective_history) - 1 >= 1
                 assert event["objective"] == pair.objective_history[-1]
-                dense = method == "mf" and factors.ObservedMatrix.from_similarity(sim).dense is not None
+                dense = method == "mf" and factors.ObservedMatrix.from_csr(sim.matrix).dense is not None
                 assert event["layout"] == ("dense" if dense else "csr")
             if method == "mf":  # both layouts run in one request
                 assert {e["layout"] for e in events} == {"dense", "csr"}
