@@ -11,7 +11,39 @@ The library splits into the stages of the pipeline:
   prediction, convex/LSP regularizers, gradients and the group prox.
 * :mod:`hinfuse.solvers` — nmAPG, proximal SVRG and proximal SGD.
 * :mod:`hinfuse.pipeline` — config-driven orchestration with caching.
+
+Importing the package first registers ``numpy.f2py`` and ``numpy.testing`` as
+lazy modules (:class:`importlib.util.LazyLoader`), bound on ``numpy``.  SciPy's
+vendored array-API layer, imported with :mod:`scipy.sparse`, copies every
+public name of ``numpy``, and NumPy 2 lists both modules there and imports
+them on access: about 0.2 s and 8 MB of every process's start-up, for two
+modules this package never uses.  With the lazy modules bound, the copy takes
+a reference and runs neither; the first attribute read (or an ``import`` of
+either) still loads the real module.  A module already imported, or absent
+from the install, is left as it is.
 """
+
+import importlib.util
+import sys
+
+import numpy
+
+
+def _defer_numpy_submodules():
+    for name in ("numpy.f2py", "numpy.testing"):
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name.rpartition(".")[2], module)
+
+
+_defer_numpy_submodules()  # before .hin imports scipy.sparse
 
 from .hin import (
     EntitySet,

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -169,6 +170,7 @@ class MetricsReport:
     cache_events: dict = field(default_factory=dict)
     train_events: list = field(default_factory=list)
     repeats: list = field(default_factory=list)
+    memory: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -182,6 +184,7 @@ class MetricsReport:
             "cache_events": self.cache_events,
             "train_events": self.train_events,
             "repeats": self.repeats,
+            "memory": self.memory,
         }
 
     def save(self, path):
@@ -189,11 +192,12 @@ class MetricsReport:
             json.dump(self.to_dict(), fh, indent=2)
 
     def comparable(self):
-        """Everything except timings and cache bookkeeping (for determinism checks)."""
+        """Everything except timings, memory and cache bookkeeping (for determinism checks)."""
         doc = self.to_dict()
         doc.pop("stage_seconds")
         doc.pop("cache_events")
         doc.pop("train_events")
+        doc.pop("memory")
         return doc
 
 
@@ -275,6 +279,10 @@ def _train(train_table, valid_table, layout, reg, K, solver_cfg, rating_range):
     last = trace.records[-1]
     return params, trace, {"train_s": time.perf_counter() - start, "iters": last.iteration,
                            "grad_evals": last.grad_evals}
+
+
+def _peak_rss_mb(who):
+    return resource.getrusage(who).ru_maxrss / 1024  # kilobytes on Linux
 
 
 def _available_cores():
@@ -370,6 +378,9 @@ class Stages:
         self.stage_seconds = {}
         self.cache_events = {"similarity": [], "factorize": []}
         self.train_events = []  # one record per lambda fit, in grid order
+        # peak RSS in MB: the process's at construction (its imports), then, per stage, its own
+        # and its reaped workers' high-water marks when the stage last returned
+        self.memory = {"floor_mb": _peak_rss_mb(resource.RUSAGE_SELF), "stages": {}}
         self.fingerprint = None
         self.ingested = None  # the ingest stage's outputs, reused by every later run
 
@@ -382,6 +393,8 @@ class Stages:
         except Exception as exc:
             raise StageError(stage, exc) from exc
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + time.perf_counter() - start
+        self.memory["stages"][stage] = {"self_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+                                        "children_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN)}
         return result
 
     # -- stage bodies ------------------------------------------------------
@@ -457,7 +470,7 @@ class Stages:
         the matrix is freed on return."""
         matrix = metagraph.execute_plan(plan, store)
         if self.config.log_scale_similarity:
-            matrix.data = np.log1p(matrix.data)
+            np.log1p(matrix.data, out=matrix.data)
         return metagraph.save_similarity(path, matrix, plan.metagraph)
 
     def factorize(self, sims, seed):
@@ -689,5 +702,6 @@ def run_pipeline(config, out_dir, cache_dir=None):
     report.stage_seconds = stages.stage_seconds
     report.cache_events = stages.cache_events
     report.train_events = stages.train_events
+    report.memory = stages.memory
     report.save(os.path.join(out_dir, "metrics.json"))
     return report

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 import weakref
@@ -442,6 +443,58 @@ class TestRunPipeline:
         report = pipeline.run_pipeline(cfg, str(tmp_path / "out"))
         assert len(calls) == 1 and len(report.repeats) == 2
         assert pause <= report.stage_seconds["ingest"] < 2 * pause
+
+    def test_metrics_record_memory_per_stage(self, dataset, tmp_path):
+        root, schema = dataset
+        cfg = small_config(str(root), schema, lambdas=(0.05,))
+        out = tmp_path / "out"
+        report = pipeline.run_pipeline(cfg, str(out))
+        memory = json.loads((out / "metrics.json").read_text())["memory"]
+        assert memory == report.memory
+        assert set(memory["stages"]) == set(report.stage_seconds)
+        for record in memory["stages"].values():
+            assert set(record) == {"self_mb", "children_mb"}
+            assert record["self_mb"] >= memory["floor_mb"] > 0
+        assert "memory" not in report.comparable()
+
+    def test_stage_memory_rises_by_what_the_stage_allocates(self, tmp_path):
+        # The stages run in a process forked from a fresh interpreter: its high-water mark starts at
+        # its own size, while an exec'd process's ru_maxrss starts at its spawner's (here pytest's).
+        code = textwrap.dedent("""
+            import json, multiprocessing, sys
+            import numpy as np
+            from hinfuse import pipeline
+
+            def allocate():
+                return float(np.ones(int(sys.argv[2]) * 2**20 // 8).sum())  # np.ones writes every page
+
+            def in_worker(fn):
+                worker = multiprocessing.get_context("fork").Process(target=fn)
+                worker.start()
+                worker.join(60)
+                return worker.exitcode
+
+            def probe():
+                stages = pipeline.Stages(None, sys.argv[1])
+                stages.timed("before", lambda: None)
+                stages.timed("array", allocate)
+                assert stages.timed("worker", lambda: in_worker(allocate)) == 0
+                print(json.dumps(stages.memory))
+
+            sys.exit(in_worker(probe))
+        """)
+        size_mb = 64
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(size_mb)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        memory = json.loads(done.stdout)
+        before, array, worker = (memory["stages"][s] for s in ("before", "array", "worker"))
+        assert before["self_mb"] >= memory["floor_mb"]
+        assert array["self_mb"] >= before["self_mb"] + size_mb
+        assert worker["children_mb"] >= before["children_mb"] + size_mb
 
     def test_blocks_built_once_per_run(self, dataset, tmp_path, monkeypatch):
         root, schema = dataset
