@@ -154,13 +154,6 @@ class FmParams:
     def K(self):
         return self.V.shape[1]
 
-    def copy(self):
-        return FmParams(self.b, self.w.copy(), self.V.copy())
-
-    @classmethod
-    def zeros(cls, d, K):
-        return cls(0.0, np.zeros(d), np.zeros((d, K)))
-
 
 @dataclass
 class RegConfig:

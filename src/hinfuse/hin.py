@@ -337,6 +337,9 @@ def ingest(path):
             raise ValidationError(f"relation {decl.name!r} references an undeclared entity type")
         if decl.name in store.relations:
             raise ValidationError(f"duplicate relation name {decl.name!r}")
+        if rating_decl is not None and decl.name == rating_decl.name:
+            raise ValidationError(f"relation {decl.name!r} is the ratings relation, whose edges come from the "
+                                  f"ratings file; rename the relation or set ratings.relation")
         adj = load_edges(os.path.join(base_dir, rel["file"]), decl, store.entities)
         store.relations[decl.name] = (decl, adj)
 

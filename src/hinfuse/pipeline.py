@@ -56,9 +56,10 @@ class StageError(RuntimeError):
 
 
 def report_selected(params, layout, threshold=1e-10):
-    """Per-group norms and selected flags for first- and second-order blocks."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    """Per-group norms and selected flags for first- and second-order blocks; a group is selected
+    when its norm exceeds ``threshold``, a finite number >= 0."""
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
     w_norms = fmg.group_norms(params.w, layout)
     v_norms = fmg.group_norms(params.V, layout)
     return [

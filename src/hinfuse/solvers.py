@@ -18,6 +18,12 @@ Every solver trains all of b, w and V; a problem that needs no
 second-order term says so through its regularizer or its features, not a
 switch.  The bias is a smooth unregularized coordinate: it rides along in
 every gradient step and is skipped by the prox.
+
+A solver reaches the model only through its :class:`TrainProblem`
+(``value``, ``grad``, ``prox_step`` and ``rmse_valid``).  Every step
+returns new arrays, so an iterate is never copied.  One rule writes the
+trace of all three (``_record``): every ``checkpoint_every``-th iteration
+or epoch, and always the last, which is at the parameters returned.
 """
 
 from __future__ import annotations
@@ -158,6 +164,28 @@ class TrainProblem:
     def n(self):
         return len(self.table)
 
+    def value(self, params):
+        """The objective h at ``params``; the augmented objective every solver descends equals it."""
+        return fmg.objective(params, self.table, self.layout, self.reg)
+
+    def grad(self, params, batch=None):
+        """Gradient over every row, or over a mini-batch table from ``table.rows``."""
+        return fmg.augmented_grad(params, self.table if batch is None else batch, self.layout, self.reg)
+
+    def prox_step(self, params, grads, step):
+        """A gradient step of size ``step`` from ``params``, then the group prox at thresholds
+        ``step * lam_w`` and ``step * lam_v``; the bias is not shrunk."""
+        gb, gw, gv = grads
+        n_groups = self.layout.n_groups
+        b = params.b - step * gb
+        w = fmg.prox_group(params.w - step * gw, self.layout, np.full(n_groups, step * float(self.reg.lam_w)))
+        V = fmg.prox_group(params.V - step * gv, self.layout, np.full(n_groups, step * float(self.reg.lam_v)))
+        return fmg.FmParams(b, w, V)
+
+    def rmse_valid(self, params):
+        """Clipped RMSE on the validation table, or None without one."""
+        return None if self.valid is None else fmg.clipped_rmse(params, self.valid, self.clip_range)
+
 
 @dataclass
 class TraceRecord:
@@ -211,66 +239,33 @@ def init_params(problem, cfg):
                         rng.normal(0.0, 0.01, (d, problem.K)))
 
 
-class _Objective:
-    """Caches the pieces every solver needs: thresholds, gradients, values."""
+def _record(trace, problem, cfg, t, grad_evals, value, params, started, extra=None):
+    """Append iteration or epoch ``t``, at ``params`` of objective ``value``, to ``trace`` when
+    ``t`` is a multiple of ``cfg.checkpoint_every`` or the last: a trace ends at the returned
+    parameters.  ``extra`` holds a solver's own fields."""
+    if t % cfg.checkpoint_every == 0 or t == cfg.max_iters:
+        trace.append(TraceRecord(t, grad_evals, value, problem.rmse_valid(params), fmg.param_nnz_ratio(params),
+                                 time.perf_counter() - started, extra or {}))
 
-    def __init__(self, problem, cfg):
-        self.problem = problem
-        self.cfg = cfg
-        n_groups, reg = problem.layout.n_groups, problem.reg
-        self.thr_w = np.full(n_groups, float(reg.lam_w))
-        self.thr_v = np.full(n_groups, float(reg.lam_v))
 
-    def value(self, params):
-        """Augmented objective; identical to the reported objective h."""
-        return fmg.objective(params, self.problem.table, self.problem.layout, self.problem.reg)
-
-    def grad(self, params, batch=None):
-        """Gradient over every row, or over a mini-batch table from ``problem.table.rows``."""
-        table = self.problem.table if batch is None else batch
-        return fmg.augmented_grad(params, table, self.problem.layout, self.problem.reg)
-
-    def prox_step(self, params, grads, step):
-        gb, gw, gv = grads
-        b = params.b - step * gb
-        w = fmg.prox_group(params.w - step * gw, self.problem.layout, step * self.thr_w)
-        V = fmg.prox_group(params.V - step * gv, self.problem.layout, step * self.thr_v)
-        return fmg.FmParams(b, w, V)
-
-    def rmse_valid(self, params):
-        if self.problem.valid is None:
-            return None
-        return fmg.clipped_rmse(params, self.problem.valid, self.problem.clip_range)
-
-    def end_epoch(self, trace, epoch, grad_evals, params, started, diverged_at=None):
-        """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective
-        (carrying ``diverged_at``, default ``params``)."""
-        value = self.value(params)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"objective diverged in epoch {epoch}; reduce the step size "
-                f"(currently {self.cfg.step}) or standardize the features",
-                params=params if diverged_at is None else diverged_at, trace=trace,
-            )
-        if epoch % self.cfg.checkpoint_every == 0 or epoch == self.cfg.max_iters:
-            trace.append(
-                TraceRecord(
-                    iteration=epoch,
-                    grad_evals=grad_evals,
-                    objective=value,
-                    rmse_valid=self.rmse_valid(params),
-                    nnz=fmg.param_nnz_ratio(params),
-                    seconds=time.perf_counter() - started,
-                )
-            )
+def _end_epoch(trace, problem, cfg, epoch, grad_evals, params, started, diverged_at=None):
+    """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective
+    (carrying ``diverged_at``, default ``params``)."""
+    value = problem.value(params)
+    if not np.isfinite(value):
+        raise DivergenceError(
+            f"objective diverged in epoch {epoch}; reduce the step size "
+            f"(currently {cfg.step}) or standardize the features",
+            params=params if diverged_at is None else diverged_at, trace=trace,
+        )
+    _record(trace, problem, cfg, epoch, grad_evals, value, params, started)
 
 
 def prox_gradient_residual(params, problem, cfg=None, step=None):
     """Norm of (x - prox(x - step * grad)) / step: a critical-point certificate."""
     cfg = cfg or SolverConfig()
     step = step or cfg.step
-    obj = _Objective(problem, cfg)
-    return np.sqrt(_distance_sq(params, obj.prox_step(params, obj.grad(params), step))) / step
+    return np.sqrt(_distance_sq(params, problem.prox_step(params, problem.grad(params), step))) / step
 
 
 def _distance_sq(p, q):
@@ -292,14 +287,11 @@ def train_nmapg(problem, cfg=None):
     raises :class:`DivergenceError`.
     """
     cfg = cfg or SolverConfig(algorithm="nmapg")
-    obj = _Objective(problem, cfg)
     step = cfg.step
-
-    current = init_params(problem, cfg)
-    previous = current.copy()
-    accel_prev = current.copy()  # the latest extrapolated-prox candidate
+    # the iterate x_t, x_{t-1} and the latest extrapolated-prox candidate; no step mutates them
+    current = previous = accel_prev = init_params(problem, cfg)
     a_prev, a = 0.0, 1.0
-    c = obj.value(current)
+    c = problem.value(current)
     q = 1.0
     if not np.isfinite(c):
         raise DivergenceError("objective is non-finite at initialization")
@@ -310,41 +302,28 @@ def train_nmapg(problem, cfg=None):
     started = time.perf_counter()
     t = 1
     while t <= cfg.max_iters:
-        # y_t = x_t + a_{t-1}/a_t (accel_prev - x_t) + (a_{t-1}-1)/a_t (x_t - x_{t-1})
-        extrap = fmg.FmParams(
-            current.b
-            + a_prev / a * (accel_prev.b - current.b)
-            + (a_prev - 1.0) / a * (current.b - previous.b),
-            current.w
-            + a_prev / a * (accel_prev.w - current.w)
-            + (a_prev - 1.0) / a * (current.w - previous.w),
-            current.V
-            + a_prev / a * (accel_prev.V - current.V)
-            + (a_prev - 1.0) / a * (current.V - previous.V),
-        )
-        candidate = obj.prox_step(extrap, obj.grad(extrap), step)
+        # y_t = x_t + a_{t-1}/a_t (accel_prev - x_t) + (a_{t-1}-1)/a_t (x_t - x_{t-1}), for b, w and V
+        parts = zip(*((p.b, p.w, p.V) for p in (current, accel_prev, previous)))
+        extrap = fmg.FmParams(*(x + a_prev / a * (z - x) + (a_prev - 1.0) / a * (x - x_prev)
+                                for x, z, x_prev in parts))
+        candidate = problem.prox_step(extrap, problem.grad(extrap), step)
         grad_evals += 1.0
-        h_candidate = obj.value(candidate)
+        h_candidate = problem.value(candidate)
         dist = _distance_sq(candidate, extrap)
-        accepted_branch = "extrapolated"
-        if np.isfinite(h_candidate) and h_candidate <= c - SUFFICIENT_DECREASE * dist:
-            nxt, h_next = candidate, h_candidate
-        else:
-            fallback = obj.prox_step(current, obj.grad(current), step)
+        nxt, h_next, branch = candidate, h_candidate, "extrapolated"
+        if not (np.isfinite(h_candidate) and h_candidate <= c - SUFFICIENT_DECREASE * dist):
+            fallback = problem.prox_step(current, problem.grad(current), step)
             grad_evals += 1.0
-            h_fallback = obj.value(fallback)
+            h_fallback = problem.value(fallback)
             if np.isfinite(h_candidate) and h_candidate < h_fallback:
-                nxt, h_next = candidate, h_candidate
-                accepted_branch = "fallback_extrapolated"
+                branch = "fallback_extrapolated"
             else:
-                nxt, h_next = fallback, h_fallback
-                accepted_branch = "fallback"
+                nxt, h_next, branch = fallback, h_fallback, "fallback"
         if not np.isfinite(h_next):
             if halvings_left > 0:
                 halvings_left -= 1
                 step *= 0.5
-                previous = current.copy()
-                accel_prev = current.copy()
+                previous = accel_prev = current
                 a_prev, a = 0.0, 1.0
                 continue
             raise DivergenceError(
@@ -358,25 +337,8 @@ def train_nmapg(problem, cfg=None):
         q_next = HISTORY_DECAY * q + 1.0
         c = (HISTORY_DECAY * q * c + h_next) / q_next
         q = q_next
-
-        if t % cfg.checkpoint_every == 0 or t == cfg.max_iters:
-            trace.append(
-                TraceRecord(
-                    iteration=t,
-                    grad_evals=grad_evals,
-                    objective=h_next,
-                    rmse_valid=obj.rmse_valid(current),
-                    nnz=fmg.param_nnz_ratio(current),
-                    seconds=time.perf_counter() - started,
-                    extra={
-                        "c": c,
-                        "c_before": c_before,
-                        "delta_sq": dist,
-                        "branch": accepted_branch,
-                        "step": step,
-                    },
-                )
-            )
+        extra = {"c": c, "c_before": c_before, "delta_sq": dist, "branch": branch, "step": step}
+        _record(trace, problem, cfg, t, grad_evals, h_next, current, started, extra)
         t += 1
     return current, trace
 
@@ -390,42 +352,38 @@ def train_svrg(problem, cfg=None):
     snapshot point).
     """
     cfg = cfg or SolverConfig(algorithm="svrg")
-    obj = _Objective(problem, cfg)
     n = problem.n
     m_b, inner = cfg.batch_plan(n)
     rng = np.random.default_rng(cfg.seed)
 
-    snapshot = init_params(problem, cfg)
-    inner_point = snapshot.copy()
+    snapshot = inner_point = init_params(problem, cfg)
     trace = TrainTrace()
     grad_evals = 0.0
     started = time.perf_counter()
-    value = obj.value(snapshot)
-    if not np.isfinite(value):
+    if not np.isfinite(problem.value(snapshot)):
         raise DivergenceError("objective is non-finite at initialization")
     for epoch in range(1, cfg.max_iters + 1):
-        full = obj.grad(snapshot)
+        full = problem.grad(snapshot)
         grad_evals += 1.0
         sum_b, sum_w, sum_v = 0.0, np.zeros_like(inner_point.w), np.zeros_like(inner_point.V)
         for _ in range(inner):
             batch = problem.table.rows(rng.integers(0, n, size=m_b))
-            gb1, gw1, gv1 = obj.grad(inner_point, batch)
-            gb0, gw0, gv0 = obj.grad(snapshot, batch)
+            gb1, gw1, gv1 = problem.grad(inner_point, batch)
+            gb0, gw0, gv0 = problem.grad(snapshot, batch)
             grad_evals += 2.0 * m_b / n
             direction = (gb1 - gb0 + full[0], gw1 - gw0 + full[1], gv1 - gv0 + full[2])
-            inner_point = obj.prox_step(inner_point, direction, cfg.step)
+            inner_point = problem.prox_step(inner_point, direction, cfg.step)
             sum_b += inner_point.b
             sum_w += inner_point.w
             sum_v += inner_point.V
         snapshot = fmg.FmParams(sum_b / inner, sum_w / inner, sum_v / inner)
-        obj.end_epoch(trace, epoch, grad_evals, snapshot, started, diverged_at=inner_point)
+        _end_epoch(trace, problem, cfg, epoch, grad_evals, snapshot, started, diverged_at=inner_point)
     return snapshot, trace
 
 
 def train_sgd(problem, cfg=None):
     """Proximal SGD baseline with step size step / (1 + decay * t)."""
     cfg = cfg or SolverConfig(algorithm="sgd")
-    obj = _Objective(problem, cfg)
     n = problem.n
     m_b, inner = cfg.batch_plan(n)
     rng = np.random.default_rng(cfg.seed)
@@ -439,10 +397,10 @@ def train_sgd(problem, cfg=None):
         for _ in range(inner):
             batch = problem.table.rows(rng.integers(0, n, size=m_b))
             step = cfg.step / (1.0 + cfg.step_decay * t)
-            params = obj.prox_step(params, obj.grad(params, batch), step)
+            params = problem.prox_step(params, problem.grad(params, batch), step)
             grad_evals += m_b / n
             t += 1
-        obj.end_epoch(trace, epoch, grad_evals, params, started)
+        _end_epoch(trace, problem, cfg, epoch, grad_evals, params, started)
     return params, trace
 
 

@@ -219,6 +219,20 @@ class TestIngest:
         with pytest.raises(hin.ValidationError, match="outside"):
             hin.ingest(path)
 
+    @pytest.mark.parametrize("relation", [None, "stars"])
+    def test_edge_file_named_as_the_ratings_relation_rejected(self, tmp_path, relation):
+        # attach_ratings would replace the file's edges with the training ratings, unreported
+        write(tmp_path / "ratings.tsv", "u1\tb1\t4\n")
+        write(tmp_path / "edges.tsv", "u1\tb1\n")
+        ratings = {"file": "ratings.tsv", "user_type": "U", "item_type": "B"}
+        if relation is not None:
+            ratings["relation"] = relation
+        name = relation or "rate"
+        schema = {"entities": ["U", "B"], "ratings": ratings,
+                  "relations": [{"name": name, "head": "U", "tail": "B", "file": "edges.tsv"}]}
+        with pytest.raises(hin.ValidationError, match=f"relation '{name}' is the ratings relation"):
+            hin.ingest(write(tmp_path / "schema.json", json.dumps(schema)))
+
     def test_attach_ratings_binarized_and_raw(self, tmp_path):
         store, rs, decl = hin.ingest(write_dataset(tmp_path))
         hin.attach_ratings(store, rs, decl)

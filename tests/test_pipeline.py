@@ -66,8 +66,9 @@ class TestReportSelected:
         params = fmg.FmParams(0.0, w, np.zeros((layout.d, 2)))
         rows = pipeline.report_selected(params, layout, threshold=1e-3)
         assert all(not r["w_selected"] for r in rows)
-        with pytest.raises(ValueError):
-            pipeline.report_selected(params, layout, threshold=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):  # NaN compares false: every group would read dropped
+            with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+                pipeline.report_selected(params, layout, threshold=bad)
 
 
 @pytest.fixture(scope="module")
@@ -644,6 +645,16 @@ class TestCli:
         assert cli.main(["report", "--out-dir", out]) == 0
         printed = capsys.readouterr().out
         assert "m" in printed and "nnz=" in printed
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_report_threshold_must_be_finite(self, tmp_path, capsys, threshold):
+        layout = fmg.GroupLayout.from_ranks(["m1"], [2])
+        params = fmg.FmParams(0.0, np.ones(layout.d), np.ones((layout.d, 2)))
+        fmg.save_model(tmp_path / "model.npz", fmg.SavedModel(
+            params, layout, fmg.RegConfig(), {"rating_range": [1.0, 5.0]}, (np.ones((1, 2)), np.ones((1, 2))),
+            ["u"], ["i"], {}))
+        assert cli.main(["report", "--out-dir", str(tmp_path), "--threshold", threshold]) == 1
+        assert capsys.readouterr() == ("", f"[config] threshold must be a finite number >= 0, got {float(threshold)}\n")
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not-zip", "lone-array"])
     def test_damaged_model_refused(self, dataset, tmp_path, capsys, damage):

@@ -93,17 +93,16 @@ class TestSvrg:
         params, _ = solvers.train_svrg(problem, cfg)
         # replicate epoch 1 by hand: at the snapshot the variance-reduced
         # direction collapses to the full gradient, whatever the batch
-        obj = solvers._Objective(problem, cfg)
         start = solvers.init_params(problem, cfg)
-        full = obj.grad(start)
+        full = problem.grad(start)
         rng = np.random.default_rng(5)
         batch = problem.table.rows(rng.integers(0, problem.n, size=32))
-        g1 = obj.grad(start, batch)
-        g0 = obj.grad(start, batch)
+        g1 = problem.grad(start, batch)
+        g0 = problem.grad(start, batch)
         direction = tuple(a - b + f for a, b, f in zip(g1, g0, full))
         for got, want in zip(direction, full):
             assert np.array_equal(np.asarray(got), np.asarray(want))
-        first_inner = obj.prox_step(start, full, cfg.step)
+        first_inner = problem.prox_step(start, full, cfg.step)
         assert np.isfinite(fmg.predict_batch(first_inner, problem.table.rows([0]))[0])
 
     def test_batch_plan_validation(self):
@@ -125,18 +124,17 @@ class TestSvrg:
         cfg = solvers.SolverConfig(step=0.1, max_iters=1, batch_size=8, inner_steps=8, seed=2)
         params, _ = solvers.train_svrg(problem, cfg)
         # with zero features the bias path is deterministic: replicate it
-        obj = solvers._Objective(problem, cfg)
         cur = solvers.init_params(problem, cfg)
-        full = obj.grad(cur)
+        full = problem.grad(cur)
         rng = np.random.default_rng(2)
         inner = cur
         bs = []
         for _ in range(8):
             batch = problem.table.rows(rng.integers(0, problem.n, size=8))
-            g1 = obj.grad(inner, batch)
-            g0 = obj.grad(cur, batch)
+            g1 = problem.grad(inner, batch)
+            g0 = problem.grad(cur, batch)
             direction = tuple(a - b + f for a, b, f in zip(g1, g0, full))
-            inner = obj.prox_step(inner, direction, cfg.step)
+            inner = problem.prox_step(inner, direction, cfg.step)
             bs.append(inner.b)
         assert params.b == pytest.approx(np.mean(bs), abs=1e-14)
 
@@ -187,6 +185,26 @@ class TestTrace:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == 3
         assert {"iter", "grad_evals_over_N", "objective", "rmse_valid", "nnz", "seconds"} <= set(lines[0])
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 4])
+    @pytest.mark.parametrize("algorithm, seed, n_samples, n_valid, step", [
+        ("nmapg", 10, 300, 60, 0.01),
+        ("svrg", 10, 300, 60, 0.01),
+        ("sgd", 10, 300, 60, 0.01),
+        ("nmapg", 4, 400, 0, 0.04),  # the problem and step of test_one_time_halving_recovers_marginal_step
+    ])
+    def test_last_record_is_at_the_returned_params(self, algorithm, seed, n_samples, n_valid, step,
+                                                   checkpoint_every):
+        # the pipeline reads each lambda's validation RMSE and nnz from the last record
+        problem, _, _ = synth.planted_fm_problem(seed, n_samples=n_samples, n_metagraphs=2, rank=3, K=2,
+                                                 lam=0.05, n_valid=n_valid)
+        cfg = solvers.SolverConfig(algorithm=algorithm, step=step, max_iters=7, checkpoint_every=checkpoint_every)
+        params, trace = solvers.train(problem, cfg)
+        last = trace.records[-1]
+        assert last.iteration == 7
+        assert last.objective == problem.value(params)
+        assert last.rmse_valid == problem.rmse_valid(params)
+        assert last.nnz == fmg.param_nnz_ratio(params)
 
     def test_validation_rmse_recorded_when_given(self):
         problem, _, _ = synth.planted_fm_problem(
