@@ -25,20 +25,9 @@ import sys
 from . import fmg, hin, metagraph, pipeline
 
 
-def _load_config(args):
-    from dataclasses import replace  # re-runs each config's checks on the overridden values
-
-    cfg = pipeline.ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, solver=replace(cfg.solver, seed=args.seed))
-    if getattr(args, "repeats", None) is not None:
-        cfg = replace(cfg, repeats=args.repeats)
-    return cfg
-
-
 def _run(args, through):
     """Run the stages through ``through`` under the command's config; return (stages, run)."""
-    cfg = _load_config(args)
+    cfg = pipeline.ExperimentConfig.from_json(args.config)
     stages = pipeline.Stages(cfg, args.out_dir, args.cache_dir)
     return stages, stages.run(cfg.seed, through)
 
@@ -94,14 +83,14 @@ def _model_path(args, stage):
 
 def cmd_evaluate(args):
     model = fmg.load_model(_model_path(args, "evaluate"))
-    cfg = _load_config(args)
+    cfg = pipeline.ExperimentConfig.from_json(args.config)
     rmses = pipeline.Stages(cfg, args.out_dir, args.cache_dir).score_model(model, cfg.seed)
     print(json.dumps(rmses, indent=2))
     return 0
 
 
 def cmd_pipeline(args):
-    cfg = _load_config(args)
+    cfg = pipeline.ExperimentConfig.from_json(args.config)
     report = pipeline.run_pipeline(cfg, args.out_dir, args.cache_dir)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -133,14 +122,10 @@ def build_parser():
         p = sub.add_parser(name)
         if name != "report":
             p.add_argument("--config", required=True, help="experiment config (JSON)")
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default="out", help="artifact output directory")
         p.add_argument("--cache-dir", default=None, help="cache directory (default: <out-dir>/cache)")
         if name == "report":
             p.add_argument("--threshold", type=float, default=1e-10, help="selection threshold")
-        if name == "pipeline":
-            p.add_argument("--repeats", type=int, default=None,
-                           help="rerun split+train with shifted seeds; report mean and std")
         p.set_defaults(fn=fn)
     return parser
 

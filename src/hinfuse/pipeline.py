@@ -14,8 +14,8 @@ Similarity matrices are computed over the *training* split's ratings only;
 every other relation is used whole, so a held-out rating's review keeps its
 edges (``write``, ``about`` and ``mention`` in the bundled Yelp set), and
 the review metagraphs M8 and M9 reach held-out pairs through them.  Test
-labels are first touched in the evaluation stage (see
-:data:`label_access_hook`).
+labels are first read in the evaluation stage, when its tables are built
+(see :meth:`Stages.table`).
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ import numpy as np
 from . import factors, fmg, hin, metagraph, solvers
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
-
-# Test instrumentation: when set, called as hook(role, stage) whenever a
-# split's labels are materialized.  Lets tests assert that test labels are
-# only read by the evaluation stage.
-label_access_hook = None
-
-
-def _labels(rating_set, stage):
-    if label_access_hook is not None:
-        label_access_hook(rating_set.role, stage)
-    return rating_set.values
 
 
 class StageError(RuntimeError):
@@ -518,15 +507,15 @@ class Stages:
         and, if configured, standardized by a fit on train."""
         features, layout = fmg.factor_blocks(pairs)
         if self.config.standardize_features:
-            scaler = fmg.fit_standardizer(self.table(features, train_rs, "train"))
+            scaler = fmg.fit_standardizer(self.table(features, train_rs))
             features = fmg.standardize(features, scaler)
         return features, layout
 
     @staticmethod
-    def table(features, rating_set, stage):
-        """The split's table: user features by user, item features by item; labels read for ``stage``."""
+    def table(features, rating_set):
+        """The split's table: user features by user, item features by item, and its labels."""
         blocks = tuple(zip(features, (rating_set.users, rating_set.items)))
-        return fmg.FeatureTable(_labels(rating_set, stage), blocks)
+        return fmg.FeatureTable(rating_set.values, blocks)
 
     def reg_config(self, lam):
         return fmg.RegConfig(mode=self.config.mode, lam_w=lam, lam_v=lam)
@@ -536,15 +525,15 @@ class Stages:
 
         Every lambda's fit is a cold start from the same initial parameters, so the fits run
         in forked worker processes, one per available core, each with its BLAS on one thread
-        (see :func:`_in_workers`).  The tables and the rating range are built here, before the
-        fork, so :data:`label_access_hook` sees every label read.  The series and the winner
-        are then taken in grid order, and the first fit that fails in that order raises; a
-        fit's validation RMSE and nnz ratio are those of its trace's last record.  Each fit's
-        record, measured in its worker, goes to ``train_events`` in grid order.
+        (see :func:`_in_workers`).  The tables and the rating range are built here, once, before
+        the fork, and every worker reads them.  The series and the winner are then taken in
+        grid order, and the first fit that fails in that order raises; a fit's validation RMSE
+        and nnz ratio are those of its trace's last record.  Each fit's record, measured in its
+        worker, goes to ``train_events`` in grid order.
         """
         cfg = self.config
-        train_table = self.table(features, train_rs, "train")
-        valid_table = self.table(features, valid_rs, "train") if len(valid_rs) else None
+        train_table = self.table(features, train_rs)
+        valid_table = self.table(features, valid_rs) if len(valid_rs) else None
         jobs = [functools.partial(_train, train_table, valid_table, layout, self.reg_config(lam), cfg.K,
                                   cfg.solver, self.rating_range) for lam in cfg.lambdas]
         fits = _in_workers(jobs, [1] * len(jobs))  # equal sizes: submitted in grid order
@@ -582,7 +571,7 @@ class Stages:
     def evaluate(self, params, features, splits):
         """RMSE per split, scored on the assembled entity features."""
         return {
-            role: fmg.clipped_rmse(params, self.table(features, rating_set, "evaluate"), self.rating_range)
+            role: fmg.clipped_rmse(params, self.table(features, rating_set), self.rating_range)
             if len(rating_set) else None
             for role, rating_set in splits.items()
         }

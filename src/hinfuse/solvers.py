@@ -239,6 +239,16 @@ def init_params(problem, cfg):
                         rng.normal(0.0, 0.01, (d, problem.K)))
 
 
+def _start(problem, cfg):
+    """The initial parameters and their objective; raises :class:`DivergenceError` when the
+    objective is not finite, so every iterate a later error carries has a finite one."""
+    params = init_params(problem, cfg)
+    value = problem.value(params)
+    if not np.isfinite(value):
+        raise DivergenceError("objective is non-finite at initialization")
+    return params, value
+
+
 def _record(trace, problem, cfg, t, grad_evals, value, params, started, extra=None):
     """Append iteration or epoch ``t``, at ``params`` of objective ``value``, to ``trace`` when
     ``t`` is a multiple of ``cfg.checkpoint_every`` or the last: a trace ends at the returned
@@ -248,15 +258,15 @@ def _record(trace, problem, cfg, t, grad_evals, value, params, started, extra=No
                                  time.perf_counter() - started, extra or {}))
 
 
-def _end_epoch(trace, problem, cfg, epoch, grad_evals, params, started, diverged_at=None):
-    """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective
-    (carrying ``diverged_at``, default ``params``)."""
+def _end_epoch(trace, problem, cfg, epoch, grad_evals, params, last_finite, started):
+    """Close an SVRG or SGD epoch on ``params``: record it, or raise on a non-finite objective,
+    carrying ``last_finite``, the previous epoch's parameters (or the start)."""
     value = problem.value(params)
     if not np.isfinite(value):
         raise DivergenceError(
             f"objective diverged in epoch {epoch}; reduce the step size "
             f"(currently {cfg.step}) or standardize the features",
-            params=params if diverged_at is None else diverged_at, trace=trace,
+            params=last_finite, trace=trace,
         )
     _record(trace, problem, cfg, epoch, grad_evals, value, params, started)
 
@@ -289,12 +299,10 @@ def train_nmapg(problem, cfg=None):
     cfg = cfg or SolverConfig(algorithm="nmapg")
     step = cfg.step
     # the iterate x_t, x_{t-1} and the latest extrapolated-prox candidate; no step mutates them
-    current = previous = accel_prev = init_params(problem, cfg)
+    current, c = _start(problem, cfg)
+    previous = accel_prev = current
     a_prev, a = 0.0, 1.0
-    c = problem.value(current)
     q = 1.0
-    if not np.isfinite(c):
-        raise DivergenceError("objective is non-finite at initialization")
 
     trace = TrainTrace()
     grad_evals = 0.0
@@ -356,12 +364,10 @@ def train_svrg(problem, cfg=None):
     m_b, inner = cfg.batch_plan(n)
     rng = np.random.default_rng(cfg.seed)
 
-    snapshot = inner_point = init_params(problem, cfg)
+    snapshot = inner_point = _start(problem, cfg)[0]
     trace = TrainTrace()
     grad_evals = 0.0
     started = time.perf_counter()
-    if not np.isfinite(problem.value(snapshot)):
-        raise DivergenceError("objective is non-finite at initialization")
     for epoch in range(1, cfg.max_iters + 1):
         full = problem.grad(snapshot)
         grad_evals += 1.0
@@ -376,8 +382,8 @@ def train_svrg(problem, cfg=None):
             sum_b += inner_point.b
             sum_w += inner_point.w
             sum_v += inner_point.V
-        snapshot = fmg.FmParams(sum_b / inner, sum_w / inner, sum_v / inner)
-        _end_epoch(trace, problem, cfg, epoch, grad_evals, snapshot, started, diverged_at=inner_point)
+        last, snapshot = snapshot, fmg.FmParams(sum_b / inner, sum_w / inner, sum_v / inner)
+        _end_epoch(trace, problem, cfg, epoch, grad_evals, snapshot, last, started)
     return snapshot, trace
 
 
@@ -388,19 +394,20 @@ def train_sgd(problem, cfg=None):
     m_b, inner = cfg.batch_plan(n)
     rng = np.random.default_rng(cfg.seed)
 
-    params = init_params(problem, cfg)
+    params = _start(problem, cfg)[0]
     trace = TrainTrace()
     grad_evals = 0.0
     started = time.perf_counter()
     t = 0
     for epoch in range(1, cfg.max_iters + 1):
+        last = params
         for _ in range(inner):
             batch = problem.table.rows(rng.integers(0, n, size=m_b))
             step = cfg.step / (1.0 + cfg.step_decay * t)
             params = problem.prox_step(params, problem.grad(params, batch), step)
             grad_evals += m_b / n
             t += 1
-        _end_epoch(trace, problem, cfg, epoch, grad_evals, params, started)
+        _end_epoch(trace, problem, cfg, epoch, grad_evals, params, last, started)
     return params, trace
 
 

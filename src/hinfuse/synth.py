@@ -113,11 +113,6 @@ def planted_fm_problem(
     return problem, true, relevant
 
 
-def scaled_fm_problem(seed, n_samples, n_metagraphs=2, rank=10, K=10, lam=0.05):
-    """Fixed-width problem at a chosen sample count, for timing runs."""
-    return planted_fm_problem(seed, n_samples, n_metagraphs, rank, K, lam=lam)[0]
-
-
 # The metagraphs of write_rating_dataset's schema (the benchmark uses the bundled
 # Yelp set instead); the DSL's first line is kept as it is, since it is written to disk.
 PLANTED_METAGRAPHS = """\

@@ -347,7 +347,7 @@ def test_09_scalability():
         set_threads(1)
     try:
         for n in sizes:
-            problem = synth.scaled_fm_problem(5, n)
+            problem = synth.planted_fm_problem(5, n, n_metagraphs=2)[0]
             t0 = time.thread_time()
             solvers.train_svrg(problem, solvers.SolverConfig(step=0.01, max_iters=6, checkpoint_every=6))
             solvers.train_nmapg(problem, solvers.SolverConfig(step=0.01, max_iters=60, checkpoint_every=60))

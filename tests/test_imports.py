@@ -1,5 +1,6 @@
-"""Imports: no module of the package reaches into another's private names, and importing the
-package leaves ``numpy.f2py`` and ``numpy.testing`` unloaded until something reads them."""
+"""Imports: no module of the package reaches into another's private names, importing the
+package binds none of its modules' names, and it leaves ``numpy.f2py`` and ``numpy.testing``
+unloaded until something reads them."""
 
 import ast
 import json
@@ -198,3 +199,20 @@ def test_module_imported_first_stays_as_it_ran():
         print(json.dumps(sorted(name for name in sys.modules if name.startswith("numpy.f2py."))))
     """
     assert json.loads(run_fresh(code)) == []
+
+
+def test_package_binds_no_names():
+    # the API is the modules: the package loads none of them, and a module only what it imports
+    code = """
+        import json, sys
+        import hinfuse
+
+        public = sorted(name for name in vars(hinfuse) if not name.startswith("_"))
+        loaded = sorted(name for name in sys.modules if name.startswith(("hinfuse.", "scipy")))
+        import hinfuse.metagraph
+
+        stages = sorted(name for name in ("hinfuse.pipeline", "hinfuse.solvers") if name in sys.modules)
+        print(json.dumps([isinstance(hinfuse.__version__, str), public, loaded, stages]))
+    """
+    assert json.loads(run_fresh(code)) == [True, [], [], []]
+

@@ -335,14 +335,27 @@ class TestRunPipeline:
         b = pipeline.run_pipeline(cfg, str(tmp_path / "b"), str(tmp_path / "cb"))
         assert a.comparable() == b.comparable()
 
-    def test_test_labels_only_read_at_evaluation(self, dataset, tmp_path):
+    def test_test_labels_only_read_at_evaluation(self, dataset, tmp_path, monkeypatch):
+        # a split's labels are read where its table is built; note each table's role and the
+        # stage it is built in
         root, schema = dataset
-        events = []
-        pipeline.label_access_hook = lambda role, stage: events.append((role, stage))
-        try:
-            pipeline.run_pipeline(small_config(str(root), schema), str(tmp_path / "out"))
-        finally:
-            pipeline.label_access_hook = None
+        stage, events = [None], []
+        timed, table = pipeline.Stages.timed, pipeline.Stages.table
+
+        def tracked_timed(self, name, fn):
+            outer, stage[0] = stage[0], name
+            try:
+                return timed(self, name, fn)
+            finally:
+                stage[0] = outer
+
+        def tracked_table(features, rating_set):
+            events.append((rating_set.role, stage[0]))
+            return table(features, rating_set)
+
+        monkeypatch.setattr(pipeline.Stages, "timed", tracked_timed)
+        monkeypatch.setattr(pipeline.Stages, "table", staticmethod(tracked_table))
+        pipeline.run_pipeline(small_config(str(root), schema), str(tmp_path / "out"))
         test_events = [(role, stage) for role, stage in events if role == "test"]
         assert test_events, "test labels were never read"
         assert all(stage == "evaluate" for _, stage in test_events)
@@ -795,14 +808,12 @@ class TestCli:
         out = str(tmp_path / "out")
         assert cli.main(["train", "--config", self.write_config(root, tmp_path), "--out-dir", out]) == 0
         capsys.readouterr()
-        if change == "seed":
-            args = ["--config", self.write_config(root, tmp_path), "--seed", "1"]
-        else:
-            split = {"fractions": [0.7, 0.2, 0.1], "seed": 5}
-            args = ["--config", self.write_config(root, tmp_path, split=split)]
+        split = ({"fractions": [0.8, 0.1, 0.1], "seed": 1} if change == "seed"
+                 else {"fractions": [0.7, 0.2, 0.1], "seed": 5})
+        config = self.write_config(root, tmp_path, split=split)
         calls = []
         monkeypatch.setattr(hin, "ingest", lambda *a, **k: calls.append("ingest"))
-        assert cli.main(["evaluate", *args, "--out-dir", out]) == 1
+        assert cli.main(["evaluate", "--config", config, "--out-dir", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[evaluate] model was trained on the split") and calls == []
 
@@ -1040,24 +1051,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"[config] {message}")
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("where", ["config"])  # the config is the one place repeats is set
     def test_repeats_below_one_rejected(self, dataset, tmp_path, capsys, where):
         root, _ = dataset
-        config = self.write_config(root, tmp_path, **({"repeats": 0} if where == "config" else {}))
+        config = self.write_config(root, tmp_path, repeats=0)
         out = str(tmp_path / "out")
-        argv = ["pipeline", "--config", config, "--out-dir", out]
-        assert cli.main(argv + (["--repeats", "0"] if where == "flag" else [])) == 1
+        assert cli.main(["pipeline", "--config", config, "--out-dir", out]) == 1
         assert capsys.readouterr().err.startswith("[config] repeats must be >= 1, got 0")
         assert not os.path.exists(os.path.join(out, "metrics.json"))
-
-    def test_negative_seed_flag_rejected(self, dataset, tmp_path, capsys):
-        # --seed sets split.seed and solver.seed, and is checked as they are, before any stage
-        root, _ = dataset
-        out = str(tmp_path / "out")
-        argv = ["similarity", "--config", self.write_config(root, tmp_path), "--out-dir", out, "--seed", "-1"]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("[config] solver.seed must be >= 0, got -1")
-        assert not os.path.exists(out)
 
     def test_fits_leave_no_worker_behind(self, dataset, tmp_path, capsys):
         root, _ = dataset
@@ -1069,12 +1070,13 @@ class TestCli:
         assert cli.main(["pipeline", "--config", config, "--out-dir", str(tmp_path / "good")]) == 0
         assert multiprocessing.active_children() == []
 
-    def test_seed_override(self, dataset, tmp_path):
+    def test_split_seed_changes_the_split(self, dataset, tmp_path):
         root, _ = dataset
-        config = self.write_config(root, tmp_path)
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-        assert cli.main(["pipeline", "--config", config, "--out-dir", out1, "--seed", "5"]) == 0
-        assert cli.main(["pipeline", "--config", config, "--out-dir", out2, "--seed", "6"]) == 0
+        for seed, out in ((5, out1), (6, out2)):
+            config = self.write_config(root, tmp_path, split={"fractions": [0.8, 0.1, 0.1], "seed": seed},
+                                       solver={"algorithm": "svrg", "step": 0.02, "max_iters": 20, "seed": seed})
+            assert cli.main(["pipeline", "--config", config, "--out-dir", out]) == 0
         with open(os.path.join(out1, "metrics.json")) as fh:
             a = json.load(fh)
         with open(os.path.join(out2, "metrics.json")) as fh:

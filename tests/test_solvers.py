@@ -16,6 +16,22 @@ def bias_only_problem(label=3.7, n=200, d=4, K=2):
     return solvers.TrainProblem(fmg.FeatureTable.dense(X, y), layout, reg, K)
 
 
+@dataclasses.dataclass
+class NanAtCalls(solvers.TrainProblem):
+    """A problem whose objective reads NaN on the calls numbered in ``nan_calls`` (from 1)."""
+
+    nan_calls: tuple = ()
+    calls: int = 0
+
+    def value(self, params):
+        self.calls += 1
+        return float("nan") if self.calls in self.nan_calls else super().value(params)
+
+
+def marginal_problem():
+    return synth.planted_fm_problem(4, n_samples=400, n_metagraphs=2, rank=3, K=2, lam=0.05)[0]
+
+
 class TestNmapg:
     def test_bias_only_converges_to_label_mean(self):
         problem = bias_only_problem()
@@ -59,13 +75,27 @@ class TestNmapg:
             solvers.train_nmapg(problem, cfg)
         assert err.value.params is not None
 
-    def test_one_time_halving_recovers_marginal_step(self):
-        problem, _, _ = synth.planted_fm_problem(4, n_samples=400, n_metagraphs=2, rank=3, K=2, lam=0.05)
-        stable = solvers.SolverConfig(step=0.02, max_iters=150)
-        _, trace_stable = solvers.train_nmapg(problem, stable)
-        risky = solvers.SolverConfig(step=0.04, max_iters=150)
-        params, trace = solvers.train_nmapg(problem, risky)  # must not raise
+    def test_marginal_step_trains_without_raising(self):
+        _, trace = solvers.train_nmapg(marginal_problem(), solvers.SolverConfig(step=0.04, max_iters=150))
         assert np.isfinite(trace.records[-1].objective)
+
+    def test_halving_restarts_at_half_the_step(self):
+        # calls 2 and 3 are the first candidate and its fallback: the step halves once, and the
+        # run restarts from the start, as a fresh run at half the step plus the two gradients spent
+        problem = marginal_problem()
+        params, trace = solvers.train_nmapg(NanAtCalls(**vars(problem), nan_calls=(2, 3)),
+                                            solvers.SolverConfig(step=0.04, max_iters=30))
+        fresh, fresh_trace = solvers.train_nmapg(problem, solvers.SolverConfig(step=0.02, max_iters=30))
+        assert [r.extra["step"] for r in trace.records] == [0.02] * 30
+        assert [r.objective for r in trace.records] == [r.objective for r in fresh_trace.records]
+        assert [r.grad_evals - f.grad_evals for r, f in zip(trace.records, fresh_trace.records)] == [2.0] * 30
+        for got, want in zip((params.b, params.w, params.V), (fresh.b, fresh.w, fresh.V)):
+            assert np.array_equal(got, want)
+
+    def test_divergence_after_halving_raises(self):
+        problem = NanAtCalls(**vars(marginal_problem()), nan_calls=(2, 3, 4, 5))
+        with pytest.raises(solvers.DivergenceError, match=r"^objective diverged at iteration 1 \(step 0.02\)$"):
+            solvers.train_nmapg(problem, solvers.SolverConfig(step=0.04, max_iters=30))
 
 
 class TestSvrg:
@@ -160,6 +190,25 @@ class TestSgd:
         assert t1.column("objective").tolist() == t2.column("objective").tolist()
 
 
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["svrg", "sgd"])
+    def test_error_carries_a_finite_iterate(self, algorithm):
+        problem, _, _ = synth.planted_fm_problem(3, n_samples=300, n_metagraphs=2, rank=4, K=3, lam=0.01)
+        cfg = solvers.SolverConfig(algorithm=algorithm, step=1e3, batch_size=30)
+        with pytest.raises(solvers.DivergenceError, match="diverged in epoch 1") as err:
+            solvers.train(problem, cfg)
+        assert np.isfinite(problem.value(err.value.params))
+
+    @pytest.mark.parametrize("algorithm", ["nmapg", "svrg", "sgd"])
+    def test_non_finite_start_rejected(self, algorithm):
+        # one objective evaluation, at the start, and no training step
+        problem = NanAtCalls(**vars(marginal_problem()), nan_calls=(1,))
+        with pytest.raises(solvers.DivergenceError, match="^objective is non-finite at initialization$"):
+            solvers.train(problem, solvers.SolverConfig(algorithm=algorithm, max_iters=3))
+        assert problem.calls == 1
+
+
 class TestTrace:
     def test_grad_eval_counter_monotone(self):
         problem, _, _ = synth.planted_fm_problem(9, n_samples=300, n_metagraphs=2, rank=3, K=2, lam=0.05)
@@ -191,7 +240,7 @@ class TestTrace:
         ("nmapg", 10, 300, 60, 0.01),
         ("svrg", 10, 300, 60, 0.01),
         ("sgd", 10, 300, 60, 0.01),
-        ("nmapg", 4, 400, 0, 0.04),  # the problem and step of test_one_time_halving_recovers_marginal_step
+        ("nmapg", 4, 400, 0, 0.04),  # the problem and step of test_marginal_step_trains_without_raising
     ])
     def test_last_record_is_at_the_returned_params(self, algorithm, seed, n_samples, n_valid, step,
                                                    checkpoint_every):
@@ -248,7 +297,7 @@ class TestPerIterationScaling:
     def test_full_gradient_time_tracks_sample_count(self):
         runs = {}
         for n in (20000, 40000):
-            problem = synth.scaled_fm_problem(13, n, n_metagraphs=2, rank=5, K=5)
+            problem = synth.planted_fm_problem(13, n, n_metagraphs=2, rank=5, K=5)[0]
             params = solvers.init_params(problem, solvers.SolverConfig())
             fmg.mse_grad(params, problem.table)  # warm up
             runs[n] = (params, problem.table, [])
